@@ -1,1 +1,1 @@
-"""Benchmark harness: one module per experiment in DESIGN.md (E1-E10)."""
+"""Benchmark harness: paper-experiment benchmarks and the section registry."""

@@ -1,127 +1,59 @@
 #!/usr/bin/env python
-"""Run the throughput benchmark suite and persist a trajectory file.
+"""Run the benchmark sections and persist a trajectory file.
 
-Executes ``benchmarks/test_bench_throughput.py`` under pytest-benchmark
-with ``--benchmark-json``, condenses the raw report into one record per
-benchmark (mean/min seconds and ops/s), measures the ``soc_offload``
-section (1/2/4-PE pipelined tiled-GeMM cycles and wall-time through the
-full-system simulator) and writes/extends ``BENCH_throughput.json`` at the
+Executes ``benchmarks/test_bench_throughput.py`` under pytest-benchmark,
+condenses the raw report into one record per benchmark (mean/min seconds
+and ops/s), then runs every section of the registry in
+``benchmarks/sections/`` — ``collect`` to measure it, ``check`` to assert
+its contracts — and writes/extends ``BENCH_throughput.json`` at the
 repository root:
 
 .. code-block:: json
 
     {
       "latest": {"<bench name>": {"mean_s": ..., "min_s": ..., "ops_per_s": ...}},
-      "soc_offload": {"1pe": {"cycles": ..., "serial_cycles": ..., "wall_s": ...}},
-      "serving": {"analog-photonic": {"modes": {"batch1": ..., "dynamic": ...}}},
-      "compiler": {"plan_vs_naive": {...}, "k_sharding": {...}, "routing": {...}},
-      "compiler_dag": {"diamond": {...}, "batch_aware_sharding": {...},
-                       "branch_parallel": {...}},
-      "soc_datapath": {"k_sharding": {...}, "branch_fusion": {...}},
-      "serving_fabric": {"single_process": {...}, "fabric": {...},
-                         "saturated_speedup_fabric_vs_single_process": ...},
-      "snn_serving": {"batched_vs_serial": {...}, "served": {...},
-                      "online_stdp": {...}, "fault_campaign": {...}},
-      "observability": {"untraced_hz": ..., "traced_hz": ...,
-                        "overhead_frac": ..., "bitwise_parity": ...},
-      "adaptive": {"online_refit": {...}, "flip_point": {...}},
-      "history": [{"machine": ..., "results": {...}, "soc_offload": {...}}, ...]
+      "<section>": {...},
+      "history": [{"machine": ..., "commit": ..., "timestamp": ...,
+                   "cpu_count": ..., "results": {...}, "<section>": {...}}, ...]
     }
 
-The ``serving`` section holds the traffic benchmark: offered load vs.
-achieved throughput with p50/p99 latency and queue-depth stats for
-batch-size-1 serial serving and dynamic micro-batching on each replica
-backend, plus the measured speedup at saturating offered load.
-
-The ``compiler`` section holds the model-compiler benchmark: compiled
-multi-layer plan cycles vs naive single-PE serial execution, the K-sharded
-GeMM overlap figures, and cost-based vs round-robin routing p99 latency on
-a heterogeneous 3-replica pool at saturating offered load.
-
-The ``compiler_dag`` section holds the branching-DAG benchmark: the
-diamond-graph equivalence figures on both executors, the batch-aware
-rows-vs-K sharding flip (decision and measured cycles at batch 1 vs 32),
-and the branch-parallel speedup of level dispatch over sequential
-execution on a fan-out graph served by a replica pool.
-
-The ``serving_fabric`` section holds the multi-process serving benchmark:
-the gateway-over-worker-processes fabric vs one single-process asyncio
-server on the same compute-heavy engine at a saturating offered load, with
-a bitwise request-equivalence oracle, per-worker completion counts and
-p50/p99 latency for both sides.
-
-The ``soc_datapath`` section holds the zero-copy datapath benchmark:
-staged vs descriptor-based in-place K-shard operand streaming (cycles,
-staging traffic, per-engine DMA bytes) and sequential vs branch-fused
-multi-head lowering at 2 and 4 PEs (measured and cost-model-predicted
-cycles), both with bitwise oracles.
-
-The ``snn_serving`` section holds the spiking serving benchmark: the fused
-multi-pattern run vs per-request serial runs (bitwise oracle, spikes/s),
-the served batch1-vs-dynamic sweep, online STDP reproducibility and
-updates/s, and the stuck-synapse fault-degradation curve (p99 latency and
-spike-count accuracy vs fault count) measured under live load.
-
-The ``observability`` section holds the tracing-plane benchmark: traced vs
-untraced closed-loop throughput on the compute-heavy engine (quick mode
-asserts at most 5% overhead), the bitwise served-output/cycle-count parity
-oracle with tracing on vs off, the Chrome-trace export validation count,
-and a drift-monitor smoke (a miscalibrated cost model must be flagged).
-
-The ``adaptive`` section holds the closed-loop replanning benchmark: the
-predicted-cycle error before vs after an online cost-model refit under
-shifted traffic (post-calibration bus contention), and the p99 latency
-across a batch-width flip-point crossing with automatic replanning on vs
-off — with a bitwise old-plan/new-plan parity oracle and an
-exactly-one-recompile contract.
-
-Future performance PRs compare their run against ``latest`` (and the
-trajectory in ``history``) to prove a speedup or catch a regression.
+Each section module documents its own record.  These are simulator and
+contract figures; end-to-end speed is measured by ``perfbench/`` (see
+``perfbench/NOTES.md``).
 
 Usage::
 
     python benchmarks/run_bench.py [--output BENCH_throughput.json] [--quick]
 
-``--quick`` runs a CI-smoke variant: small sizes, no pytest-benchmark
-suite, and nothing written to the trajectory file.
+``--quick`` runs the CI-smoke variant: each section's small configuration
+(the one the tier-1 contract tests gate on), no pytest-benchmark suite,
+and nothing written to the trajectory file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_FILES = [
-    Path(__file__).resolve().parent / "test_bench_throughput.py",
-    Path(__file__).resolve().parent / "test_bench_serving.py",
-]
+BENCH_FILES = [Path(__file__).resolve().parent / "test_bench_throughput.py"]
 MAX_HISTORY = 50
 
 
 def run_benchmarks(raw_json: Path) -> int:
     """Run the throughput suite with pytest-benchmark; returns the exit code."""
-    env_path = str(REPO_ROOT / "src")
-    import os
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = env_path + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
     command = [
-        sys.executable,
-        "-m",
-        "pytest",
-        *(str(path) for path in BENCH_FILES),
-        "-q",
-        f"--benchmark-json={raw_json}",
+        sys.executable, "-m", "pytest", *(str(path) for path in BENCH_FILES),
+        "-q", f"--benchmark-json={raw_json}",
     ]
-    return subprocess.call(command, cwd=str(REPO_ROOT), env=env)
+    return subprocess.call(command, cwd=str(REPO_ROOT))
 
 
 def condense(raw_json: Path) -> dict:
@@ -139,1335 +71,68 @@ def condense(raw_json: Path) -> dict:
     return results
 
 
-def collect_soc_offload(pe_counts=(1, 2, 4), shape=(32, 16, 16)) -> dict:
-    """Measure the pipelined multi-PE tiled GeMM on the full-system model.
+def git_commit() -> str | None:
+    """The checked-out commit, or ``None`` outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
-    For each PE count the whole offload (host MMR configuration, sharded
-    tile streams, double-buffered DMA/compute pipeline) runs once; the
-    record keeps the simulated end-to-end cycles, the serial DMA + compute
-    phase sum, the measured overlap and the simulator wall-time.
+
+def update_trajectory(output: Path, results: dict, sections: dict) -> dict:
+    """Write ``{latest, <section>..., history}``, appending to any history.
+
+    ``results`` is the condensed pytest-benchmark report and ``sections``
+    maps each section name to its collected record.  Each history record
+    is stamped with the commit, a UTC timestamp and the CPU count.
     """
-    import time
-
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.eval import make_gemm_workload
-    from repro.system import PhotonicSoC
-
-    n_rows, n_inner, n_cols = shape
-    weights, inputs = make_gemm_workload(n_rows, n_inner, n_cols, rng=0)
-    golden = weights @ inputs
-    section = {}
-    for n_pes in pe_counts:
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        started = time.perf_counter()
-        report = soc.run_tiled_gemm(weights, inputs)
-        wall_s = time.perf_counter() - started
-        assert np.array_equal(report.result, golden), f"{n_pes}-PE result mismatch"
-        section[f"{n_pes}pe"] = {
-            "shape": list(shape),
-            "cycles": report.cycles,
-            "serial_cycles": report.pipeline["serial_cycles"],
-            "critical_path_serial_cycles": report.pipeline["critical_path_serial_cycles"],
-            "overlap_cycles": report.pipeline["overlap_cycles"],
-            "intra_pe_overlap_cycles": report.pipeline["intra_pe_overlap_cycles"],
-            "n_tiles": report.pipeline["n_tiles"],
-            "wall_s": wall_s,
-        }
-    return section
-
-
-def collect_soc_datapath(quick: bool = False) -> dict:
-    """Zero-copy datapath benchmark: in-place K-shards and branch fusion.
-
-    Two legs, both with bitwise oracles so the trajectory never records a
-    speedup bought with wrong numbers:
-
-    * ``k_sharding``: the same K-sharded GeMM run twice on fresh 2-PE SoCs
-      — the legacy staged layout (operand slices copied to the staging
-      region) vs the descriptor-based in-place datapath (strided DMA reads
-      straight from the operand matrices).  Records cycles, staging
-      traffic and per-engine DMA bytes; the in-place run must not be
-      slower and must perform zero staging writes.
-    * ``branch_fusion``: a multi-head model compiled twice per cluster
-      size — per-branch lowering (``fuse="never"``) vs the cost-model
-      driven fused stacked offload (``fuse="auto"``).  Records measured
-      and predicted cycles; the fused plan must not be slower where the
-      model predicts a win.
-    """
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.compiler import SoCCostModel, compile_for_soc
-    from repro.eval import make_gemm_workload, make_multi_head_graph
-    from repro.system import PhotonicSoC
-
-    def cluster(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
-    # -- staged vs in-place K-sharded operand streaming ------------------- #
-    shape = (16, 16, 8) if quick else (32, 16, 16)
-    weights, inputs = make_gemm_workload(*shape, rng=0)
-    golden = weights @ inputs
-    points = {}
-    for mode in ("staged", "in-place"):
-        soc = cluster(2)
-        report = soc.run_tiled_gemm(weights, inputs, k_shards=2, k_staging=mode)
-        assert np.array_equal(report.result, golden), f"{mode} K-shard mismatch"
-        points[mode] = {
-            "cycles": report.cycles,
-            "pipelined_cycles": report.pipeline["pipelined_cycles"],
-            "serial_cycles": report.pipeline["serial_cycles"],
-            "staging_cycles": report.pipeline["staging_cycles"],
-            "staging_words": report.pipeline["staging_words"],
-            "dma_bytes_moved": {
-                name: stats["bytes_moved"] for name, stats in report.dma.items()
-            },
-        }
-    assert points["in-place"]["cycles"] <= points["staged"]["cycles"], (
-        "in-place K-sharding regressed past the staged baseline"
-    )
-    assert points["in-place"]["staging_words"] == 0, (
-        "in-place K-sharding still writes to the staging region"
-    )
-    k_sharding = {
-        "shape": list(shape),
-        "k_shards": 2,
-        "n_pes": 2,
-        "exact": True,
-        "speedup": points["staged"]["cycles"] / points["in-place"]["cycles"],
-        **points,
-    }
-
-    # -- sequential vs branch-fused multi-head lowering ------------------- #
-    graph = make_multi_head_graph(n_features=12, head_sizes=(3, 3, 3, 3), rng=2)
-    columns = np.arange(12 * 2).reshape(12, 2) % 7 - 3
-    reference = graph.reference_forward(columns).astype(np.int64)
-    pe_counts = (2,) if quick else (2, 4)
-    fusion_points = {}
-    for n_pes in pe_counts:
-        cost_model = SoCCostModel.calibrate(cluster(n_pes))
-        fused = compile_for_soc(
-            graph, cluster(n_pes), cost_model=cost_model, n_columns=2, cache=None
-        )
-        plain = compile_for_soc(
-            graph, cluster(n_pes), cost_model=cost_model, n_columns=2,
-            fuse="never", cache=None,
-        )
-        assert np.array_equal(fused.run(columns), reference), "fused plan mismatch"
-        assert np.array_equal(plain.run(columns), reference), "plain plan mismatch"
-        fused_steps = [s for s in fused.steps if s.kind == "fused-dense"]
-        assert fused_steps, "cost model declined fusion on the benchmark shape"
-        assert fused.total_cycles <= plain.total_cycles, (
-            f"{n_pes}-PE fused plan regressed past sequential lowering"
-        )
-        step = fused_steps[0]
-        fusion_points[f"{n_pes}pe"] = {
-            "fused_cycles": fused.total_cycles,
-            "sequential_cycles": plain.total_cycles,
-            "speedup": plain.total_cycles / fused.total_cycles,
-            "predicted_fused_cycles": step.predicted_fused_cycles,
-            "predicted_serial_cycles": step.predicted_serial_cycles,
-            "offloads_fused": len(fused.reports),
-            "offloads_sequential": len(plain.reports),
-        }
-    branch_fusion = {
-        "graph": "multi-head (12 features, 4x3 heads)",
-        "n_columns": 2,
-        "exact": True,
-        **fusion_points,
-    }
-    return {"k_sharding": k_sharding, "branch_fusion": branch_fusion}
-
-
-def collect_serving(quick: bool = False) -> dict:
-    """Traffic benchmark: offered load vs. achieved throughput and latency.
-
-    For each replica backend (``ideal-digital`` and ``analog-photonic``)
-    and each serving mode (``batch1`` = serial batch-size-1 baseline,
-    ``dynamic`` = micro-batching up to 32), a seeded Poisson arrival trace
-    is replayed open-loop at offered rates of 0.5x, 2x and 8x the
-    backend's measured single-request capacity.  The 8x point saturates
-    the replica: achieved throughput there is the serving capacity, and
-    ``saturated_speedup_dynamic_vs_batch1`` is the dynamic-batching win.
-    """
-    import asyncio
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.serving import (
-        GemmEngine,
-        InferenceServer,
-        Replica,
-        make_column_workload,
-        poisson_arrival_times,
-        run_open_loop,
-    )
-    from repro.utils.rng import ensure_rng
-
-    shape = (16, 16)
-    n_requests = 60 if quick else 240
-    max_batch = 64
-    rate_multipliers = (0.5, 2.0, 8.0)
-    weights = ensure_rng(0).normal(size=shape)
-
-    def make_engine(backend_name):
-        kwargs = {"rng": 0} if backend_name == "analog-photonic" else {}
-        return GemmEngine(backend=backend_name, weights=weights, **kwargs)
-
-    async def measure(backend_name, mode, offered_hz):
-        engine = make_engine(backend_name)
-        engine.compile(None)  # program the mesh outside the timed window
-        # greedy coalescing (max_wait_s=0): a batch is whatever has queued
-        # behind the in-flight one, so light load stays at serial latency
-        # while saturation serves in full fused batches
-        replica = Replica(
-            "r0",
-            engine,
-            max_batch=1 if mode == "batch1" else max_batch,
-            max_wait_s=0.0,
-            max_queue_depth=4 * max_batch,
-        )
-        async with InferenceServer([replica]) as server:
-            trace = poisson_arrival_times(offered_hz, n_requests, rng=1)
-            workload = make_column_workload(shape[1], n_requests, rng=2)
-            report = await run_open_loop(
-                server, trace, workload, offered_rate_hz=offered_hz
-            )
-        telemetry = report.telemetry
-        return {
-            "offered_hz": offered_hz,
-            "achieved_hz": report.achieved_hz,
-            "completed": report.completed,
-            "rejected": report.rejected,
-            "p50_ms": telemetry["latency"]["p50_ms"],
-            "p99_ms": telemetry["latency"]["p99_ms"],
-            "max_queue_depth": telemetry["queue_depth"]["max"],
-            "mean_queue_depth": telemetry["queue_depth"]["mean"],
-            "mean_batch": telemetry["replicas"]["r0"]["mean_batch"],
-        }
-
-    def serial_capacity_hz(backend_name):
-        import time
-
-        engine = make_engine(backend_name)
-        column = np.zeros((shape[1], 1))
-        engine.run_batch(None, column)  # compile outside the timed window
-        best = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            for _ in range(10):
-                engine.run_batch(None, column)
-            best = min(best, (time.perf_counter() - started) / 10)
-        return 1.0 / best
-
-    section = {}
-    for backend_name in ("ideal-digital", "analog-photonic"):
-        capacity = serial_capacity_hz(backend_name)
-        modes = {}
-        for mode in ("batch1", "dynamic"):
-            points = []
-            for multiplier in rate_multipliers:
-                offered = multiplier * capacity
-                points.append(asyncio.run(measure(backend_name, mode, offered)))
-            modes[mode] = {
-                "offered_hz": [point["offered_hz"] for point in points],
-                "achieved_hz": [point["achieved_hz"] for point in points],
-                "p50_ms": [point["p50_ms"] for point in points],
-                "p99_ms": [point["p99_ms"] for point in points],
-                "rejected": [point["rejected"] for point in points],
-                "max_queue_depth": [point["max_queue_depth"] for point in points],
-                "mean_queue_depth": [point["mean_queue_depth"] for point in points],
-                "mean_batch": [point["mean_batch"] for point in points],
-            }
-        saturated = {
-            mode: modes[mode]["achieved_hz"][-1] for mode in ("batch1", "dynamic")
-        }
-        section[backend_name] = {
-            "shape": list(shape),
-            "n_requests": n_requests,
-            "serial_capacity_hz": capacity,
-            "modes": modes,
-            "saturated_speedup_dynamic_vs_batch1": (
-                saturated["dynamic"] / saturated["batch1"]
-                if saturated["batch1"] > 0
-                else None
-            ),
-        }
-    return section
-
-
-def collect_serving_fabric(quick: bool = False) -> dict:
-    """Fabric benchmark: multi-process gateway vs single-process serving.
-
-    The same compute-heavy engine (exact digital GeMM plus a blocking
-    per-column service time, the modulator-occupancy analogue) is served
-    two ways at a saturating open-loop offered load:
-
-    * ``single_process`` — one asyncio :class:`InferenceServer` with
-      ``n_workers`` replicas in one interpreter; engine calls execute
-      inline on the event loop, so service times serialize.
-    * ``fabric`` — a :class:`FabricGateway` over ``n_workers`` spawned
-      worker processes; service times overlap across processes.
-
-    Before the timed runs, a request-by-request equivalence pass proves
-    the fabric's answers are bitwise-identical to the in-process server's.
-    Side-effect-free (no trajectory mutation), so ``--quick`` runs it as
-    the CI smoke for the fabric subsystem; the quick contract is
-    conservative (fabric at least matches single-process) while the full
-    run must clear 2x with a no-worse p99.
-    """
-    import asyncio
-    import os
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    # spawned workers re-import repro: sys.path edits do not propagate to
-    # spawn children, the environment variable does
-    src_path = str(REPO_ROOT / "src")
-    if src_path not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
-        os.environ["PYTHONPATH"] = src_path + (
-            os.pathsep + os.environ["PYTHONPATH"]
-            if os.environ.get("PYTHONPATH")
-            else ""
-        )
-    import numpy as np
-
-    from repro.serving import (
-        FabricGateway,
-        GemmEngine,
-        InferenceServer,
-        Replica,
-        make_column_workload,
-        make_worker_specs,
-        poisson_arrival_times,
-        run_open_loop,
-    )
-    from repro.utils.rng import ensure_rng
-
-    shape = (16, 16)
-    n_workers = 2 if quick else 4
-    service_s = 0.003 if quick else 0.004
-    n_requests = 60 if quick else 240
-    max_batch = 8
-    queue_depth = max(4 * n_requests, 256)
-    weights = ensure_rng(0).normal(size=shape)
-    engine_kwargs = {
-        "weights": weights,
-        "service_s_per_column": service_s,
-        "spin_iters": 50,
-    }
-    # single-process capacity is one engine's service rate (calls execute
-    # inline on the event loop regardless of replica count); offer several
-    # times that so both servers run at saturation
-    single_capacity_hz = 1.0 / service_s
-    offered_hz = (4.0 if quick else 6.0) * single_capacity_hz
-
-    def make_replicas():
-        from repro.serving.fabric.engines import ComputeHeavyBackend
-
-        return [
-            Replica(
-                f"w{index}",
-                GemmEngine(
-                    backend=ComputeHeavyBackend(
-                        spin_iters=engine_kwargs["spin_iters"],
-                        service_s_per_column=service_s,
-                    ),
-                    weights=weights,
-                    name=f"w{index}",
-                ),
-                max_batch=max_batch,
-                max_queue_depth=queue_depth,
-            )
-            for index in range(n_workers)
-        ]
-
-    def make_specs():
-        return make_worker_specs(
-            n_workers,
-            "repro.serving.fabric.engines:make_compute_heavy_engine",
-            engine_kwargs=engine_kwargs,
-            max_batch=max_batch,
-            max_queue_depth=queue_depth,
-        )
-
-    def summarize(report):
-        telemetry = report.telemetry
-        return {
-            "offered_hz": report.offered_rate_hz,
-            "achieved_hz": report.achieved_hz,
-            "completed": report.completed,
-            "rejected": report.rejected,
-            "p50_ms": telemetry["latency"]["p50_ms"],
-            "p99_ms": telemetry["latency"]["p99_ms"],
-            "per_worker_completed": {
-                name: stats["completed"]
-                for name, stats in telemetry["replicas"].items()
-            },
-        }
-
-    async def equivalence_pass():
-        """Bitwise oracle: the fabric answers exactly like in-process serving."""
-        workload = make_column_workload(shape[1], 16, rng=3)
-        async with InferenceServer(make_replicas()) as server:
-            expected = [
-                await server.submit(workload(index), replica=f"w{index % n_workers}")
-                for index in range(16)
-            ]
-        async with FabricGateway(make_specs(), max_pending=queue_depth) as gateway:
-            actual = [
-                await gateway.submit(workload(index), replica=f"w{index % n_workers}")
-                for index in range(16)
-            ]
-        return all(
-            np.array_equal(got, want) for got, want in zip(actual, expected)
-        )
-
-    async def measure_single():
-        async with InferenceServer(make_replicas()) as server:
-            trace = poisson_arrival_times(offered_hz, n_requests, rng=1)
-            workload = make_column_workload(shape[1], n_requests, rng=2)
-            return await run_open_loop(
-                server, trace, workload, offered_rate_hz=offered_hz
-            )
-
-    async def measure_fabric():
-        async with FabricGateway(make_specs(), max_pending=queue_depth) as gateway:
-            trace = poisson_arrival_times(offered_hz, n_requests, rng=1)
-            workload = make_column_workload(shape[1], n_requests, rng=2)
-            return await run_open_loop(
-                gateway, trace, workload, offered_rate_hz=offered_hz
-            )
-
-    bitwise_identical = bool(asyncio.run(equivalence_pass()))
-    assert bitwise_identical, "fabric results diverged from in-process serving"
-
-    # wall-clock comparison on a possibly noisy machine: one retry, then
-    # assert — a speedup bought with dropped work would be meaningless, so
-    # completion counts are checked first
-    floor = 1.0 if quick else 2.0
-    for attempt in range(2):
-        single = summarize(asyncio.run(measure_single()))
-        fabric = summarize(asyncio.run(measure_fabric()))
-        assert single["completed"] == n_requests, "single-process run dropped work"
-        assert fabric["completed"] == n_requests, "fabric run dropped work"
-        speedup = (
-            fabric["achieved_hz"] / single["achieved_hz"]
-            if single["achieved_hz"] > 0
-            else 0.0
-        )
-        if speedup >= floor and fabric["p99_ms"] <= single["p99_ms"]:
-            break
-    assert speedup >= floor, (
-        f"fabric achieved {speedup:.2f}x single-process at saturation "
-        f"(required >= {floor}x)"
-    )
-    assert fabric["p99_ms"] <= single["p99_ms"], (
-        f"fabric p99 {fabric['p99_ms']:.1f} ms regressed past single-process "
-        f"{single['p99_ms']:.1f} ms"
-    )
-    return {
-        "shape": list(shape),
-        "n_workers": n_workers,
-        "n_requests": n_requests,
-        "service_s_per_column": service_s,
-        "max_batch": max_batch,
-        "offered_hz": offered_hz,
-        "bitwise_identical": bitwise_identical,
-        "single_process": single,
-        "fabric": fabric,
-        "saturated_speedup_fabric_vs_single_process": speedup,
-    }
-
-
-def collect_compiler(quick: bool = False) -> dict:
-    """Model-compiler benchmark: plan-vs-naive, K-sharding, cost routing.
-
-    Side-effect-free (fresh SoCs and replica pools per measurement, no
-    global registry or trajectory mutation), so ``--quick`` runs it as the
-    CI smoke for the compiler subsystem.
-    """
-    import asyncio
-    import time as time_mod
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.compiler import (
-        ModelGraph,
-        SoCCostModel,
-        compile_for_soc,
-        profile_replicas,
-        replica_cost_fn,
-    )
-    from repro.core.backends import IdealDigitalBackend
-    from repro.eval import make_gemm_workload, make_layer_stack
-    from repro.serving import (
-        GemmEngine,
-        InferenceServer,
-        Replica,
-        make_column_workload,
-        poisson_arrival_times,
-        run_open_loop,
-    )
-    from repro.system import PhotonicSoC
-
-    def cluster(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
-    # -- compiled plan vs naive single-PE serial execution ---------------- #
-    layer_sizes = [16, 16, 12, 8] if quick else [24, 32, 24, 16]
-    mats = make_layer_stack(layer_sizes, rng=0)
-    graph = ModelGraph.from_matrices(mats)
-    columns = np.random.default_rng(1).integers(-3, 4, size=(layer_sizes[0], 4))
-    soc = cluster(2)
-    cost_model = SoCCostModel.calibrate(soc)
-    started = time_mod.perf_counter()
-    plan = compile_for_soc(graph, soc, cost_model=cost_model, cache=None)
-    planned = plan.run(columns)
-    plan_wall_s = time_mod.perf_counter() - started
-    naive_soc = cluster(1)
-    naive = columns.astype(np.int64)
-    naive_cycles = 0
-    for weights in mats:
-        report = naive_soc.run_tiled_gemm(weights, naive, tile_rows=weights.shape[0])
-        naive = report.result
-        naive_cycles += report.pipeline["serial_cycles"]
-    assert np.array_equal(planned, naive), "compiled plan diverged from naive"
-    plan_vs_naive = {
-        "layer_sizes": layer_sizes,
-        "plan_cycles": plan.total_cycles,
-        "predicted_cycles": plan.predicted_cycles,
-        "naive_serial_cycles": naive_cycles,
-        "speedup": naive_cycles / plan.total_cycles if plan.total_cycles else None,
-        "exact": True,
-        "wall_s": plan_wall_s,
-    }
-
-    # -- K-sharded GeMM overlap ------------------------------------------- #
-    shape = (16, 16, 8) if quick else (24, 32, 8)
-    weights, inputs = make_gemm_workload(*shape, rng=0)
-    k_soc = cluster(2)
-    k_report = k_soc.run_tiled_gemm(weights, inputs, k_shards=2)
-    assert np.array_equal(k_report.result, weights @ inputs), "K-shard mismatch"
-    k_sharding = {
-        "shape": list(shape),
-        "k_shards": 2,
-        "pipelined_cycles": k_report.pipeline["pipelined_cycles"],
-        "serial_cycles": k_report.pipeline["serial_cycles"],
-        "overlap_cycles": k_report.pipeline["overlap_cycles"],
-        "accumulate_cycles": k_report.pipeline["accumulate_cycles"],
-        "exact": True,
-    }
-
-    # -- cost-based vs round-robin routing on a heterogeneous pool -------- #
-    class SlowDigitalBackend(IdealDigitalBackend):
-        name = "slow-digital"
-
-        def __init__(self, delay_s):
-            self.delay_s = float(delay_s)
-
-        def matmul(self, weights, inputs):
-            time_mod.sleep(self.delay_s)
-            return super().matmul(weights, inputs)
-
-        def schedule_latency_s(self, n_columns):
-            return self.delay_s
-
-    pool_shape = (12, 12)
-    n_requests = 45 if quick else 120
-    pool_weights = np.random.default_rng(0).normal(size=pool_shape)
-
-    def make_pool():
-        return [
-            Replica("fast0", GemmEngine(weights=pool_weights, name="fast0"),
-                    max_queue_depth=256),
-            Replica("fast1", GemmEngine(weights=pool_weights, name="fast1"),
-                    max_queue_depth=256),
-            Replica(
-                "slow",
-                GemmEngine(
-                    backend=SlowDigitalBackend(0.003),
-                    weights=pool_weights,
-                    name="slow",
-                ),
-                max_queue_depth=256,
-            ),
-        ]
-
-    async def measure(policy):
-        replicas = make_pool()
-        cost_fn = None
-        if policy == "cost-based":
-            cost_fn = replica_cost_fn(profile_replicas(replicas, repeats=2))
-        async with InferenceServer(replicas, policy=policy, cost_fn=cost_fn) as server:
-            offered_hz = 2000.0
-            trace = poisson_arrival_times(offered_hz, n_requests, rng=1)
-            workload = make_column_workload(pool_shape[1], n_requests, rng=2)
-            report = await run_open_loop(
-                server, trace, workload, offered_rate_hz=offered_hz
-            )
-        telemetry = report.telemetry
-        return {
-            "p50_ms": telemetry["latency"]["p50_ms"],
-            "p99_ms": telemetry["latency"]["p99_ms"],
-            "achieved_hz": report.achieved_hz,
-            "per_replica_completed": {
-                name: stats["completed"]
-                for name, stats in telemetry["replicas"].items()
-            },
-        }
-
-    # wall-clock comparison on a possibly noisy machine: one retry, then
-    # record whatever was measured — the hard contract lives in
-    # benchmarks/test_bench_compiler.py, and a noisy run must not abort
-    # the whole trajectory collection
-    for attempt in range(2):
-        round_robin = asyncio.run(measure("round-robin"))
-        cost_based = asyncio.run(measure("cost-based"))
-        if cost_based["p99_ms"] < round_robin["p99_ms"]:
-            break
-    routing = {
-        "cost_based_beats_round_robin": bool(
-            cost_based["p99_ms"] < round_robin["p99_ms"]
-        ),
-        "pool": "2x ideal-digital + 1x slow-digital (3 ms/call)",
-        "n_requests": n_requests,
-        "offered_hz": 2000.0,
-        "round_robin": round_robin,
-        "cost_based": cost_based,
-        "p99_speedup": (
-            round_robin["p99_ms"] / cost_based["p99_ms"]
-            if cost_based["p99_ms"] > 0
-            else None
-        ),
-    }
-    return {
-        "plan_vs_naive": plan_vs_naive,
-        "k_sharding": k_sharding,
-        "routing": routing,
-    }
-
-
-def collect_compiler_dag(quick: bool = False) -> dict:
-    """Branching-DAG benchmark: diamond equivalence, batch flip, branches.
-
-    Side-effect-free (fresh SoCs and replica pools per measurement), so
-    ``--quick`` runs it as the CI smoke for the DAG lowering path.
-    """
-    import asyncio
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    if str(REPO_ROOT) not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT))  # for benchmarks.conftest helpers
-    import numpy as np
-
-    from benchmarks.conftest import measured_sharding_cycles, timed_pool_plan_run
-    from repro.compiler import (
-        SoCCostModel,
-        choose_sharding,
-        compile_for_pool,
-        compile_for_soc,
-    )
-    from repro.compiler.costmodel import ReplicaProfile
-    from repro.eval import make_diamond_graph, make_fanout_graph
-    from repro.serving import GemmEngine, InferenceServer, Replica
-    from repro.system import PhotonicSoC
-
-    def cluster(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
-    # -- diamond DAG: bitwise equivalence on both executors --------------- #
-    n_features = 8 if quick else 16
-    graph = make_diamond_graph(n_features, n_outputs=4, rng=0)
-    columns = np.random.default_rng(1).integers(-2, 3, size=(n_features, 4))
-    soc = cluster(2)
-    plan = compile_for_soc(graph, soc, cost_model=SoCCostModel.calibrate(soc),
-                           cache=None)
-    planned = plan.run(columns)
-    soc_exact = bool(
-        np.array_equal(planned, graph.reference_forward(columns).astype(np.int64))
-    )
-    assert soc_exact, "diamond SoC plan diverged from direct per-op execution"
-
-    pool_replicas = [
-        Replica("r0", GemmEngine(name="r0")),
-        Replica("r1", GemmEngine(name="r1")),
-    ]
-    pool_profiles = {
-        "r0": ReplicaProfile(name="r0", service_s=1e-4, macs=64),
-        "r1": ReplicaProfile(name="r1", service_s=1e-4, macs=64),
-    }
-    pool_plan = compile_for_pool(
-        graph, pool_replicas, profiles=pool_profiles, strategy="balanced",
-        cache=None,
-    )
-    column = np.linspace(-2, 2, n_features)
-
-    async def run_pool():
-        async with InferenceServer(pool_replicas) as server:
-            return await pool_plan.run(server, column)
-
-    pool_out = asyncio.run(run_pool())
-    pool_exact = bool(
-        np.array_equal(pool_out, graph.reference_forward(column)[:, 0])
-    )
-    assert pool_exact, "diamond pool plan diverged from direct per-op execution"
-    diamond = {
-        "n_features": n_features,
-        "ops": len(graph),
-        "levels": pool_plan.n_levels,
-        "soc_exact": soc_exact,
-        "soc_cycles": plan.total_cycles,
-        "pool_exact": pool_exact,
-        "pool_placement": dict(pool_plan.placement.assignments),
-    }
-
-    # -- batch-aware sharding: the decision flips and wins ---------------- #
-    n_rows, n_inner = 2, 16
-    flip_soc = cluster(2)
-    cost_model = SoCCostModel.calibrate(flip_soc)
-    narrow = choose_sharding(n_rows, n_inner, 1, 2, cost_model=cost_model)
-    wide = choose_sharding(n_rows, n_inner, 32, 2, cost_model=cost_model)
-    weights = np.random.default_rng(0).integers(-3, 4, size=(n_rows, n_inner))
-
-    batch_points = {}
-    for n_cols, chosen, other in ((1, narrow, wide), (32, wide, narrow)):
-        inputs = np.random.default_rng(2).integers(-3, 4, size=(n_inner, n_cols))
-        chosen_cycles = measured_sharding_cycles(2, weights, inputs, chosen)
-        other_cycles = measured_sharding_cycles(2, weights, inputs, other)
-        batch_points[f"batch{n_cols}"] = {
-            "chosen": {"strategy": chosen.strategy, "k_shards": chosen.k_shards,
-                       "cycles": chosen_cycles},
-            "alternative": {"strategy": other.strategy, "k_shards": other.k_shards,
-                            "cycles": other_cycles},
-            "chosen_faster": bool(chosen_cycles < other_cycles),
-        }
-    batch_aware = {
-        "shape": [n_rows, n_inner],
-        "n_pes": 2,
-        "decision_flips": bool(
-            (narrow.strategy, narrow.k_shards) != (wide.strategy, wide.k_shards)
-        ),
-        **batch_points,
-    }
-
-    # -- branch-parallel dispatch on a fan-out graph ---------------------- #
-    n_branches = 4
-    max_wait_s = 0.005 if quick else 0.01
-    fanout = make_fanout_graph(8, n_branches=n_branches, rng=0)
-    fan_column = np.linspace(-2, 2, 8)
-
-    # wall-clock comparison on a possibly noisy machine: one retry, then
-    # record whatever was measured — the hard contract lives in
-    # benchmarks/test_bench_compiler.py
-    for attempt in range(2):
-        sequential_s = asyncio.run(
-            timed_pool_plan_run(
-                fanout, pool_profiles, max_wait_s, fan_column, "sequential"
-            )
-        )
-        levels_s = asyncio.run(
-            timed_pool_plan_run(
-                fanout, pool_profiles, max_wait_s, fan_column, "levels"
-            )
-        )
-        if levels_s < sequential_s:
-            break
-    branch_parallel = {
-        "n_branches": n_branches,
-        "dense_ops": n_branches + 1,
-        "levels": 3,
-        "batch_window_s": max_wait_s,
-        "sequential_s": sequential_s,
-        "levels_s": levels_s,
-        "speedup": sequential_s / levels_s if levels_s > 0 else None,
-        "exact": True,
-    }
-    return {
-        "diamond": diamond,
-        "batch_aware_sharding": batch_aware,
-        "branch_parallel": branch_parallel,
-    }
-
-
-def collect_snn_serving(quick: bool = False) -> dict:
-    """Spiking serving benchmark: fused batching, online STDP, fault curve.
-
-    Side-effect-free (fresh networks per measurement, campaign telemetry in
-    a temporary directory, no trajectory mutation), so ``--quick`` runs it
-    as the CI smoke for the SNN serving subsystem.  Four legs:
-
-    * ``batched_vs_serial``: the same seeded spike workload answered by one
-      fused :meth:`~repro.snn.network.PhotonicSNN.run_patterns` call vs
-      per-request serial :meth:`~repro.snn.network.PhotonicSNN.run` calls,
-      with a bitwise oracle — the speedup floor must hold (batched at
-      least matches serial even in quick mode) because the fused path is
-      exact, not approximate.  Also records spikes/s through the fused
-      datapath.
-    * ``served``: the workload through a real replica (batch1 vs dynamic
-      micro-batching) with a bitwise oracle between the modes.
-    * ``online_stdp``: learning mode served twice with pre-queued
-      submission; outputs and final crossbar state must be bitwise
-      reproducible, and STDP updates/s is recorded.
-    * ``fault_campaign``: a :class:`~repro.serving.resilience.FaultCampaignDriver`
-      sweep of stuck-PCM-synapse faults under load — the joint
-      p99/accuracy degradation curve, with accuracy 1.0 required at zero
-      faults and no better than that at the heaviest point.
-    """
-    import asyncio
-    import time as time_mod
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.serving import (
-        FaultCampaignDriver,
-        InferenceServer,
-        Replica,
-        SNNEngine,
-        TelemetryLog,
-        run_patterns_serial,
-        spike_pattern_workload,
-        synapse_fault_armer,
-    )
-    from repro.snn import PhotonicSNN, STDPRule
-
-    n_inputs, n_outputs = (12, 5) if quick else (24, 8)
-    n_requests = 24 if quick else 96
-    max_batch = 8 if quick else 16
-
-    def make_engine(learning=False):
-        network = PhotonicSNN(
-            n_inputs,
-            n_outputs,
-            stdp=STDPRule() if learning else None,
-            inhibition=0.3,
-            rng=7,
-        )
-        return SNNEngine(network, learning=learning, max_spikes=6)
-
-    workload = spike_pattern_workload(n_inputs, n_requests, rng=11)
-    columns = np.stack([workload(index) for index in range(n_requests)], axis=1)
-
-    # -- fused batched run vs per-request serial runs (bitwise oracle) ---- #
-    engine = make_engine()
-    fused = engine.run_batch(None, columns)
-    assert np.array_equal(fused, run_patterns_serial(engine, columns)), (
-        "fused multi-pattern run diverged from serial per-request runs"
-    )
-    # wall-clock comparison on a possibly noisy machine: retries, then
-    # assert — the fused path is exact, so batched >= serial must hold
-    for attempt in range(3):
-        started = time_mod.perf_counter()
-        engine.run_batch(None, columns)
-        batched_s = time_mod.perf_counter() - started
-        started = time_mod.perf_counter()
-        run_patterns_serial(engine, columns)
-        serial_s = time_mod.perf_counter() - started
-        speedup = serial_s / batched_s if batched_s > 0 else 0.0
-        if speedup >= 1.0:
-            break
-    assert speedup >= 1.0, (
-        f"fused batching achieved {speedup:.2f}x serial (required >= 1.0x)"
-    )
-    probe = make_engine()
-    probe_batch = probe.network.run_patterns(
-        [probe.encode(columns[:, index]) for index in range(n_requests)]
-    )
-    batched_vs_serial = {
-        "n_requests": n_requests,
-        "batched_s": batched_s,
-        "serial_s": serial_s,
-        "speedup": speedup,
-        "exact": True,
-        "spikes_in": probe_batch.total_input_spikes,
-        "spikes_out": probe_batch.total_output_spikes,
-        "spikes_per_s": probe_batch.total_input_spikes / batched_s,
-    }
-
-    # -- served through a replica: batch1 vs dynamic micro-batching ------- #
-    async def measure_served(mode):
-        served_engine = make_engine()
-        served_engine.compile(None)  # compile outside the timed window
-        replica = Replica(
-            "snn",
-            served_engine,
-            max_batch=1 if mode == "batch1" else max_batch,
-            max_wait_s=0.0,
-            max_queue_depth=4 * n_requests,
-        )
-        async with InferenceServer([replica]) as server:
-            started = time_mod.perf_counter()
-            futures = [
-                server.submit_nowait(workload(index)) for index in range(n_requests)
-            ]
-            outputs = await asyncio.gather(*futures)
-            wall_s = time_mod.perf_counter() - started
-            telemetry = server.stats()
-        return {
-            "achieved_hz": n_requests / wall_s,
-            "p50_ms": telemetry["latency"]["p50_ms"],
-            "p99_ms": telemetry["latency"]["p99_ms"],
-            "mean_batch": telemetry["replicas"]["snn"]["mean_batch"],
-        }, np.stack(outputs, axis=1)
-
-    served = {}
-    served_outputs = {}
-    for mode in ("batch1", "dynamic"):
-        served[mode], served_outputs[mode] = asyncio.run(measure_served(mode))
-    assert np.array_equal(served_outputs["batch1"], served_outputs["dynamic"]), (
-        "dynamic micro-batching changed served spike counts"
-    )
-    served["bitwise_identical"] = True
-    served["speedup_dynamic_vs_batch1"] = (
-        served["dynamic"]["achieved_hz"] / served["batch1"]["achieved_hz"]
-        if served["batch1"]["achieved_hz"] > 0
-        else None
-    )
-
-    # -- online STDP under traffic: bitwise reproducibility --------------- #
-    async def serve_learning():
-        learning_engine = make_engine(learning=True)
-        replica = Replica(
-            "snn",
-            learning_engine,
-            max_batch=max_batch,
-            max_wait_s=0.0,
-            max_queue_depth=4 * n_requests,
-        )
-        async with InferenceServer([replica]) as server:
-            started = time_mod.perf_counter()
-            # pre-queued submission: deterministic batch composition, so
-            # the STDP update order is the request order
-            futures = [
-                server.submit_nowait(workload(index)) for index in range(n_requests)
-            ]
-            outputs = await asyncio.gather(*futures)
-            wall_s = time_mod.perf_counter() - started
-        return (
-            np.stack(outputs, axis=1),
-            learning_engine.network.synapse_array.fractions.copy(),
-            learning_engine,
-            wall_s,
-        )
-
-    out_a, fractions_a, engine_a, wall_a = asyncio.run(serve_learning())
-    out_b, fractions_b, engine_b, _ = asyncio.run(serve_learning())
-    assert np.array_equal(out_a, out_b), "online STDP outputs are not reproducible"
-    assert np.array_equal(fractions_a, fractions_b), (
-        "online STDP weight trajectory is not reproducible"
-    )
-    online_stdp = {
-        "n_requests": n_requests,
-        "bitwise_reproducible": True,
-        "stdp_updates": engine_a.stdp_updates,
-        "stdp_updates_per_s": engine_a.stdp_updates / wall_a if wall_a > 0 else None,
-        "recompiles": engine_a.stats.compiles,
-        "learning_energy_j": engine_a.learning_energy_j,
-    }
-
-    # -- fault campaign under load: joint p99/accuracy degradation -------- #
-    fault_counts = (0, 2, 8) if quick else (0, 1, 2, 4, 8, 16)
-    with tempfile.TemporaryDirectory() as tmp:
-        driver = FaultCampaignDriver(
-            engine_factory=make_engine,
-            fault_armer=synapse_fault_armer,
-            make_request=workload,
-            n_requests=min(n_requests, 32),
-            fault_counts=fault_counts,
-            root_seed=3,
-            max_batch=max_batch,
-            telemetry_log=TelemetryLog(Path(tmp) / "campaign.jsonl"),
-        )
-        curve = driver.run()
-    assert curve.accuracies[0] == 1.0, "zero-fault campaign point must be golden"
-    assert curve.accuracies[-1] <= curve.accuracies[0], (
-        "accuracy did not degrade (or held) under the heaviest fault load"
-    )
-    fault_campaign = {
-        "fault_model": "stuck PCM crystalline fractions",
-        "n_requests": min(n_requests, 32),
-        **curve.to_dict(),
-    }
-
-    return {
-        "n_inputs": n_inputs,
-        "n_outputs": n_outputs,
-        "max_batch": max_batch,
-        "batched_vs_serial": batched_vs_serial,
-        "served": served,
-        "online_stdp": online_stdp,
-        "fault_campaign": fault_campaign,
-    }
-
-
-def collect_observability(quick: bool = False) -> dict:
-    """Tracing-overhead benchmark: traced vs untraced saturation throughput.
-
-    The same compute-heavy engine (service-time dominated, so the μs-scale
-    cost of span bookkeeping is measured against a realistic request cost)
-    is driven closed-loop twice — once with a live
-    :class:`~repro.obs.trace.Tracer` + metrics registry on the server,
-    once untraced — and the achieved throughputs are compared.  A third,
-    seeded analog run checks the *bitwise parity* contract: outputs and
-    SoC cycle accounting must be identical with tracing on or off.  The
-    quick contract (CI-asserted): tracing overhead at most 5% and exact
-    output parity, plus the exported Chrome trace validating and the
-    drift monitor flagging a miscalibrated cost model.
-    """
-    import asyncio
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.compiler import SoCCostModel
-    from repro.obs import (
-        DriftMonitor,
-        MetricsRegistry,
-        Tracer,
-        chrome_trace,
-        validate_chrome_trace,
-    )
-    from repro.serving import (
-        GemmEngine,
-        InferenceServer,
-        Replica,
-        SoCGemmEngine,
-        run_closed_loop,
-    )
-    from repro.serving.fabric import ComputeHeavyBackend
-    from repro.system import PhotonicSoC
-    from repro.utils.rng import ensure_rng
-
-    shape = (12, 12)
-    n_clients = 4
-    requests_per_client = 12 if quick else 40
-    service_s = 0.002
-    weights = ensure_rng(0).normal(size=shape)
-    workload = ensure_rng(1).normal(size=(256, shape[1]))
-
-    def measure_throughput(tracer, metrics):
-        async def drive():
-            backend = ComputeHeavyBackend(service_s_per_column=service_s)
-            engine = GemmEngine(backend=backend, weights=weights)
-            engine.compile(None)
-            replica = Replica("r0", engine, max_batch=8, max_queue_depth=64)
-            server = InferenceServer([replica], tracer=tracer, metrics=metrics)
-            async with server:
-                report = await run_closed_loop(
-                    server,
-                    n_clients,
-                    requests_per_client,
-                    lambda index: workload[index % len(workload)],
-                )
-            return report.achieved_hz
-
-        return asyncio.run(drive())
-
-    untraced_hz = measure_throughput(None, None)
-    tracer = Tracer(process="server")
-    traced_hz = measure_throughput(tracer, MetricsRegistry())
-    overhead_frac = 1.0 - traced_hz / untraced_hz if untraced_hz > 0 else 0.0
-
-    def serve_outputs(tracer):
-        async def drive():
-            soc = PhotonicSoC()
-            soc.add_photonic_accelerator()
-            engine = SoCGemmEngine(
-                soc, weights=ensure_rng(2).integers(-5, 6, size=(8, 6))
-            )
-            server = InferenceServer([Replica("r0", engine)], tracer=tracer)
-            columns = ensure_rng(3).integers(-5, 6, size=(16, 6)).astype(float)
-            async with server:
-                outputs = await asyncio.gather(
-                    *(server.submit(column) for column in columns)
-                )
-            return np.stack(outputs), engine.offload_cycles
-
-        return asyncio.run(drive())
-
-    baseline_outputs, baseline_cycles = serve_outputs(None)
-    parity_tracer = Tracer(process="server")
-    traced_outputs, traced_cycles = serve_outputs(parity_tracer)
-    parity = bool(
-        np.array_equal(baseline_outputs, traced_outputs)
-        and baseline_cycles == traced_cycles
-    )
-
-    trace_obj = chrome_trace(tracer.finished + parity_tracer.finished)
-    trace_events = validate_chrome_trace(trace_obj)
-
-    # drift smoke: a cost model calibrated on a 2-PE cluster mispredicts a
-    # 1-PE cluster's serial tile stream, so the monitor must flag it
-    def calibrated_soc(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
-    model = SoCCostModel.calibrate(calibrated_soc(2))
-    monitor = DriftMonitor(threshold=0.10, min_samples=1)
-    drift_soc = calibrated_soc(1)
-    drift_engine = SoCGemmEngine(
-        drift_soc,
-        weights=ensure_rng(2).integers(-5, 6, size=(8, 6)),
-        cost_model=model,
-        drift_monitor=monitor,
-    )
-    drift_engine.run_batch(
-        None, ensure_rng(3).integers(-5, 6, size=(6, 4)).astype(float)
-    )
-    drift_flags = len(monitor.flags())
-
-    section = {
-        "shape": list(shape),
-        "n_requests": n_clients * requests_per_client,
-        "untraced_hz": untraced_hz,
-        "traced_hz": traced_hz,
-        "overhead_frac": overhead_frac,
-        "bitwise_parity": parity,
-        "trace_events": trace_events,
-        "drift_flags": drift_flags,
-    }
-    if quick:
-        assert traced_hz >= 0.95 * untraced_hz, (
-            f"tracing overhead exceeded 5%: traced {traced_hz:.1f} req/s vs "
-            f"untraced {untraced_hz:.1f} req/s"
-        )
-        assert parity, "tracing perturbed served outputs or cycle accounting"
-        assert drift_flags >= 1, "drift monitor failed to flag a miscalibrated model"
-    return section
-
-
-def collect_adaptive(quick: bool = False) -> dict:
-    """Adaptive-replanning benchmark: online refit and flip-point replans.
-
-    Side-effect-free (fresh SoCs, a private :class:`PlanCache`, no global
-    registry or trajectory mutation), so ``--quick`` runs it as the CI
-    smoke for the adaptive control loop.  Two legs, both fully simulated
-    (cycle-accurate, no wall clocks), so every contract is asserted
-    unconditionally:
-
-    * ``online_refit``: a cost model is calibrated at boot, then the bus
-      develops arbitration contention (``arbitration_penalty``) the boot
-      probes never saw — the shifted-traffic scenario.  Production
-      offloads stream into the :class:`AdaptiveReplanner`; one ``poll``
-      must refit from the windowed samples and the predicted-cycle
-      relative error after the refit must be below the error before it.
-    * ``flip_point``: a managed ``M=2, K=16`` plan compiled at batch
-      width 1 (``rows`` sharding) watches a serving width trace that
-      crosses to 32 (``k2`` territory).  Exactly one recompile may fire,
-      the new plan must be bitwise identical to the old one on the same
-      inputs, and the replan-on p99 latency across the crossing must not
-      exceed replan-off (stale plan served forever).
-    """
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.compiler import (
-        AdaptiveReplanner,
-        ModelGraph,
-        PlanCache,
-        RefitEvent,
-        ReplanEvent,
-        SoCCostModel,
-    )
-    from repro.eval import make_gemm_workload
-    from repro.system import PhotonicSoC
-
-    def cluster(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
-    # -- leg 1: online refit under shifted traffic ------------------------ #
-    traffic_shapes = [
-        (4, 8, 2), (8, 8, 4), (6, 12, 2), (12, 8, 6), (8, 16, 4), (16, 8, 2),
-    ]
-    if not quick:
-        traffic_shapes += [
-            (10, 12, 8), (12, 16, 4), (6, 8, 8), (16, 16, 2), (8, 12, 6),
-            (14, 8, 4),
-        ]
-    soc = cluster(2)
-    boot_model = SoCCostModel.calibrate(soc)
-    # traffic shift: post-calibration bus contention charges every
-    # concurrent DMA stream extra arbitration cycles per access
-    soc.bus.arbitration_penalty = 16
-    replanner = AdaptiveReplanner(
-        soc,
-        boot_model,
-        refit_threshold=0.15,
-        min_samples=len(traffic_shapes) // 2,
-        cache=PlanCache(),
-    )
-    for index, shape in enumerate(traffic_shapes):
-        weights, inputs = make_gemm_workload(*shape, rng=index)
-        report = soc.run_tiled_gemm(weights, inputs)
-        replanner.observe_offload(shape, report)
-    error_before = replanner.window_error(boot_model)
-    refit_events = [
-        event for event in replanner.poll() if isinstance(event, RefitEvent)
-    ]
-    error_after = replanner.window_error()
-    assert len(refit_events) == 1, "shifted traffic did not trigger one refit"
-    assert error_after < error_before, (
-        f"online refit failed to reduce predicted-cycle error "
-        f"({error_before:.3f} -> {error_after:.3f})"
-    )
-    assert refit_events[0].fingerprint == replanner.fingerprint(), (
-        "refit event did not carry the bumped hardware fingerprint"
-    )
-    online_refit = {
-        "n_samples": len(traffic_shapes),
-        "arbitration_penalty": 16,
-        "predicted_cycle_rel_error_before": error_before,
-        "predicted_cycle_rel_error_after": error_after,
-        "error_reduction": (
-            1.0 - error_after / error_before if error_before > 0 else None
-        ),
-        "refits": len(refit_events),
-    }
-
-    # -- leg 2: width-flip crossing, replan-on vs replan-off -------------- #
-    n_rows, n_inner = 2, 16
-    n_warm = 4 if quick else 10
-    n_wide = 12 if quick else 40
-    wide_width = 32
-    flip_soc = cluster(2)
-    flip_model = SoCCostModel.calibrate(flip_soc)
-    clock_hz = flip_model.clock_hz
-    weights = np.random.default_rng(0).integers(-3, 4, size=(n_rows, n_inner))
-    graph = ModelGraph.from_matrices([weights], name="adaptive-flip-bench")
-    wide_inputs = np.random.default_rng(2).integers(
-        -3, 4, size=(n_inner, wide_width)
-    )
-    narrow_inputs = wide_inputs[:, :1]
-    golden = (weights @ wide_inputs).astype(np.int64)
-
-    def latencies(adaptive):
-        managed = AdaptiveReplanner(
-            flip_soc, flip_model, width_window=n_wide // 2, cache=PlanCache()
-        )
-        managed.manage(graph, n_columns=1)
-        replans = []
-        points = []
-        for width in [1] * n_warm + [wide_width] * n_wide:
-            if adaptive:
-                managed.observe_batch(width)
-                replans.extend(
-                    event
-                    for event in managed.poll()
-                    if isinstance(event, ReplanEvent)
-                )
-            plan = managed.active_plan(graph)
-            columns = narrow_inputs if width == 1 else wide_inputs
-            output = plan.run(columns)
-            if width == wide_width:
-                assert np.array_equal(output, golden), "served output diverged"
-            points.append(plan.total_cycles / clock_hz)
-        return points, replans, managed
-
-    off_lat, _, _ = latencies(adaptive=False)
-    on_lat, replan_events, managed = latencies(adaptive=True)
-    assert len(replan_events) == 1, (
-        f"width crossing triggered {len(replan_events)} recompiles, expected 1"
-    )
-    event = replan_events[0]
-    assert event.old_signature != event.new_signature, (
-        "replan fired without a sharding-signature change"
-    )
-    p99_on = float(np.percentile(on_lat, 99))
-    p99_off = float(np.percentile(off_lat, 99))
-    assert p99_on <= p99_off, (
-        f"replan-on p99 {p99_on:.2e}s regressed past replan-off {p99_off:.2e}s"
-    )
-    flip_point = {
-        "shape": [n_rows, n_inner],
-        "n_pes": 2,
-        "width_trace": {"warm": [1, n_warm], "wide": [wide_width, n_wide]},
-        "recompiles": len(replan_events),
-        "old_signature": [list(sig) for sig in event.old_signature],
-        "new_signature": [list(sig) for sig in event.new_signature],
-        "bitwise_identical": True,
-        "p99_s_replan_on": p99_on,
-        "p99_s_replan_off": p99_off,
-        "p99_speedup": p99_on and p99_off / p99_on,
-        "wide_latency_s_replan_on": on_lat[-1],
-        "wide_latency_s_replan_off": off_lat[-1],
-    }
-    return {"online_refit": online_refit, "flip_point": flip_point}
-
-
-def update_trajectory(
-    output: Path, results: dict, soc_offload: dict, serving: dict, compiler: dict,
-    compiler_dag: dict, soc_datapath: dict, serving_fabric: dict,
-    snn_serving: dict, observability: dict, adaptive: dict,
-) -> dict:
-    """Write the condensed results, appending to any existing history."""
     record = {
         "machine": platform.node() or "unknown",
         "python": platform.python_version(),
+        "commit": git_commit(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "cpu_count": os.cpu_count(),
         "results": results,
-        "soc_offload": soc_offload,
-        "serving": serving,
-        "compiler": compiler,
-        "compiler_dag": compiler_dag,
-        "soc_datapath": soc_datapath,
-        "serving_fabric": serving_fabric,
-        "snn_serving": snn_serving,
-        "observability": observability,
-        "adaptive": adaptive,
+        **sections,
     }
-    payload = {
-        "latest": results,
-        "soc_offload": soc_offload,
-        "serving": serving,
-        "compiler": compiler,
-        "compiler_dag": compiler_dag,
-        "soc_datapath": soc_datapath,
-        "serving_fabric": serving_fabric,
-        "snn_serving": snn_serving,
-        "observability": observability,
-        "adaptive": adaptive,
-        "history": [],
-    }
+    history = []
     if output.exists():
         try:
-            previous = json.loads(output.read_text())
-            payload["history"] = list(previous.get("history", []))
+            history = list(json.loads(output.read_text()).get("history", []))
         except (json.JSONDecodeError, OSError):
             pass
-    payload["history"].append(record)
-    payload["history"] = payload["history"][-MAX_HISTORY:]
+    payload = {
+        "latest": results,
+        **sections,
+        "history": (history + [record])[-MAX_HISTORY:],
+    }
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 
+def leaves(record: dict, prefix: str = ""):
+    """Yield ``(path, value)`` for every non-dict leaf of a nested record."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}/")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def show(value) -> str:
+    """Compact one-line rendering of a record leaf."""
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(show(item) for item in value) + "]"
+    return str(value)
+
+
 def main() -> int:
+    """Parse arguments, run the suite and every section, write the trajectory."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--output",
@@ -1478,10 +143,17 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: small sizes, skip the pytest-benchmark suite, "
+        help="CI smoke mode: tier-1 section configurations, skip the pytest-benchmark suite, "
         "and do not write or append to the trajectory file",
     )
     args = parser.parse_args()
+
+    src = str(REPO_ROOT / "src")
+    sys.path[:0] = [str(REPO_ROOT), src]
+    # the pytest subprocess and spawned fabric workers import repro through
+    # the environment, not through this interpreter's sys.path
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    from benchmarks.sections import SECTIONS
 
     exit_code = 0
     results = {}
@@ -1494,141 +166,18 @@ def main() -> int:
                 return exit_code or 1
             results = condense(raw_json)
 
-    if args.quick:
-        soc_offload = collect_soc_offload(pe_counts=(1, 2), shape=(16, 8, 8))
-    else:
-        soc_offload = collect_soc_offload()
-    serving = collect_serving(quick=args.quick)
-    compiler = collect_compiler(quick=args.quick)
-    compiler_dag = collect_compiler_dag(quick=args.quick)
-    soc_datapath = collect_soc_datapath(quick=args.quick)
-    serving_fabric = collect_serving_fabric(quick=args.quick)
-    snn_serving = collect_snn_serving(quick=args.quick)
-    observability = collect_observability(quick=args.quick)
-    adaptive = collect_adaptive(quick=args.quick)
+    sections = {}
+    for name, section in SECTIONS.items():
+        sections[name] = section.collect(quick=args.quick)
+        section.check(sections[name])
 
     if args.quick:
         print("quick mode: trajectory file not updated")
     else:
-        update_trajectory(
-            args.output, results, soc_offload, serving, compiler, compiler_dag,
-            soc_datapath, serving_fabric, snn_serving, observability, adaptive,
-        )
+        update_trajectory(args.output, results, sections)
         print(f"wrote {args.output} ({len(results)} benchmarks)")
-    for name, stats in sorted(results.items()):
-        mean = stats["mean_s"]
-        print(f"  {name}: {mean * 1e3:.2f} ms/round" if mean else f"  {name}: n/a")
-    for name, stats in sorted(soc_offload.items()):
-        print(
-            f"  soc_offload/{name}: {stats['cycles']} cycles "
-            f"(serial {stats['serial_cycles']}, {stats['wall_s'] * 1e3:.2f} ms wall)"
-        )
-    for backend_name, stats in sorted(serving.items()):
-        speedup = stats["saturated_speedup_dynamic_vs_batch1"]
-        batch1 = stats["modes"]["batch1"]["achieved_hz"][-1]
-        dynamic = stats["modes"]["dynamic"]["achieved_hz"][-1]
-        print(
-            f"  serving/{backend_name}: saturated {batch1:.0f} req/s serial -> "
-            f"{dynamic:.0f} req/s dynamic "
-            f"({speedup:.1f}x)" if speedup else f"  serving/{backend_name}: n/a"
-        )
-    plan = compiler["plan_vs_naive"]
-    routing = compiler["routing"]
-    print(
-        f"  compiler/plan_vs_naive: {plan['plan_cycles']} cycles vs "
-        f"{plan['naive_serial_cycles']} naive ({plan['speedup']:.1f}x, exact)"
-    )
-    print(
-        f"  compiler/routing: p99 {routing['cost_based']['p99_ms']:.2f} ms "
-        f"cost-based vs {routing['round_robin']['p99_ms']:.2f} ms round-robin "
-        f"({routing['p99_speedup']:.1f}x)"
-    )
-    diamond = compiler_dag["diamond"]
-    flip = compiler_dag["batch_aware_sharding"]
-    branches = compiler_dag["branch_parallel"]
-    print(
-        f"  compiler_dag/diamond: {diamond['ops']} ops in {diamond['levels']} "
-        f"levels, soc {diamond['soc_cycles']} cycles (exact on both executors)"
-    )
-    print(
-        f"  compiler_dag/batch_aware: M={flip['shape'][0]} K={flip['shape'][1]} "
-        f"flips {flip['batch1']['chosen']['strategy']} -> "
-        f"{flip['batch32']['chosen']['strategy']}{flip['batch32']['chosen']['k_shards']} "
-        f"at batch 32 (both measured faster: "
-        f"{flip['batch1']['chosen_faster'] and flip['batch32']['chosen_faster']})"
-    )
-    print(
-        f"  compiler_dag/branch_parallel: {branches['sequential_s'] * 1e3:.1f} ms "
-        f"sequential -> {branches['levels_s'] * 1e3:.1f} ms level dispatch "
-        f"({branches['speedup']:.1f}x)"
-    )
-    datapath_k = soc_datapath["k_sharding"]
-    print(
-        f"  soc_datapath/k_sharding: {datapath_k['staged']['cycles']} cycles "
-        f"staged -> {datapath_k['in-place']['cycles']} in-place "
-        f"({datapath_k['speedup']:.2f}x, staging words "
-        f"{datapath_k['staged']['staging_words']} -> "
-        f"{datapath_k['in-place']['staging_words']})"
-    )
-    for name, stats in sorted(soc_datapath["branch_fusion"].items()):
-        if not isinstance(stats, dict):
-            continue
-        print(
-            f"  soc_datapath/branch_fusion/{name}: "
-            f"{stats['sequential_cycles']} cycles sequential -> "
-            f"{stats['fused_cycles']} fused ({stats['speedup']:.2f}x, "
-            f"{stats['offloads_sequential']} -> {stats['offloads_fused']} offloads)"
-        )
-    print(
-        f"  serving_fabric: {serving_fabric['single_process']['achieved_hz']:.0f} "
-        f"req/s single-process -> {serving_fabric['fabric']['achieved_hz']:.0f} "
-        f"req/s across {serving_fabric['n_workers']} workers "
-        f"({serving_fabric['saturated_speedup_fabric_vs_single_process']:.1f}x, "
-        f"p99 {serving_fabric['single_process']['p99_ms']:.0f} -> "
-        f"{serving_fabric['fabric']['p99_ms']:.0f} ms, bitwise "
-        f"{serving_fabric['bitwise_identical']})"
-    )
-    snn_batch = snn_serving["batched_vs_serial"]
-    snn_stdp = snn_serving["online_stdp"]
-    snn_faults = snn_serving["fault_campaign"]
-    print(
-        f"  snn_serving/batched_vs_serial: {snn_batch['serial_s'] * 1e3:.1f} ms "
-        f"serial -> {snn_batch['batched_s'] * 1e3:.1f} ms fused "
-        f"({snn_batch['speedup']:.1f}x, {snn_batch['spikes_per_s']:.0f} spikes/s, "
-        f"exact)"
-    )
-    print(
-        f"  snn_serving/online_stdp: {snn_stdp['stdp_updates']} pulse updates "
-        f"({snn_stdp['stdp_updates_per_s']:.0f}/s, bitwise reproducible "
-        f"{snn_stdp['bitwise_reproducible']})"
-    )
-    print(
-        f"  snn_serving/fault_campaign: accuracy "
-        f"{snn_faults['accuracy'][0]:.2f} -> {snn_faults['accuracy'][-1]:.2f} "
-        f"over {snn_faults['fault_counts'][0]} -> "
-        f"{snn_faults['fault_counts'][-1]} stuck synapses"
-    )
-    print(
-        f"  observability: {observability['untraced_hz']:.0f} req/s untraced -> "
-        f"{observability['traced_hz']:.0f} req/s traced "
-        f"({observability['overhead_frac'] * 100:.1f}% overhead, bitwise "
-        f"{observability['bitwise_parity']}, {observability['trace_events']} "
-        f"trace events, {observability['drift_flags']} drift flag(s))"
-    )
-    refit = adaptive["online_refit"]
-    flip_leg = adaptive["flip_point"]
-    print(
-        f"  adaptive/online_refit: predicted-cycle error "
-        f"{refit['predicted_cycle_rel_error_before']:.3f} -> "
-        f"{refit['predicted_cycle_rel_error_after']:.3f} after "
-        f"{refit['refits']} refit(s) under shifted traffic"
-    )
-    print(
-        f"  adaptive/flip_point: {flip_leg['recompiles']} recompile at the "
-        f"width crossing, p99 {flip_leg['p99_s_replan_off'] * 1e6:.1f} us "
-        f"replan-off -> {flip_leg['p99_s_replan_on'] * 1e6:.1f} us replan-on "
-        f"(bitwise {flip_leg['bitwise_identical']})"
-    )
+    for path, value in leaves({"latest": results, **sections}):
+        print(f"  {path}: {show(value)}")
     return exit_code
 
 

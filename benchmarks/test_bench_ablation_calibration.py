@@ -1,4 +1,4 @@
-"""Ablation (DESIGN.md §5): calibration iterations vs recovered fidelity.
+"""Ablation: calibration iterations vs recovered fidelity.
 
 Mesh programming in this repo relies on analytic decomposition plus an
 iterative measure-and-predistort calibration loop to absorb systematic

@@ -9,8 +9,8 @@ end-to-end cycles, speedup over one PE, energy and area versus PE count.
 import numpy as np
 
 from benchmarks.conftest import run_once
+from benchmarks.sections import cluster
 from repro.eval import format_table, make_gemm_workload, speedup
-from repro.system import PhotonicSoC
 
 PE_COUNTS = (1, 2, 4)
 
@@ -20,10 +20,7 @@ def _cluster_sweep(rows_=16, inner=12, cols=8):
     golden = weights @ inputs
     reports = {}
     for n_pes in PE_COUNTS:
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        report = soc.run_tiled_gemm(weights, inputs)
+        report = cluster(n_pes).run_tiled_gemm(weights, inputs)
         assert np.array_equal(report.result, golden)
         reports[n_pes] = report
     return reports

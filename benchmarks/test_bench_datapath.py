@@ -1,115 +1,32 @@
-"""Benchmarks for the zero-copy offload datapath.
+"""Tier-1 contracts of the ``soc_datapath`` section.
 
-Qualitative contracts of the descriptor-based DMA datapath and the
-branch-fused GeMM lowering — the assertions CI enforces, independent of
-machine speed because every figure is simulated cycles:
-
-* **In-place K-sharding beats the staged baseline** — the same K-sharded
-  GeMM run with strided descriptors reading operands where they already
-  live costs fewer cycles than the legacy copy-to-staging layout, moves
-  zero staging words, and stays bitwise exact.
-* **The in-place datapath moves fewer bytes** — per-engine DMA traffic
-  (reported on every ``WorkloadReport``) shrinks when the operand copies
-  disappear.
-* **Branch fusion beats sequential lowering where the model predicts
-  it** — the multi-head graph compiles to one stacked offload instead of
-  one per head, runs fewer total cycles at 2 and 4 PEs, stays bitwise
-  exact, and the calibrated cost model's fused-vs-serial prediction
-  agrees with the measured outcome.
-
-``python benchmarks/run_bench.py`` persists the quantitative sweep into
-``BENCH_throughput.json`` under the ``soc_datapath`` section.
+See ``benchmarks/sections/soc_datapath.py`` for the scenario and bounds.
 """
 
-import numpy as np
+import pytest
 
-from repro.compiler import SoCCostModel, compile_for_soc
-from repro.eval import make_gemm_workload, make_multi_head_graph
-from repro.system import PhotonicSoC
+from benchmarks.sections import soc_datapath
 
 
-def cluster(n_pes):
-    soc = PhotonicSoC()
-    for _ in range(n_pes):
-        soc.add_photonic_accelerator()
-    return soc
-
-
-def run_k_sharded(mode, shape=(32, 16, 16)):
-    weights, inputs = make_gemm_workload(*shape, rng=0)
-    soc = cluster(2)
-    report = soc.run_tiled_gemm(weights, inputs, k_shards=2, k_staging=mode)
-    assert np.array_equal(report.result, weights @ inputs)
-    return report
+@pytest.fixture
+def datapath(section_result):
+    return section_result("soc_datapath")
 
 
 class TestInPlaceKSharding:
-    def test_in_place_beats_staged_with_zero_staging_writes(self):
-        staged = run_k_sharded("staged")
-        in_place = run_k_sharded("in-place")
-        assert in_place.cycles < staged.cycles
-        assert in_place.pipeline["staging_words"] == 0
-        assert in_place.pipeline["staging_cycles"] == 0
-        assert staged.pipeline["staging_words"] > 0
+    def test_in_place_beats_staged_with_zero_staging_writes(self, datapath):
+        soc_datapath.check_in_place_beats_staged(datapath["k_sharding"])
 
-    def test_speedup_comes_from_staging_not_streaming(self):
-        # per-engine DMA traffic is identical — the tile streams move the
-        # same operand words either way — so the whole cycle win is the
-        # eliminated host-side staging copies, not reduced streaming
-        staged = run_k_sharded("staged")
-        in_place = run_k_sharded("in-place")
-        assert {k: v["bytes_moved"] for k, v in in_place.dma.items()} == {
-            k: v["bytes_moved"] for k, v in staged.dma.items()
-        }
-        assert staged.pipeline["staging_cycles"] >= (
-            staged.cycles - in_place.cycles
-        )
+    def test_speedup_comes_from_staging_not_streaming(self, datapath):
+        soc_datapath.check_speedup_from_staging(datapath["k_sharding"])
 
-    def test_both_modes_pipeline_below_serial(self):
-        for mode in ("staged", "in-place"):
-            report = run_k_sharded(mode)
-            assert (
-                report.pipeline["pipelined_cycles"]
-                < report.pipeline["serial_cycles"]
-            )
+    def test_both_modes_pipeline_below_serial(self, datapath):
+        soc_datapath.check_pipelined_below_serial(datapath["k_sharding"])
 
 
 class TestBranchFusedLowering:
-    def test_fused_plan_beats_sequential_and_model_agrees(self):
-        graph = make_multi_head_graph(n_features=12, head_sizes=(3, 3, 3, 3), rng=2)
-        columns = np.arange(12 * 2).reshape(12, 2) % 7 - 3
-        reference = graph.reference_forward(columns).astype(np.int64)
-        for n_pes in (2, 4):
-            model = SoCCostModel.calibrate(cluster(n_pes))
-            fused = compile_for_soc(
-                graph, cluster(n_pes), cost_model=model, n_columns=2, cache=None
-            )
-            plain = compile_for_soc(
-                graph, cluster(n_pes), cost_model=model, n_columns=2,
-                fuse="never", cache=None,
-            )
-            assert np.array_equal(fused.run(columns), reference)
-            assert np.array_equal(plain.run(columns), reference)
-            steps = [s for s in fused.steps if s.kind == "fused-dense"]
-            assert len(steps) == 1, "cost model declined fusion on this shape"
-            assert fused.total_cycles < plain.total_cycles
-            # the prediction that drove the decision matches the outcome
-            step = steps[0]
-            assert step.predicted_fused_cycles < step.predicted_serial_cycles
+    def test_fused_plan_beats_sequential_and_model_agrees(self, datapath):
+        soc_datapath.check_fusion_beats_sequential(datapath["branch_fusion"])
 
-    def test_fusion_collapses_offload_count(self):
-        graph = make_multi_head_graph(n_features=12, head_sizes=(3, 3, 3, 3), rng=2)
-        model = SoCCostModel.calibrate(cluster(2))
-        fused = compile_for_soc(
-            graph, cluster(2), cost_model=model, n_columns=2, cache=None
-        )
-        plain = compile_for_soc(
-            graph, cluster(2), cost_model=model, n_columns=2,
-            fuse="never", cache=None,
-        )
-        columns = np.zeros((12, 2), dtype=np.int64)
-        fused.run(columns)
-        plain.run(columns)
-        # trunk + fused heads vs trunk + four heads
-        assert len(fused.reports) == 2
-        assert len(plain.reports) == 5
+    def test_fusion_collapses_offload_count(self, datapath):
+        soc_datapath.check_fusion_collapses_offloads(datapath["branch_fusion"])

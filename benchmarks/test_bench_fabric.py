@@ -1,157 +1,14 @@
-"""Contract benchmark for the multi-process serving fabric.
+"""Tier-1 contracts of the ``serving_fabric`` section.
 
-Serves the same compute-heavy engine (exact digital GeMM plus a blocking
-per-column service time) two ways at a saturating open-loop offered load —
-one single-process asyncio :class:`InferenceServer` and one
-:class:`FabricGateway` over spawned worker processes — and asserts the
-fabric's two qualitative contracts:
-
-* the fabric's answers are bitwise-identical to in-process serving, and
-* at saturation the fabric achieves strictly higher throughput than the
-  single-process server (conservative 1.3x floor with 2 workers here;
-  ``run_bench.py`` measures the 4-worker configuration, which must clear
-  2x — see the ``serving_fabric`` section of ``BENCH_throughput.json``).
-
-The full comparison (offered vs achieved load, p50/p99, per-worker
-completion counts) is persisted by ``python benchmarks/run_bench.py``
-under the ``serving_fabric`` section.
+See ``benchmarks/sections/serving_fabric.py`` for the scenario and bounds.
 """
 
-import asyncio
-
-import numpy as np
-
-from benchmarks.conftest import run_once
-from repro.eval.reporting import format_table
-from repro.serving import (
-    FabricGateway,
-    GemmEngine,
-    InferenceServer,
-    Replica,
-    make_column_workload,
-    make_worker_specs,
-    poisson_arrival_times,
-    run_open_loop,
-)
-from repro.serving.fabric.engines import ComputeHeavyBackend
-
-SHAPE = (16, 16)
-N_WORKERS = 2
-SERVICE_S = 0.003
-N_REQUESTS = 60
-MAX_BATCH = 8
-QUEUE_DEPTH = 4 * N_REQUESTS
-OFFERED_HZ = 4.0 / SERVICE_S  # several times one engine's service rate
-WEIGHTS = np.random.default_rng(0).normal(size=SHAPE)
-ENGINE_KWARGS = {"weights": WEIGHTS, "service_s_per_column": SERVICE_S}
+from benchmarks.sections import serving_fabric
 
 
-def _make_replicas():
-    return [
-        Replica(
-            f"w{index}",
-            GemmEngine(
-                backend=ComputeHeavyBackend(service_s_per_column=SERVICE_S),
-                weights=WEIGHTS,
-                name=f"w{index}",
-            ),
-            max_batch=MAX_BATCH,
-            max_queue_depth=QUEUE_DEPTH,
-        )
-        for index in range(N_WORKERS)
-    ]
+def test_bench_fabric_bitwise_equivalence(section_result):
+    serving_fabric.check_bitwise_equivalence(section_result("serving_fabric"))
 
 
-def _make_specs():
-    return make_worker_specs(
-        N_WORKERS,
-        "repro.serving.fabric.engines:make_compute_heavy_engine",
-        engine_kwargs=ENGINE_KWARGS,
-        max_batch=MAX_BATCH,
-        max_queue_depth=QUEUE_DEPTH,
-    )
-
-
-def _serve_single_process():
-    """Saturating open-loop run against the in-process server."""
-
-    async def scenario():
-        async with InferenceServer(_make_replicas()) as server:
-            trace = poisson_arrival_times(OFFERED_HZ, N_REQUESTS, rng=1)
-            workload = make_column_workload(SHAPE[1], N_REQUESTS, rng=2)
-            return await run_open_loop(
-                server, trace, workload, offered_rate_hz=OFFERED_HZ
-            )
-
-    return asyncio.run(scenario())
-
-
-def _serve_fabric():
-    """The same trace against the multi-process gateway."""
-
-    async def scenario():
-        async with FabricGateway(
-            _make_specs(), max_pending=QUEUE_DEPTH
-        ) as gateway:
-            trace = poisson_arrival_times(OFFERED_HZ, N_REQUESTS, rng=1)
-            workload = make_column_workload(SHAPE[1], N_REQUESTS, rng=2)
-            return await run_open_loop(
-                gateway, trace, workload, offered_rate_hz=OFFERED_HZ
-            )
-
-    return asyncio.run(scenario())
-
-
-def test_bench_fabric_bitwise_equivalence():
-    """Pinned sequential traffic answers identically on both serving paths."""
-
-    async def both():
-        workload = make_column_workload(SHAPE[1], 12, rng=3)
-        async with InferenceServer(_make_replicas()) as server:
-            expected = [
-                await server.submit(workload(index), replica=f"w{index % N_WORKERS}")
-                for index in range(12)
-            ]
-        async with FabricGateway(_make_specs()) as gateway:
-            actual = [
-                await gateway.submit(workload(index), replica=f"w{index % N_WORKERS}")
-                for index in range(12)
-            ]
-        return expected, actual
-
-    expected, actual = asyncio.run(both())
-    for want, got in zip(expected, actual):
-        assert np.array_equal(got, want)
-
-
-def test_bench_fabric_beats_single_process(benchmark):
-    single_report = _serve_single_process()
-    fabric_report = run_once(benchmark, _serve_fabric)
-
-    # a throughput win bought with dropped work would be meaningless
-    assert single_report.completed == N_REQUESTS
-    assert fabric_report.completed == N_REQUESTS
-    assert single_report.rejected == 0
-    assert fabric_report.rejected == 0
-
-    rows = []
-    for label, report in (("single", single_report), ("fabric", fabric_report)):
-        latency = report.telemetry["latency"]
-        rows.append(
-            [
-                label,
-                round(report.achieved_hz, 1),
-                round(latency["p50_ms"], 3),
-                round(latency["p99_ms"], 3),
-            ]
-        )
-    print()
-    print(format_table(["mode", "achieved_hz", "p50_ms", "p99_ms"], rows))
-
-    # both workers really served across the process boundary
-    per_worker = fabric_report.telemetry["replicas"]
-    assert all(per_worker[f"w{i}"]["completed"] > 0 for i in range(N_WORKERS))
-
-    # the acceptance run in run_bench.py measures ~1.8x at 2 workers and
-    # >2x at 4; keep a margin here so CI machine noise never flakes tier-1
-    assert fabric_report.achieved_hz > 1.3 * single_report.achieved_hz
+def test_bench_fabric_beats_single_process(section_result):
+    serving_fabric.check_beats_single_process(section_result("serving_fabric"))

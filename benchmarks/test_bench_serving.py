@@ -1,89 +1,7 @@
-"""Traffic benchmarks for the inference serving runtime.
+"""Tier-1 contract of the ``serving`` section (see ``benchmarks/sections/serving.py``)."""
 
-Replays a saturating seeded arrival trace against a single analog-photonic
-replica twice — once as the batch-size-1 serial baseline, once with dynamic
-micro-batching — and asserts the serving layer's two qualitative contracts:
-
-* under saturation the micro-batcher fuses requests (engine calls are a
-  small fraction of request count), and
-* fused serving achieves strictly higher throughput than serial serving
-  (conservative 1.5x floor here; ``run_bench.py`` records the full
-  offered-load sweep, which sits around 8x at saturation — see the
-  ``serving`` section of ``BENCH_throughput.json``).
-
-The full offered-load-vs-throughput/latency sweep is persisted by
-``python benchmarks/run_bench.py`` into ``BENCH_throughput.json`` under the
-``serving`` section.
-"""
-
-import asyncio
-
-import numpy as np
-
-from benchmarks.conftest import run_once
-from repro.eval.reporting import format_table
-from repro.serving import (
-    GemmEngine,
-    InferenceServer,
-    Replica,
-    make_column_workload,
-    poisson_arrival_times,
-    run_open_loop,
-)
-
-SHAPE = (16, 16)
-N_REQUESTS = 96
-OFFERED_HZ = 40_000.0  # far above the serial capacity of the analog replica
+from benchmarks.sections import serving
 
 
-def _serve(max_batch: int):
-    """One saturating open-loop run; returns (engine, LoadReport)."""
-    weights = np.random.default_rng(0).normal(size=SHAPE)
-
-    async def scenario():
-        engine = GemmEngine(backend="analog-photonic", weights=weights, rng=0)
-        engine.compile(None)  # program the mesh outside the traffic window
-        replica = Replica(
-            "r0", engine, max_batch=max_batch, max_wait_s=0.0, max_queue_depth=256
-        )
-        async with InferenceServer([replica]) as server:
-            trace = poisson_arrival_times(OFFERED_HZ, N_REQUESTS, rng=1)
-            workload = make_column_workload(SHAPE[1], N_REQUESTS, rng=2)
-            report = await run_open_loop(
-                server, trace, workload, offered_rate_hz=OFFERED_HZ
-            )
-        return engine, report
-
-    return asyncio.run(scenario())
-
-
-def test_bench_serving_dynamic_batching(benchmark):
-    serial_engine, serial_report = _serve(max_batch=1)
-    dynamic_engine, dynamic_report = run_once(benchmark, _serve, 64)
-
-    assert serial_report.completed == N_REQUESTS
-    assert dynamic_report.completed == N_REQUESTS
-    # serial serving really did one engine call per request
-    assert serial_engine.stats.batches == N_REQUESTS
-    # saturation forces fusion: far fewer engine calls than requests
-    assert dynamic_engine.stats.batches <= N_REQUESTS / 3
-    assert dynamic_engine.stats.mean_batch >= 3.0
-
-    rows = []
-    for label, report in (("batch1", serial_report), ("dynamic", dynamic_report)):
-        latency = report.telemetry["latency"]
-        rows.append(
-            [
-                label,
-                round(report.achieved_hz, 1),
-                round(latency["p50_ms"], 3),
-                round(latency["p99_ms"], 3),
-                report.telemetry["queue_depth"]["max"],
-            ]
-        )
-    print()
-    print(format_table(["mode", "achieved_hz", "p50_ms", "p99_ms", "max_queue"], rows))
-
-    # the acceptance sweep in run_bench.py measures ~8x at saturating load;
-    # keep a generous margin here so CI machine noise never flakes the suite
-    assert dynamic_report.achieved_hz > 1.5 * serial_report.achieved_hz
+def test_bench_serving_dynamic_batching(section_result):
+    serving.check(section_result("serving"))

@@ -1,136 +1,19 @@
-"""Contract benchmarks for the spiking serving runtime.
+"""Tier-1 contracts of the ``snn_serving`` section.
 
-Three qualitative contracts of the SNN engine (``repro.serving.snn``):
-
-* fusing queued spike patterns into one multi-pattern network step is
-  bitwise-identical to running them serially, and measurably faster (a
-  conservative 1.2x floor here; ``run_bench.py`` records ~4x on the full
-  configuration under the ``snn_serving`` section of
-  ``BENCH_throughput.json``);
-* online STDP between micro-batches is bitwise-reproducible for a fixed
-  seed and arrival trace, and versions the engine cache through
-  ``learning_hash`` so a cache hit never serves stale weights;
-* a fault campaign against a live replica degrades monotonically end to
-  end: perfect accuracy at zero faults, no better at the heaviest point.
+See ``benchmarks/sections/snn_serving.py`` for the scenario and bounds.
 """
 
-import time
-
-import numpy as np
-
-from benchmarks.conftest import run_once
-from repro.eval.reporting import format_table
-from repro.serving import (
-    FaultCampaignDriver,
-    SNNEngine,
-    run_patterns_serial,
-    spike_pattern_workload,
-    synapse_fault_armer,
-)
-from repro.snn import PhotonicSNN, STDPRule
-
-N_INPUTS, N_OUTPUTS = 16, 6
-N_PATTERNS = 48
-SPEEDUP_FLOOR = 1.2
-TIMING_RETRIES = 3
+from benchmarks.sections import snn_serving
 
 
-def make_engine(learning: bool = False) -> SNNEngine:
-    network = PhotonicSNN(
-        N_INPUTS, N_OUTPUTS, stdp=STDPRule() if learning else None,
-        inhibition=0.3, rng=7,
-    )
-    return SNNEngine(network, learning=learning, max_spikes=6)
+def test_bench_fused_patterns_beat_serial(section_result):
+    snn_serving.check_batched_vs_serial(section_result("snn_serving")["batched_vs_serial"])
 
 
-def spike_columns(n_patterns: int = N_PATTERNS) -> np.ndarray:
-    workload = spike_pattern_workload(N_INPUTS, n_patterns, rng=11)
-    return np.stack([workload(i) for i in range(n_patterns)], axis=1)
+def test_bench_online_stdp_reproducible(section_result):
+    result = section_result("snn_serving")
+    snn_serving.check_online_stdp(result["online_stdp"], result["max_batch"])
 
 
-def test_bench_fused_patterns_beat_serial(benchmark):
-    columns = spike_columns()
-    engine = make_engine()
-
-    # correctness first: the fused step is a bitwise oracle of the serial one
-    fused = run_once(benchmark, engine.run_batch, None, columns)
-    serial = run_patterns_serial(engine, columns)
-    assert np.array_equal(fused, serial)
-
-    # timing contract, with retries against scheduler noise
-    for attempt in range(TIMING_RETRIES):
-        started = time.perf_counter()
-        engine.run_batch(None, columns)
-        fused_s = time.perf_counter() - started
-        started = time.perf_counter()
-        run_patterns_serial(engine, columns)
-        serial_s = time.perf_counter() - started
-        speedup = serial_s / max(fused_s, 1e-12)
-        if speedup >= SPEEDUP_FLOOR:
-            break
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"fused multi-pattern run only {speedup:.2f}x serial after "
-        f"{TIMING_RETRIES} attempts"
-    )
-
-    print()
-    print(format_table(
-        ["path", "seconds", "speedup"],
-        [
-            ["serial", round(serial_s, 5), 1.0],
-            ["fused", round(fused_s, 5), round(speedup, 2)],
-        ],
-    ))
-
-
-def test_bench_online_stdp_reproducible(benchmark):
-    columns = spike_columns(32)
-
-    def learn():
-        engine = make_engine(learning=True)
-        outputs = [
-            engine.run_batch(None, columns[:, i : i + 8])
-            for i in range(0, 32, 8)
-        ]
-        return (
-            np.concatenate(outputs, axis=1),
-            engine.network.synapse_array.fractions.copy(),
-            engine,
-        )
-
-    out_a, fractions_a, engine_a = run_once(benchmark, learn)
-    out_b, fractions_b, engine_b = learn()
-    assert np.array_equal(out_a, out_b)
-    assert np.array_equal(fractions_a, fractions_b)
-    assert engine_a.stdp_updates == engine_b.stdp_updates > 0
-    # every learning batch re-versions the cache key: no stale-weight hits
-    assert engine_a.stats.cache_hits == 0
-    assert engine_a.stats.compiles == 4
-    assert engine_a.learning_hash == engine_b.learning_hash
-
-
-def test_bench_fault_campaign_degrades_monotonically(benchmark):
-    driver = FaultCampaignDriver(
-        engine_factory=make_engine,
-        fault_armer=synapse_fault_armer,
-        make_request=spike_pattern_workload(N_INPUTS, 16, rng=11),
-        n_requests=16,
-        fault_counts=(0, 4, 32),
-        root_seed=3,
-    )
-    curve = run_once(benchmark, driver.run)
-    assert curve.accuracies[0] == 1.0
-    assert curve.accuracies[-1] <= curve.accuracies[0]
-    assert all(p99 >= 0.0 for p99 in curve.p99_ms)
-    assert all(sum(p.outcomes.values()) == 16 for p in curve.points)
-
-    print()
-    print(format_table(
-        ["faults", "accuracy", "p99_ms"],
-        [
-            [n, round(acc, 3), round(p99, 3)]
-            for n, acc, p99 in zip(
-                curve.fault_counts, curve.accuracies, curve.p99_ms
-            )
-        ],
-    ))
+def test_bench_fault_campaign_degrades_monotonically(section_result):
+    snn_serving.check_fault_campaign(section_result("snn_serving")["fault_campaign"])

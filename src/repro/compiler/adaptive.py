@@ -244,7 +244,7 @@ class AdaptiveReplanner:
         The batch-observer wiring feeds widths live; this is the offline
         equivalent for replaying a telemetry capture into the replanner.
         """
-        for value in telemetry.batch_sizes.values():
+        for value in telemetry.batch_sizes.values:
             self.observe_batch(int(value))
 
     def ingest_profiles(self, profiles: Dict[str, ReplicaProfile]) -> None:

@@ -63,7 +63,6 @@ from repro.serving.telemetry import (
     LatencySeries,
     ServingTelemetry,
     TelemetryLog,
-    merge_snapshots,
 )
 
 __all__ = [
@@ -101,7 +100,6 @@ __all__ = [
     "make_gemm_engine",
     "make_soc_gemm_engine",
     "make_worker_specs",
-    "merge_snapshots",
     "poisson_arrival_times",
     "run_closed_loop",
     "run_open_loop",

@@ -572,9 +572,8 @@ class FabricGateway:
                 request.weights,
                 request.model_key,
                 remaining,
+                wire.pack_trace(request.trace),
             )
-            if request.trace is not None:
-                message += (wire.pack_trace(request.trace),)
             try:
                 handle.conn.send(message)
             except (OSError, ValueError, BrokenPipeError):
@@ -611,10 +610,10 @@ class FabricGateway:
     def _on_message(self, handle: WorkerHandle, message) -> None:
         kind = message[0]
         if kind == "result":
-            # tracing workers append their drained span dicts as a 6th field
-            _, request_id, output, batch_size, _worker_latency = message[:5]
-            if self.tracer and len(message) > 5:
-                self.tracer.ingest(message[5])
+            # the 6th field carries the worker's drained span dicts (or None)
+            _, request_id, output, batch_size, _worker_latency, spans = message
+            if self.tracer:
+                self.tracer.ingest(spans)
             request = handle.inflight_requests.pop(request_id, None)
             if request is not None:
                 self._finish(
@@ -624,9 +623,9 @@ class FabricGateway:
                 self.telemetry.on_batch(handle.name, int(batch_size))
             self._pump(handle)
         elif kind == "error":
-            _, request_id, payload, batch_size, _worker_latency = message[:5]
-            if self.tracer and len(message) > 5:
-                self.tracer.ingest(message[5])
+            _, request_id, payload, batch_size, _worker_latency, spans = message
+            if self.tracer:
+                self.tracer.ingest(spans)
             request = handle.inflight_requests.pop(request_id, None)
             if request is not None:
                 error = wire.decode_exception(payload)

@@ -228,10 +228,8 @@ class WorkerReplica:
     # message handling
     # ------------------------------------------------------------------ #
     def _handle_submit(self, message) -> None:
-        # 6-tuple from untraced gateways; a 7th element carries the wire
-        # trace context when the gateway side is tracing
-        _, request_id, inputs, weights, model_key, deadline_s = message[:6]
-        trace_ctx = message[6] if len(message) > 6 else None
+        # the 7th element is the wire trace context, None when untraced
+        _, request_id, inputs, weights, model_key, deadline_s, trace_ctx = message
         if self.replica.depth >= self.spec.max_queue_depth:
             # worker-side admission: the typed rejection crosses the pipe
             self.conn.send(

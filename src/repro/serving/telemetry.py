@@ -16,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -372,66 +372,6 @@ class ServingTelemetry:
             ]
             blocks.append(format_table(headers, rows))
         return "\n\n".join(blocks)
-
-
-def merge_snapshots(snapshots: Iterable[Dict]) -> Dict:
-    """Fold per-worker :meth:`ServingTelemetry.to_snapshot` dicts into one view.
-
-    The fabric runs one :class:`ServingTelemetry` per worker process; this
-    merges their snapshots into a pool-level summary: counters sum,
-    ``elapsed_s`` takes the longest window (workers run concurrently),
-    throughput is recomputed from the merged totals, latency statistics
-    are completion-weighted means of the per-worker statistics (exact for
-    the mean; an aggregation, not a re-percentile, for p50/p95/p99), and
-    per-replica slices — disjoint across workers by construction — are
-    carried over, erroring on a duplicate replica name.
-    """
-    merged: Dict = {
-        "elapsed_s": 0.0,
-        "submitted": 0,
-        "completed": 0,
-        "rejected": 0,
-        "expired": 0,
-        "throughput_hz": 0.0,
-        "latency": {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0},
-        "queue_depth": {"max": 0, "mean": 0.0},
-        "replicas": {},
-        "workers": 0,
-    }
-    weighted = {"mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-    depth_weight = 0
-    for snapshot in snapshots:
-        merged["workers"] += 1
-        merged["elapsed_s"] = max(merged["elapsed_s"], float(snapshot.get("elapsed_s", 0.0)))
-        for counter in ("submitted", "completed", "rejected", "expired"):
-            merged[counter] += int(snapshot.get(counter, 0))
-        latency = snapshot.get("latency", {})
-        count = int(latency.get("count", 0))
-        merged["latency"]["count"] += count
-        for key in weighted:
-            weighted[key] += float(latency.get(key, 0.0)) * count
-        depth = snapshot.get("queue_depth", {})
-        submitted = int(snapshot.get("submitted", 0))
-        merged["queue_depth"]["max"] = max(
-            merged["queue_depth"]["max"], int(depth.get("max", 0))
-        )
-        merged["queue_depth"]["mean"] += float(depth.get("mean", 0.0)) * submitted
-        depth_weight += submitted
-        for name, slice_ in snapshot.get("replicas", {}).items():
-            if name in merged["replicas"]:
-                raise ValueError(
-                    f"replica {name!r} appears in more than one worker snapshot"
-                )
-            merged["replicas"][name] = dict(slice_)
-    total = merged["latency"]["count"]
-    if total > 0:
-        for key in weighted:
-            merged["latency"][key] = weighted[key] / total
-    if depth_weight > 0:
-        merged["queue_depth"]["mean"] /= depth_weight
-    if merged["elapsed_s"] > 0:
-        merged["throughput_hz"] = merged["completed"] / merged["elapsed_s"]
-    return merged
 
 
 class TelemetryLog:

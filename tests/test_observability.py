@@ -34,7 +34,6 @@ from repro.serving import (
     SoCGemmEngine,
     TelemetryLog,
     make_worker_specs,
-    merge_snapshots,
 )
 from repro.serving.fabric import wire
 from repro.system import PhotonicSoC
@@ -331,46 +330,6 @@ class TestTelemetryLog:
         # the strict reader still raises, by contract
         with pytest.raises(json.JSONDecodeError):
             log.read()
-
-
-# --------------------------------------------------------------------- #
-# S3: per-worker telemetry snapshot merging
-# --------------------------------------------------------------------- #
-class TestMergeSnapshots:
-    @staticmethod
-    def worker_telemetry(name, latencies, base=0.0):
-        ticks = iter([base, base + 10.0])
-        telemetry = ServingTelemetry(clock=lambda: next(ticks, base + 10.0))
-        telemetry.start()
-        for latency_s in latencies:
-            telemetry.on_admit(name, pool_depth=1)
-            telemetry.on_result(name, latency_s, batch_size=1, outcome="ok")
-        telemetry.stop()
-        return telemetry
-
-    def test_merge_is_completion_weighted(self):
-        a = self.worker_telemetry("w0", [0.010] * 3)
-        b = self.worker_telemetry("w1", [0.030] * 1)
-        merged = merge_snapshots([a.to_snapshot(), b.to_snapshot()])
-        assert merged["workers"] == 2
-        assert merged["completed"] == 4
-        assert merged["elapsed_s"] == pytest.approx(10.0)
-        assert merged["throughput_hz"] == pytest.approx(0.4)
-        # (3*10ms + 1*30ms) / 4 completions
-        assert merged["latency"]["mean_ms"] == pytest.approx(15.0)
-        assert set(merged["replicas"]) == {"w0", "w1"}
-
-    def test_duplicate_replica_name_is_an_error(self):
-        a = self.worker_telemetry("w0", [0.010])
-        b = self.worker_telemetry("w0", [0.020])
-        with pytest.raises(ValueError, match="more than one worker"):
-            merge_snapshots([a.to_snapshot(), b.to_snapshot()])
-
-    def test_empty_merge_is_all_zeros(self):
-        merged = merge_snapshots([])
-        assert merged["workers"] == 0
-        assert merged["throughput_hz"] == 0.0
-        assert merged["latency"]["p99_ms"] == 0.0
 
 
 # --------------------------------------------------------------------- #
