@@ -72,14 +72,23 @@ def condense(raw_json: Path) -> dict:
 
 
 def git_commit() -> str | None:
-    """The checked-out commit, or ``None`` outside a git checkout."""
-    try:
+    """The checked-out commit, or ``None`` outside a git checkout.
+
+    A working tree with uncommitted changes is stamped ``<commit>-dirty``:
+    the record measured those changes, not the commit itself.
+    """
+
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True,
-            text=True, check=True,
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, check=True,
         ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain")
     except (OSError, subprocess.CalledProcessError):
         return None
+    return f"{commit}-dirty" if dirty else commit
 
 
 def update_trajectory(output: Path, results: dict, sections: dict) -> dict:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Deque, Optional
 
 import numpy as np
@@ -583,6 +584,28 @@ class MACArrayAccelerator(BaseMatrixAccelerator):
         return mac_area + spm_area
 
 
+@lru_cache(maxsize=256)
+def default_energy_model(rows: int, inner: int) -> PhotonicCoreEnergyModel:
+    """Energy model of a ``rows x inner`` photonic core with default devices.
+
+    A pure function of the tile shape: it reads no clock, no accelerator and
+    no programmed state, so one model per shape serves every accelerator in
+    the process.  Building one evaluates the PCM phase levels, which costs
+    far more than the tile it times.  The cached object is shared; callers
+    must treat it as read-only.
+    """
+    component_count = {
+        "mzis": rows * (rows - 1) // 2 + inner * (inner - 1) // 2,
+        "phase_shifters": rows * (rows - 1) + inner * (inner - 1) + rows + inner,
+        "couplers": rows * (rows - 1) + inner * (inner - 1),
+        "modes": max(rows, inner),
+        "depth": rows + inner,
+    }
+    return PhotonicCoreEnergyModel(
+        n_inputs=inner, n_outputs=rows, component_count=component_count
+    )
+
+
 class PhotonicMVMAccelerator(BaseMatrixAccelerator):
     """Photonic in-memory GeMM accelerator (the paper's DSA).
 
@@ -626,22 +649,10 @@ class PhotonicMVMAccelerator(BaseMatrixAccelerator):
             return self.backend.engine
         return None
 
-    def _default_energy_model(self, rows: int, inner: int) -> PhotonicCoreEnergyModel:
-        component_count = {
-            "mzis": rows * (rows - 1) // 2 + inner * (inner - 1) // 2,
-            "phase_shifters": rows * (rows - 1) + inner * (inner - 1) + rows + inner,
-            "couplers": rows * (rows - 1) + inner * (inner - 1),
-            "modes": max(rows, inner),
-            "depth": rows + inner,
-        }
-        return PhotonicCoreEnergyModel(
-            n_inputs=inner, n_outputs=rows, component_count=component_count
-        )
-
     def _compute(self, weights: np.ndarray, inputs: np.ndarray, config: dict):
         rows, inner = weights.shape
         cols = inputs.shape[1]
-        model = self.energy_model or self._default_energy_model(rows, inner)
+        model = self.energy_model or default_energy_model(rows, inner)
 
         outputs = self._functional_product(weights, inputs)
         if config["scale_shift"]:

@@ -184,7 +184,7 @@ class MainMemory:
     def dump_words(self, address: int, count: int) -> list:
         """Bulk-read ``count`` words starting at ``address`` (no stats impact)."""
         index = self._block_index(address, count)
-        return [int(word) for word in self._words[index : index + count]]
+        return self._words[index : index + count].tolist()
 
     def energy_j(self) -> float:
         """Total access energy consumed so far."""

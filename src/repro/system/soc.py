@@ -272,7 +272,8 @@ class PhotonicSoC:
     Attributes:
         clock_hz: system clock frequency.
         cpu_area_mm2 / memory_area_mm2: area figures of the host side.
-        max_cycles: watchdog bound used by ``run`` (hang detection).
+        max_cycles: watchdog bound on the cycles of one host program or one
+            tiled offload (hang detection).
     """
 
     def __init__(
@@ -351,13 +352,18 @@ class PhotonicSoC:
     # simulation driver
     # ------------------------------------------------------------------ #
     def run_program(self, source: str, max_cycles: Optional[int] = None) -> int:
-        """Assemble and run a host program to completion; returns cycles."""
+        """Assemble and run a host program to completion.
+
+        The watchdog ``max_cycles`` (default: the SoC's) bounds the cycles
+        *this* program may take, so a reused SoC runs every program under
+        the same budget.  Returns the absolute scheduler cycle at the end,
+        which is the SoC's lifetime cycle count.
+        """
         program = assemble(source)
         self.cpu.load_program(program)
         self.cpu.start()
         limit = max_cycles if max_cycles is not None else self.max_cycles
-        final_cycle = self.scheduler.run(max_cycles=limit)
-        return final_cycle
+        return self.scheduler.run(max_cycles=self.scheduler.current_cycle + limit)
 
     def _energy_breakdown(self) -> Dict[str, float]:
         breakdown = {
