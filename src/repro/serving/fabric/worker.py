@@ -157,17 +157,28 @@ class WorkerReplica:
     # pipe -> loop
     # ------------------------------------------------------------------ #
     def start_reader(self) -> threading.Thread:
-        """Start the daemon thread pumping pipe messages onto the loop."""
+        """Start the daemon thread pumping pipe messages onto the loop.
+
+        Each message is queued as ``(message, received_at)``, stamped with
+        the replica clock when the pipe delivers it.  The loop may be busy
+        in a blocking engine call for a while before it handles a submit;
+        the request's deadline still counts from its arrival.
+        """
+        clock = self.replica.clock
 
         def pump() -> None:
             try:
                 while True:
                     message = self.conn.recv()
-                    self._loop.call_soon_threadsafe(self._inbox.put_nowait, message)
+                    self._loop.call_soon_threadsafe(
+                        self._inbox.put_nowait, (message, clock())
+                    )
                     if message[0] == "shutdown":
                         return
             except (EOFError, OSError):
-                self._loop.call_soon_threadsafe(self._inbox.put_nowait, ("__eof__",))
+                self._loop.call_soon_threadsafe(
+                    self._inbox.put_nowait, (("__eof__",), clock())
+                )
 
         thread = threading.Thread(
             target=pump, name=f"worker-{self.spec.name}-reader", daemon=True
@@ -227,7 +238,7 @@ class WorkerReplica:
     # ------------------------------------------------------------------ #
     # message handling
     # ------------------------------------------------------------------ #
-    def _handle_submit(self, message) -> None:
+    def _handle_submit(self, message, received_at: float) -> None:
         # the 7th element is the wire trace context, None when untraced
         _, request_id, inputs, weights, model_key, deadline_s, trace_ctx = message
         if self.replica.depth >= self.spec.max_queue_depth:
@@ -249,16 +260,16 @@ class WorkerReplica:
                 )
             )
             return
-        now = self.replica.clock()
         request = InferenceRequest(
             inputs=np.asarray(inputs),
             weights=weights,
             model_key=model_key if model_key is not None else DEFAULT_MODEL_KEY,
             future=self._loop.create_future(),
-            submitted_at=now,
+            submitted_at=received_at,
             # the gateway ships the *remaining* budget; re-anchor it on this
-            # process's clock (absolute deadlines do not cross clocks)
-            deadline_at=now + deadline_s if deadline_s is not None else None,
+            # process's clock (absolute deadlines do not cross clocks) at
+            # the moment the pipe delivered the submit
+            deadline_at=received_at + deadline_s if deadline_s is not None else None,
             request_id=request_id,
         )
         if self.tracer and trace_ctx is not None:
@@ -305,10 +316,10 @@ class WorkerReplica:
         # spawn/import time never lands inside a measured traffic window
         self.conn.send(("ready", self.spec.name))
         while True:
-            message = await self._inbox.get()
+            message, received_at = await self._inbox.get()
             kind = message[0]
             if kind == "submit":
-                self._handle_submit(message)
+                self._handle_submit(message, received_at)
             elif kind == "shutdown":
                 drain = bool(message[1])
                 if drain:

@@ -106,22 +106,27 @@ class TileDescriptor:
 
     @property
     def weight_words(self) -> int:
+        """Words of the tile's weight block (rows x inner)."""
         return self.rows * self.inner
 
     @property
     def input_words(self) -> int:
+        """Words of the tile's input block (inner x cols)."""
         return self.inner * self.cols
 
     @property
     def output_words(self) -> int:
+        """Words of the tile's output block (rows x cols)."""
         return self.rows * self.cols
 
     @property
     def macs(self) -> int:
+        """Multiply-accumulates the tile performs."""
         return self.rows * self.inner * self.cols
 
     @property
     def valid(self) -> bool:
+        """True when every dimension is positive and the pitch covers a row."""
         if self.weights_pitch and self.weights_pitch < self.inner:
             return False
         return min(self.rows, self.inner, self.cols) >= 1
@@ -153,6 +158,7 @@ class AcceleratorStats:
 
     @property
     def total_cycles(self) -> int:
+        """Compute plus DMA cycles."""
         return self.compute_cycles + self.dma_cycles
 
 

@@ -5,13 +5,20 @@ decimal/hex immediates, ``offset(base)`` memory operands and a handful of
 pseudo-instructions (``li``, ``mv``, ``j``, ``nop``, ``halt``, ``ret``,
 ``call``).  The output is a list of :class:`repro.system.isa.Instruction`
 objects ready for the CPU model, plus the label table for debugging.
+
+:func:`assemble` is a pure function of the source text, memoized per
+process: host drivers regenerate the same program text for every offload
+of a shape, and a :class:`Program` is immutable (its label table is a
+read-only mapping), so one cached object can be shared by every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 from repro.system.isa import (
     BRANCH_OPS,
@@ -36,12 +43,12 @@ class Program:
 
     Attributes:
         instructions: the decoded instruction list (index = pc / 4).
-        labels: label name -> instruction byte address.
+        labels: label name -> instruction byte address (read-only).
         source: the original assembly text.
     """
 
     instructions: Tuple[Instruction, ...]
-    labels: Dict[str, int]
+    labels: Mapping[str, int]
     source: str
 
     def __len__(self) -> int:
@@ -100,8 +107,9 @@ def _expand_pseudo(op: str, operands: List[str]) -> List[Tuple[str, List[str]]]:
     return [(op, operands)]
 
 
+@functools.lru_cache(maxsize=256)
 def assemble(source: str) -> Program:
-    """Assemble a program text into a :class:`Program`."""
+    """Assemble a program text into a :class:`Program` (memoized on the text)."""
     # ---- pass 1: collect labels -------------------------------------------
     lines = source.splitlines()
     labels: Dict[str, int] = {}
@@ -137,7 +145,9 @@ def assemble(source: str) -> Program:
             instructions.append(_encode(op, operands, labels, pc))
         except (AssemblyError, IllegalInstructionError) as exc:
             raise AssemblyError(f"line {line_no}: {exc}") from exc
-    return Program(instructions=tuple(instructions), labels=labels, source=source)
+    return Program(
+        instructions=tuple(instructions), labels=MappingProxyType(labels), source=source
+    )
 
 
 def _encode(op: str, operands: List[str], labels: Dict[str, int], pc: int) -> Instruction:

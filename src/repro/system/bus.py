@@ -32,9 +32,11 @@ class BusMapping:
 
     @property
     def end(self) -> int:
+        """First address past the mapping."""
         return self.base + self.size
 
     def contains(self, address: int) -> bool:
+        """True when ``address`` falls inside the mapping."""
         return self.base <= address < self.end
 
 

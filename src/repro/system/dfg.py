@@ -119,11 +119,13 @@ class DataflowGraph:
         return self.graph.nodes[name]["data"]
 
     def node_latency(self, name: str) -> int:
+        """Latency of a node: its own override, else its operation's default."""
         node = self.node(name)
         return node.latency if node.latency is not None else self.op_latency[node.op]
 
     @property
     def n_nodes(self) -> int:
+        """Number of nodes in the graph."""
         return self.graph.number_of_nodes()
 
     # ------------------------------------------------------------------ #

@@ -81,6 +81,7 @@ class GatherDescriptor:
 
     @property
     def n_words(self) -> int:
+        """Words the gather moves (one block per address)."""
         return self.block_words * len(self.addresses)
 
 
@@ -97,6 +98,7 @@ class DMAStats:
 
     @property
     def bytes_moved(self) -> int:
+        """Bytes moved so far."""
         return self.words_moved * WORD_BYTES
 
 

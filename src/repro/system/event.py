@@ -5,11 +5,19 @@ every component (CPU, DMA engine, accelerator, interrupt controller)
 schedules callbacks at future cycle counts and the kernel executes them in
 time order.  Cycle counts are integers; ties are broken by scheduling
 order so the simulation is fully deterministic.
+
+A component that can compute ahead of the queue (the RISC-V core) asks
+for :meth:`EventScheduler.horizon`: it may do work at any cycle strictly
+below it and must schedule an event for anything at or beyond it.  Work
+done that way is indistinguishable from one event per step, because no
+other event runs before the horizon, and on a tie the pending event
+(scheduled earlier, so with the lower sequence number) still runs first.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -29,12 +37,17 @@ class EventScheduler:
     Attributes:
         current_cycle: simulation time of the event being processed (or the
             last processed one when idle).
+        sequence: events scheduled so far, which is also the tie-break
+            sequence number of the next one; a change tells a run-ahead
+            component that its horizon may have moved.
     """
 
     def __init__(self):
         self._queue: List[_ScheduledEvent] = []
-        self._sequence = 0
+        self.sequence = 0
         self.current_cycle = 0
+        #: first cycle the current :meth:`run` does not process
+        self._limit: float = math.inf
         self.events_processed = 0
         #: optional (cycle, label) dispatch log, enabled by :meth:`enable_trace`
         self.trace: Optional[List[Tuple[int, str]]] = None
@@ -44,6 +57,8 @@ class EventScheduler:
 
         Used by the pipeline tests and benchmarks to prove DMA/compute
         overlap from the actual event stream instead of aggregate counters.
+        The CPU runs ahead between events, so its instructions do not
+        appear one per entry: a CPU entry marks where a run-ahead started.
         """
         self.trace = []
         return self.trace
@@ -57,11 +72,11 @@ class EventScheduler:
             raise ValueError("cannot schedule events in the past")
         event = _ScheduledEvent(
             cycle=self.current_cycle + int(delay),
-            sequence=self._sequence,
+            sequence=self.sequence,
             callback=callback,
             label=label,
         )
-        self._sequence += 1
+        self.sequence += 1
         heapq.heappush(self._queue, event)
         return event
 
@@ -81,7 +96,11 @@ class EventScheduler:
         return len(self._queue)
 
     def step(self) -> bool:
-        """Process the next event; returns False when the queue is empty."""
+        """Process the next event; returns False when the queue is empty.
+
+        Outside :meth:`run` no cycle limit applies, so a CPU event runs
+        ahead until the next pending event or until its program halts.
+        """
         while self._queue:
             event = heapq.heappop(self._queue)
             if event.cancelled:
@@ -94,23 +113,40 @@ class EventScheduler:
             return True
         return False
 
-    def run(self, max_cycles: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def horizon(self) -> float:
+        """First cycle at which run-ahead work must stop and schedule an event.
+
+        The smaller of the earliest pending, non-cancelled event's cycle and
+        ``max_cycles + 1`` of the current :meth:`run` (infinite outside
+        :meth:`run`).  Without the limit term a program that never halts
+        would never return control to :meth:`run`.
+        """
+        queue = self._queue
+        while queue and queue[0].cancelled:
+            heapq.heappop(queue)
+        if queue and queue[0].cycle < self._limit:
+            return queue[0].cycle
+        return self._limit
+
+    def run(self, max_cycles: Optional[int] = None) -> int:
         """Run until the queue drains or a limit is hit; returns the final cycle.
 
-        ``max_cycles`` bounds simulated time, ``max_events`` bounds work —
-        the latter is the watchdog used by fault-injection campaigns to
-        classify hangs.
+        ``max_cycles`` bounds simulated time: no event (and no run-ahead
+        work) after that absolute cycle is processed.  Fault campaigns use
+        it as the watchdog that classifies hangs.
         """
-        processed = 0
-        while self._queue:
-            next_event = self._queue[0]
-            if next_event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if max_cycles is not None and next_event.cycle > max_cycles:
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            self.step()
-            processed += 1
+        limit = math.inf if max_cycles is None else max_cycles + 1
+        queue = self._queue
+        outer, self._limit = self._limit, limit
+        try:
+            while queue:
+                next_event = queue[0]
+                if next_event.cancelled:
+                    heapq.heappop(queue)
+                    continue
+                if next_event.cycle >= limit:
+                    break
+                self.step()
+        finally:
+            self._limit = outer
         return self.current_cycle

@@ -198,6 +198,7 @@ class CampaignResult:
 
     @property
     def n_runs(self) -> int:
+        """Number of classified runs."""
         return len(self.outcomes)
 
 

@@ -54,6 +54,7 @@ class MemoryStats:
 
     @property
     def accesses(self) -> int:
+        """Reads plus writes."""
         return self.reads + self.writes
 
 
@@ -211,16 +212,19 @@ class RegisterBank:
         self.stats = MemoryStats()
 
     def read(self, name: str) -> int:
+        """Read a named register."""
         if name not in self._values:
             raise MemoryAccessError(f"unknown register {name!r}")
         self.stats.reads += 1
         return self._values[name]
 
     def write(self, name: str, value: int) -> None:
+        """Write a named register (wrapped to 32 bits)."""
         if name not in self._values:
             raise MemoryAccessError(f"unknown register {name!r}")
         self.stats.writes += 1
         self._values[name] = to_unsigned(int(value))
 
     def names(self) -> list:
+        """Register names in declaration order."""
         return list(self._values)

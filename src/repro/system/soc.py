@@ -144,6 +144,7 @@ class KShardSlice:
 
     @property
     def k_size(self) -> int:
+        """Width of the K slice."""
         return self.k_stop - self.k_start
 
 
@@ -263,6 +264,7 @@ class WorkloadReport:
 
     @property
     def energy_per_cycle(self) -> float:
+        """Mean energy per simulated cycle [J] (0 for an empty run)."""
         return self.energy_j / self.cycles if self.cycles else 0.0
 
 

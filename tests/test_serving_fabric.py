@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import queue
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.serving import (
 )
 from repro.serving.errors import ServingError
 from repro.serving.fabric import engines, wire
+from repro.serving.fabric.worker import WorkerReplica
 from repro.utils.rng import derive_worker_seed
 
 COMPUTE_HEAVY = "repro.serving.fabric.engines:make_compute_heavy_engine"
@@ -40,6 +43,44 @@ def demo_weights(n_out=3, n_in=4):
 # --------------------------------------------------------------------- #
 # wire protocol (no processes)
 # --------------------------------------------------------------------- #
+class _SignallingBackend(engines.ComputeHeavyBackend):
+    """Compute-heavy backend that reports when a blocking call has begun."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.entered = threading.Event()
+
+    def matmul(self, weights, inputs):
+        self.entered.set()
+        return super().matmul(weights, inputs)
+
+
+class _InProcessPipe:
+    """The worker's end of a pipe, driven by the test in the same process."""
+
+    def __init__(self):
+        self._incoming = queue.Queue()
+        self.sent = []
+
+    def deliver(self, message):
+        self._incoming.put(message)
+
+    def recv(self):
+        return self._incoming.get()
+
+    def send(self, message):
+        self.sent.append(message)
+
+    async def replies(self, count, timeout_s=10.0):
+        loop = asyncio.get_running_loop()
+        give_up = loop.time() + timeout_s
+        while True:
+            replies = [m for m in self.sent if m[0] in ("result", "error")]
+            if len(replies) >= count or loop.time() > give_up:
+                return replies
+            await asyncio.sleep(0.01)
+
+
 class TestWire:
     def test_arrays_round_trip_with_none_slots(self, rng):
         arrays = [
@@ -443,6 +484,48 @@ class TestCrossProcessErrors:
                         np.ones(4), replica="w0", deadline_s=0.005
                     )
                 await long_running
+
+        run_async(check())
+
+    def test_deadline_counts_from_arrival_while_the_engine_blocks(self):
+        # A submit that reaches the worker while a blocking engine call
+        # holds its event loop waits in the inbox; its budget must still
+        # run from the moment the pipe delivered it, so a budget shorter
+        # than the block expires, typed, on the worker side.
+        async def check():
+            backend = _SignallingBackend(service_s_per_column=0.3)
+            spec = WorkerSpec(
+                name="w0",
+                engine_factory=lambda: GemmEngine(backend=backend, weights=demo_weights()),
+                max_batch=1,
+                warm_start=False,
+            )
+            pipe = _InProcessPipe()
+            worker = WorkerReplica(pipe, spec)
+            serving = asyncio.ensure_future(worker.serve())
+            pipe.deliver(("submit", 1, np.ones(4), None, None, None, None))
+
+            entered = []
+
+            def submit_while_blocked():
+                entered.append(backend.entered.wait(10))
+                pipe.deliver(("submit", 2, np.ones(4), None, None, 0.005, None))
+
+            pusher = threading.Thread(target=submit_while_blocked)
+            pusher.start()
+            replies = await pipe.replies(2)
+            pusher.join(10)
+            assert not pusher.is_alive()
+            assert entered == [True]
+            pipe.deliver(("shutdown", True))
+            await asyncio.wait_for(serving, 10)
+
+            by_id = {reply[1]: reply for reply in replies}
+            assert by_id[1][0] == "result"
+            assert by_id[2][0] == "error"
+            error = wire.decode_exception(by_id[2][2])
+            assert isinstance(error, DeadlineExceededError)
+            assert error.deadline_s == pytest.approx(0.005)
 
         run_async(check())
 

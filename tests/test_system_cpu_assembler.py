@@ -63,6 +63,14 @@ class TestAssembler:
         assert len(program) == 4
         assert "loop" in program.labels
 
+    def test_assembly_is_memoized_into_a_read_only_program(self):
+        source = "start:\n    addi x1, x0, 1\n    halt"
+        program = assemble(source)
+        assert assemble(source) is program
+        with pytest.raises(TypeError):
+            program.labels["start"] = 8
+        assert program.labels["start"] == 0
+
     def test_comments_and_blank_lines_ignored(self):
         program = assemble("""
             # a comment

@@ -80,6 +80,34 @@ class TestEventScheduler:
         scheduler.run()
         assert seen == [4]
 
+    def test_horizon_is_the_earliest_live_event(self):
+        scheduler = EventScheduler()
+        assert scheduler.horizon() == float("inf")
+        cancelled = scheduler.schedule(3, lambda: None)
+        scheduler.schedule(9, lambda: None)
+        assert scheduler.horizon() == 3
+        scheduler.cancel(cancelled)
+        assert scheduler.horizon() == 9
+
+    def test_horizon_inside_run_stops_past_max_cycles(self):
+        scheduler = EventScheduler()
+        seen = []
+        scheduler.schedule(2, lambda: seen.append(scheduler.horizon()))
+        scheduler.schedule(50, lambda: None)
+        scheduler.run(max_cycles=10)
+        scheduler.schedule(1, lambda: seen.append(scheduler.horizon()))
+        scheduler.run(max_cycles=40)
+        # the limit term (max_cycles + 1) wins over the event at 50, and a
+        # later run records its own limit
+        assert seen == [11, 41]
+        assert scheduler.horizon() == 50
+
+    def test_sequence_counts_scheduled_events(self):
+        scheduler = EventScheduler()
+        scheduler.schedule(1, lambda: None)
+        scheduler.schedule(1, lambda: None)
+        assert scheduler.sequence == 2
+
 
 class TestWordHelpers:
     def test_to_unsigned_wraps(self):
