@@ -232,17 +232,18 @@ class BaseMatrixAccelerator:
     # host protocol
     # ------------------------------------------------------------------ #
     def _descriptor_from_registers(self) -> TileDescriptor:
-        flags = self.mmr.data_register(REG_FLAGS)
+        # every REG_* index lies inside the 16 data registers of self.mmr
+        data = self.mmr.data
         return TileDescriptor(
-            weights_addr=self.mmr.data_register(REG_WEIGHTS_ADDR),
-            input_addr=self.mmr.data_register(REG_INPUT_ADDR),
-            output_addr=self.mmr.data_register(REG_OUTPUT_ADDR),
-            rows=self.mmr.data_register(REG_ROWS),
-            inner=self.mmr.data_register(REG_INNER),
-            cols=self.mmr.data_register(REG_COLS),
-            scale_shift=self.mmr.data_register(REG_SCALE_SHIFT),
-            load_input=not flags & FLAG_SKIP_INPUT_LOAD,
-            weights_pitch=self.mmr.data_register(REG_WEIGHTS_PITCH),
+            weights_addr=data[REG_WEIGHTS_ADDR],
+            input_addr=data[REG_INPUT_ADDR],
+            output_addr=data[REG_OUTPUT_ADDR],
+            rows=data[REG_ROWS],
+            inner=data[REG_INNER],
+            cols=data[REG_COLS],
+            scale_shift=data[REG_SCALE_SHIFT],
+            load_input=not data[REG_FLAGS] & FLAG_SKIP_INPUT_LOAD,
+            weights_pitch=data[REG_WEIGHTS_PITCH],
         )
 
     def _tile_fit(self, descriptor: TileDescriptor) -> Optional[str]:

@@ -12,23 +12,28 @@ below it and must schedule an event for anything at or beyond it.  Work
 done that way is indistinguishable from one event per step, because no
 other event runs before the horizon, and on a tie the pending event
 (scheduled earlier, so with the lower sequence number) still runs first.
+
+The heap holds plain ``(cycle, sequence, event)`` tuples, so ordering is a
+C-level tuple comparison; the sequence number is unique, so the comparison
+never reaches the event handle itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    cycle: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    """Cancellable handle of one scheduled callback."""
+
+    __slots__ = ("callback", "label", "cancelled")
+
+    def __init__(self, callback: Callable[[], None], label: str):
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
 
 
 class EventScheduler:
@@ -43,7 +48,7 @@ class EventScheduler:
     """
 
     def __init__(self):
-        self._queue: List[_ScheduledEvent] = []
+        self._queue: List[Tuple[int, int, _ScheduledEvent]] = []
         self.sequence = 0
         self.current_cycle = 0
         #: first cycle the current :meth:`run` does not process
@@ -70,14 +75,10 @@ class EventScheduler:
         """
         if delay < 0:
             raise ValueError("cannot schedule events in the past")
-        event = _ScheduledEvent(
-            cycle=self.current_cycle + int(delay),
-            sequence=self.sequence,
-            callback=callback,
-            label=label,
-        )
+        cycle = self.current_cycle + int(delay)
+        event = _ScheduledEvent(callback, label)
+        heapq.heappush(self._queue, (cycle, self.sequence, event))
         self.sequence += 1
-        heapq.heappush(self._queue, event)
         return event
 
     def schedule_at(self, cycle: int, callback: Callable[[], None], label: str = "") -> _ScheduledEvent:
@@ -102,12 +103,12 @@ class EventScheduler:
         ahead until the next pending event or until its program halts.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            cycle, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self.current_cycle = event.cycle
+            self.current_cycle = cycle
             if self.trace is not None:
-                self.trace.append((event.cycle, event.label))
+                self.trace.append((cycle, event.label))
             event.callback()
             self.events_processed += 1
             return True
@@ -122,10 +123,10 @@ class EventScheduler:
         would never return control to :meth:`run`.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
-        if queue and queue[0].cycle < self._limit:
-            return queue[0].cycle
+        if queue and queue[0][0] < self._limit:
+            return queue[0][0]
         return self._limit
 
     def run(self, max_cycles: Optional[int] = None) -> int:
@@ -140,11 +141,11 @@ class EventScheduler:
         outer, self._limit = self._limit, limit
         try:
             while queue:
-                next_event = queue[0]
-                if next_event.cancelled:
+                cycle, _, event = queue[0]
+                if event.cancelled:
                     heapq.heappop(queue)
                     continue
-                if next_event.cycle >= limit:
+                if cycle >= limit:
                     break
                 self.step()
         finally:

@@ -41,6 +41,13 @@ def signed_to_words(values) -> np.ndarray:
     return (np.asarray(values, dtype=np.int64) & WORD_MASK).astype(np.uint32)
 
 
+def _as_words(values) -> np.ndarray:
+    """``values`` as uint32 words; a uint32 ndarray passes through as is."""
+    if isinstance(values, np.ndarray) and values.dtype == np.uint32:
+        return values
+    return signed_to_words(values)
+
+
 class MemoryAccessError(Exception):
     """Raised on out-of-range or misaligned memory accesses."""
 
@@ -127,7 +134,7 @@ class MainMemory:
 
     def write_block(self, address: int, values) -> None:
         """Bulk write of consecutive words (counted as writes)."""
-        words = signed_to_words(values)
+        words = _as_words(values)
         index = self._block_index(address, words.size)
         self.stats.writes += words.size
         self._words[index : index + words.size] = words
@@ -177,8 +184,13 @@ class MainMemory:
         return self._words[offsets].reshape(-1)
 
     def load_words(self, address: int, values) -> None:
-        """Bulk-initialise memory starting at ``address`` (no stats impact)."""
-        words = signed_to_words(list(values))
+        """Bulk-initialise memory starting at ``address`` (no stats impact).
+
+        ``values`` is an integer array or any iterable of integers.
+        """
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        words = _as_words(values)
         index = self._block_index(address, words.size)
         self._words[index : index + words.size] = words
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.system.memory import MemoryAccessError, WORD_BYTES, to_unsigned
+from repro.system.memory import MemoryAccessError, WORD_BYTES, WORD_MASK, to_unsigned
 
 #: Conventional register offsets shared by all accelerators in this repo.
 CTRL_OFFSET = 0x00
@@ -114,6 +114,23 @@ class MemoryMappedRegisters:
             return
         index = self._data_index(offset)
         self.data[index] = value
+
+    def write_words(self, offset: int, values) -> None:
+        """Write consecutive data registers starting at byte ``offset``.
+
+        Equivalent to one :meth:`write_word` per value.  The whole block
+        must lie inside the data registers, which is checked before any
+        register or counter changes; a block never reaches CTRL or STATUS,
+        so it triggers no callback.
+        """
+        index = self._data_index(offset)
+        stop = index + len(values)
+        if stop > self.n_data_registers:
+            raise MemoryAccessError(
+                f"MMR data registers {index}..{stop - 1} out of range"
+            )
+        self.write_count += len(values)
+        self.data[index:stop] = [int(value) & WORD_MASK for value in values]
 
     def _data_index(self, offset: int) -> int:
         if offset < DATA_OFFSET or offset % WORD_BYTES != 0:

@@ -12,7 +12,7 @@ offload, and multi-PE tiled GeMM — all returning a uniform
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,13 +21,7 @@ from repro.system.accelerator import (
     FLAG_SKIP_INPUT_LOAD,
     MACArrayAccelerator,
     PhotonicMVMAccelerator,
-    REG_COLS,
     REG_FLAGS,
-    REG_INNER,
-    REG_INPUT_ADDR,
-    REG_OUTPUT_ADDR,
-    REG_ROWS,
-    REG_SCALE_SHIFT,
     REG_WEIGHTS_ADDR,
     REG_WEIGHTS_PITCH,
     TileDescriptor,
@@ -43,6 +37,7 @@ from repro.system.mmr import (
     CTRL_IRQ_ENABLE,
     CTRL_IRQ_PER_TILE,
     CTRL_START,
+    DATA_OFFSET,
     STATUS_DONE,
     STATUS_ERROR,
 )
@@ -53,6 +48,23 @@ MAIN_MEMORY_BASE = 0x0000_0000
 MAIN_MEMORY_SIZE = 1 << 20          # 1 MiB
 MMR_REGION_BASE = 0x4000_0000
 MMR_REGION_STRIDE = 0x0000_1000     # one 4 KiB page per accelerator
+
+
+def _split_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of the ``parts`` contiguous pieces of ``range(n)``.
+
+    The partition of ``np.array_split(np.arange(n), parts)``: the first
+    ``n % parts`` pieces are one longer than the rest, and pieces are empty
+    when ``parts > n``.
+    """
+    size, extra = divmod(n, parts)
+    ranges = []
+    start = 0
+    for index in range(parts):
+        stop = start + size + (index < extra)
+        ranges.append((start, stop))
+        start = stop
+    return ranges
 
 
 def plan_shards(
@@ -94,25 +106,23 @@ def plan_shards(
         raise ValueError("weights_pitch must be 0 or >= n_inner")
     row_pitch = weights_pitch if weights_pitch else n_inner
     plans: List[List[TileDescriptor]] = []
-    for rows in np.array_split(np.arange(n_rows), n_pes):
+    for shard_start, shard_stop in _split_ranges(n_rows, n_pes):
         descriptors: List[TileDescriptor] = []
-        if rows.size:
-            chunk_rows = tile_rows if tile_rows is not None else max(1, -(-rows.size // 2))
-            for start in range(0, rows.size, chunk_rows):
-                chunk = rows[start : start + chunk_rows]
-                first_row = int(chunk[0])
-                descriptors.append(
-                    TileDescriptor(
-                        weights_addr=a_addr + first_row * row_pitch * WORD_BYTES,
-                        input_addr=b_addr,
-                        output_addr=c_addr + first_row * n_cols * WORD_BYTES,
-                        rows=int(chunk.size),
-                        inner=n_inner,
-                        cols=n_cols,
-                        load_input=start == 0,
-                        weights_pitch=weights_pitch,
-                    )
+        shard_rows = shard_stop - shard_start
+        chunk_rows = tile_rows if tile_rows is not None else max(1, -(-shard_rows // 2))
+        for first_row in range(shard_start, shard_stop, chunk_rows):
+            descriptors.append(
+                TileDescriptor(
+                    weights_addr=a_addr + first_row * row_pitch * WORD_BYTES,
+                    input_addr=b_addr,
+                    output_addr=c_addr + first_row * n_cols * WORD_BYTES,
+                    rows=min(chunk_rows, shard_stop - first_row),
+                    inner=n_inner,
+                    cols=n_cols,
+                    load_input=first_row == shard_start,
+                    weights_pitch=weights_pitch,
                 )
+            )
         plans.append(descriptors)
     return plans
 
@@ -194,8 +204,7 @@ def plan_k_shards(
     in_place = a_addr is not None
     slices: List[KShardSlice] = []
     cursor = int(staging_addr)
-    for index, columns in enumerate(np.array_split(np.arange(n_inner), k_shards)):
-        k_start, k_stop = int(columns[0]), int(columns[-1]) + 1
+    for index, (k_start, k_stop) in enumerate(_split_ranges(n_inner, k_shards)):
         k_size = k_stop - k_start
         if in_place:
             slice_a = a_addr + k_start * WORD_BYTES
@@ -495,41 +504,41 @@ class PhotonicSoC:
         )
         host_cycles = 0
         n_tiles = 0
+        bus = self.bus
         for accelerator, descriptors in zip(self.accelerators, plans):
+            data_base = accelerator.mmr_base + DATA_OFFSET
+            pitch_address = data_base + REG_WEIGHTS_PITCH * WORD_BYTES
             # Only strided streams program the pitch register, so the host
             # driver cost (and the register traffic) of the classic dense
             # row-path streams is unchanged.
             stream_uses_pitch = any(d.weights_pitch for d in descriptors)
             for descriptor in descriptors:
-                registers = {
-                    REG_WEIGHTS_ADDR: descriptor.weights_addr,
-                    REG_INPUT_ADDR: descriptor.input_addr,
-                    REG_OUTPUT_ADDR: descriptor.output_addr,
-                    REG_ROWS: descriptor.rows,
-                    REG_INNER: descriptor.inner,
-                    REG_COLS: descriptor.cols,
-                    REG_SCALE_SHIFT: descriptor.scale_shift,
-                    REG_FLAGS: 0 if descriptor.load_input else FLAG_SKIP_INPUT_LOAD,
-                }
+                # one block access over REG_WEIGHTS_ADDR..REG_FLAGS, charged
+                # as the eight word writes it replaces
+                host_cycles += bus.write_words(
+                    data_base + REG_WEIGHTS_ADDR * WORD_BYTES,
+                    (
+                        descriptor.weights_addr,
+                        descriptor.input_addr,
+                        descriptor.output_addr,
+                        descriptor.rows,
+                        descriptor.inner,
+                        descriptor.cols,
+                        descriptor.scale_shift,
+                        0 if descriptor.load_input else FLAG_SKIP_INPUT_LOAD,
+                    ),
+                )
                 if stream_uses_pitch:
-                    registers[REG_WEIGHTS_PITCH] = descriptor.weights_pitch
-                for index, value in registers.items():
-                    host_cycles += self.bus.write_word(
-                        accelerator.mmr_base + 0x08 + index * WORD_BYTES, value
-                    )
-                host_cycles += self.bus.write_word(accelerator.mmr_base, CTRL_ENQUEUE)
+                    host_cycles += bus.write_word(pitch_address, descriptor.weights_pitch)
+                host_cycles += bus.write_word(accelerator.mmr_base, CTRL_ENQUEUE)
                 n_tiles += 1
             if descriptors:
                 # restore the protocol defaults (load-input, dense pitch) so
                 # a later single-shot offload does not latch stale state
-                host_cycles += self.bus.write_word(
-                    accelerator.mmr_base + 0x08 + REG_FLAGS * WORD_BYTES, 0
-                )
+                host_cycles += bus.write_word(data_base + REG_FLAGS * WORD_BYTES, 0)
                 if stream_uses_pitch:
-                    host_cycles += self.bus.write_word(
-                        accelerator.mmr_base + 0x08 + REG_WEIGHTS_PITCH * WORD_BYTES, 0
-                    )
-                host_cycles += self.bus.write_word(accelerator.mmr_base, start_bits)
+                    host_cycles += bus.write_word(pitch_address, 0)
+                host_cycles += bus.write_word(accelerator.mmr_base, start_bits)
         return host_cycles, n_tiles
 
     def _run_streams(self, plans: List[List[TileDescriptor]]) -> int:

@@ -1,0 +1,338 @@
+"""Tests for the tiled-offload driver path of the SoC.
+
+Covers the bisected bus address decode (against a linear-scan oracle),
+block MMR descriptor writes (accounting-equal to per-word writes, with
+arbitration on), the integer row/K partition of the shard planners
+(against ``np.array_split``), the tuple event heap, and ``mmr_data`` fault
+injection during tiled offloads pinned to figures of the per-word driver.
+"""
+
+import numpy as np
+import pytest
+
+from repro.eval.workloads import make_gemm_workload
+from repro.system.accelerator import REG_FLAGS, REG_WEIGHTS_ADDR, TileDescriptor
+from repro.system.bus import SystemBus
+from repro.system.event import EventScheduler
+from repro.system.faults import FaultInjector, FaultSpec
+from repro.system.memory import MainMemory, MemoryAccessError, WORD_BYTES
+from repro.system.mmr import DATA_OFFSET, MemoryMappedRegisters
+from repro.system.soc import PhotonicSoC, plan_k_shards, plan_shards
+
+
+# ---------------------------------------------------------------------- #
+# bus decode
+# ---------------------------------------------------------------------- #
+def _linear_find(bus, address):
+    for mapping in bus.mappings():
+        if mapping.contains(address):
+            return mapping
+    return None
+
+
+def _random_bus(rng):
+    """A bus with non-overlapping random mappings, attached out of order."""
+    ranges = []
+    cursor = int(rng.integers(0, 3)) * WORD_BYTES  # sometimes a mapping at 0
+    for _ in range(int(rng.integers(1, 9))):
+        size = int(rng.integers(1, 64)) * WORD_BYTES
+        ranges.append((cursor, size))
+        cursor += size + int(rng.integers(0, 3)) * int(rng.integers(1, 32)) * WORD_BYTES
+    bus = SystemBus()
+    for position in rng.permutation(len(ranges)):
+        base, size = ranges[position]
+        bus.attach(base, size, MainMemory(size), f"m{position}")
+    return bus, ranges
+
+
+class TestBisectedDecode:
+    def test_matches_linear_scan_on_random_maps(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            bus, ranges = _random_bus(rng)
+            probes = {0}
+            for base, size in ranges:
+                # every base, last byte and first byte past each mapping,
+                # plus addresses inside the gap that follows it
+                probes.update({base, base - 1, base + size - 1, base + size,
+                               base + size + 5 * WORD_BYTES})
+            probes.update(int(a) for a in rng.integers(0, ranges[-1][0] + 512, 20))
+            for address in sorted(a for a in probes if a >= 0):
+                expected = _linear_find(bus, address)
+                if expected is None:
+                    with pytest.raises(MemoryAccessError, match="bus decode error"):
+                        bus.find(address)
+                else:
+                    assert bus.find(address) is expected
+
+    def test_mappings_stay_sorted_and_overlaps_rejected(self):
+        bus = SystemBus()
+        bus.attach(0x2000, 0x100, MainMemory(0x100), "high")
+        bus.attach(0x1000, 0x100, MainMemory(0x100), "low")
+        bus.attach(0x1800, 0x100, MainMemory(0x100), "mid")
+        assert [m.name for m in bus.mappings()] == ["low", "mid", "high"]
+        with pytest.raises(ValueError, match="overlaps"):
+            bus.attach(0x10F0, 0x20, MainMemory(0x20), "bad")
+        assert [m.name for m in bus.mappings()] == ["low", "mid", "high"]
+
+    def test_unmapped_addresses_raise_decode_error(self):
+        bus = SystemBus()
+        bus.attach(0x100, 0x40, MainMemory(0x40), "mem")
+        for address in (0x0, 0xFC, 0x140, 0x1_0000):
+            with pytest.raises(MemoryAccessError, match=f"no target at {address:#x}"):
+                bus.find(address)
+        with pytest.raises(MemoryAccessError, match="bus decode error"):
+            SystemBus().find(0)
+
+
+# ---------------------------------------------------------------------- #
+# block MMR writes
+# ---------------------------------------------------------------------- #
+DESCRIPTOR_WORDS = [0x1000, 0x4000, 0x8000, 6, 5, 4, 2, -1]
+
+
+def _arbitrated_soc():
+    soc = PhotonicSoC()
+    soc.add_photonic_accelerator()
+    soc.bus.arbitration_penalty = 3
+    soc.bus.begin_stream("photonic0-dma")  # another DMA stream holds the bus
+    return soc
+
+
+def _bus_counters(soc):
+    mmr = soc.accelerators[0].mmr
+    return (soc.bus.transfers, soc.bus.contention_cycles, soc.bus.contention_events,
+            mmr.write_count, list(mmr.data))
+
+
+class TestBlockRegisterWrites:
+    @pytest.mark.parametrize("first_register", [REG_WEIGHTS_ADDR, 3, 8])
+    def test_block_write_equals_word_writes_under_arbitration(self, first_register):
+        block, words = _arbitrated_soc(), _arbitrated_soc()
+        address = block.accelerators[0].mmr_base + DATA_OFFSET + first_register * WORD_BYTES
+        block_latency = block.bus.write_words(address, DESCRIPTOR_WORDS, initiator="host")
+        word_latency = sum(
+            words.bus.write_word(address + i * WORD_BYTES, value, initiator="host")
+            for i, value in enumerate(DESCRIPTOR_WORDS)
+        )
+        assert block_latency == word_latency == 8 * (block.bus.traversal_latency + 1 + 3)
+        assert _bus_counters(block) == _bus_counters(words)
+        assert block.bus.contention_events == 8
+        assert block.accelerators[0].mmr.data[first_register + 7] == 0xFFFFFFFF
+
+    def test_initiator_holding_the_bus_pays_no_arbitration(self):
+        block, words = _arbitrated_soc(), _arbitrated_soc()
+        address = block.accelerators[0].mmr_base + DATA_OFFSET
+        block_latency = block.bus.write_words(address, DESCRIPTOR_WORDS,
+                                              initiator="photonic0-dma")
+        word_latency = sum(
+            words.bus.write_word(address + i * WORD_BYTES, value, initiator="photonic0-dma")
+            for i, value in enumerate(DESCRIPTOR_WORDS)
+        )
+        assert block_latency == word_latency
+        assert _bus_counters(block) == _bus_counters(words)
+        assert block.bus.contention_events == 0
+
+    def test_block_write_triggers_no_control_callback(self):
+        soc = PhotonicSoC()
+        soc.add_photonic_accelerator()
+        mmr = soc.accelerators[0].mmr
+        soc.bus.write_words(soc.accelerators[0].mmr_base + DATA_OFFSET, DESCRIPTOR_WORDS)
+        assert not soc.accelerators[0]._pending
+        assert mmr.control == 0 and not soc.accelerators[0].busy
+
+    @pytest.mark.parametrize(
+        "offset, n_words",
+        [
+            (DATA_OFFSET + 12 * WORD_BYTES, 8),   # runs past the data registers
+            (DATA_OFFSET + 16 * WORD_BYTES, 1),   # starts past them
+            (0x00, 8),                            # would cover CTRL
+            (0x04, 8),                            # would cover STATUS
+            (DATA_OFFSET + 2, 8),                 # misaligned
+        ],
+    )
+    def test_bad_block_raises_before_any_side_effect(self, offset, n_words):
+        soc = _arbitrated_soc()
+        before = _bus_counters(soc)
+        with pytest.raises(MemoryAccessError):
+            soc.bus.write_words(soc.accelerators[0].mmr_base + offset,
+                                DESCRIPTOR_WORDS[:n_words], initiator="host")
+        assert _bus_counters(soc) == before
+
+    def test_block_write_needs_a_register_block(self):
+        bus = SystemBus()
+        bus.attach(0, 0x100, MainMemory(0x100), "mem")
+        with pytest.raises(MemoryAccessError, match="no register block writes"):
+            bus.write_words(0, [1, 2])
+        with pytest.raises(MemoryAccessError, match="bus decode error"):
+            bus.write_words(0x1000, [1, 2])
+        assert bus.transfers == 0
+
+    def test_mmr_block_write_wraps_like_word_writes(self):
+        block, words = MemoryMappedRegisters(), MemoryMappedRegisters()
+        values = [-5, 1 << 33, 7]
+        block.write_words(DATA_OFFSET + 4 * WORD_BYTES, values)
+        for i, value in enumerate(values):
+            words.write_word(DATA_OFFSET + (4 + i) * WORD_BYTES, value)
+        assert block.data == words.data
+        assert block.write_count == words.write_count == 3
+
+
+# ---------------------------------------------------------------------- #
+# shard planners
+# ---------------------------------------------------------------------- #
+def _reference_plan_shards(n_rows, n_inner, n_cols, n_pes, a_addr, b_addr, c_addr,
+                           tile_rows=None, weights_pitch=0):
+    """The ``np.array_split`` row partition the integer planner must match."""
+    row_pitch = weights_pitch if weights_pitch else n_inner
+    plans = []
+    for rows in np.array_split(np.arange(n_rows), n_pes):
+        descriptors = []
+        if rows.size:
+            chunk_rows = tile_rows if tile_rows is not None else max(1, -(-rows.size // 2))
+            for start in range(0, rows.size, chunk_rows):
+                chunk = rows[start : start + chunk_rows]
+                first_row = int(chunk[0])
+                descriptors.append(TileDescriptor(
+                    weights_addr=a_addr + first_row * row_pitch * WORD_BYTES,
+                    input_addr=b_addr,
+                    output_addr=c_addr + first_row * n_cols * WORD_BYTES,
+                    rows=int(chunk.size), inner=n_inner, cols=n_cols,
+                    load_input=start == 0, weights_pitch=weights_pitch,
+                ))
+        plans.append(descriptors)
+    return plans
+
+
+class TestIntegerPartition:
+    @pytest.mark.parametrize("weights_pitch", [0, 11])
+    @pytest.mark.parametrize("tile_rows", [None, 1, 2, 3, 7, 40])
+    def test_plan_shards_matches_array_split(self, tile_rows, weights_pitch):
+        for n_rows in range(1, 18):
+            for n_pes in range(1, 8):  # includes n_pes > n_rows
+                args = (n_rows, 5, 3, n_pes, 0x1000, 0x4000, 0x8000)
+                assert plan_shards(*args, tile_rows=tile_rows,
+                                   weights_pitch=weights_pitch) == \
+                    _reference_plan_shards(*args, tile_rows=tile_rows,
+                                           weights_pitch=weights_pitch)
+
+    def test_plan_k_shards_matches_array_split(self):
+        for n_inner in range(1, 14):
+            for k_shards in range(1, n_inner + 1):
+                slices = plan_k_shards(5, n_inner, 3, k_shards, a_addr=0, b_addr=0x800)
+                expected = [(int(c[0]), int(c[-1]) + 1)
+                            for c in np.array_split(np.arange(n_inner), k_shards)]
+                assert [(s.k_start, s.k_stop) for s in slices] == expected
+
+
+# ---------------------------------------------------------------------- #
+# event heap
+# ---------------------------------------------------------------------- #
+class TestTupleEventHeap:
+    def test_ties_run_in_scheduling_order_and_cancel_skips(self):
+        scheduler = EventScheduler()
+        trace = scheduler.enable_trace()
+        seen = []
+        handles = [scheduler.schedule(5, lambda i=i: seen.append(i), label=f"e{i}")
+                   for i in range(6)]
+        scheduler.schedule_at(2, lambda: seen.append("early"), label="early")
+        scheduler.cancel(handles[0])
+        scheduler.cancel(handles[3])
+        assert scheduler.horizon() == 2
+        scheduler.run()
+        assert seen == ["early", 1, 2, 4, 5]
+        assert trace == [(2, "early"), (5, "e1"), (5, "e2"), (5, "e4"), (5, "e5")]
+        assert scheduler.events_processed == 5 and scheduler.pending == 0
+
+    def test_cancelled_head_is_skipped_by_step_and_horizon(self):
+        scheduler = EventScheduler()
+        seen = []
+        head = scheduler.schedule(1, lambda: seen.append("no"))
+        scheduler.schedule(4, lambda: seen.append("yes"))
+        scheduler.cancel(head)
+        assert scheduler.horizon() == 4
+        assert scheduler.step() is True
+        assert seen == ["yes"] and scheduler.current_cycle == 4
+        assert scheduler.step() is False
+
+
+# ---------------------------------------------------------------------- #
+# MMR faults during tiled offloads (figures of the per-word driver)
+# ---------------------------------------------------------------------- #
+ROW_SHARDED_PIPELINE = {
+    "n_tiles": 6, "dma_cycles": 1184, "compute_cycles": 6, "serial_cycles": 1364,
+    "critical_path_serial_cycles": 769, "pipelined_cycles": 623,
+    "overlap_cycles": 741, "intra_pe_overlap_cycles": 146,
+}
+ROW_SHARDED_DMA = {
+    f"photonic{pe}{suffix}": traffic
+    for pe in (0, 1)
+    for suffix, traffic in (
+        ("-dma", {"transfers": 4, "words_moved": 66, "bytes_moved": 264, "busy_cycles": 376}),
+        ("-dma-wb", {"transfers": 3, "words_moved": 30, "bytes_moved": 120,
+                     "busy_cycles": 216}),
+    )
+}
+K_SHARDED_PIPELINE = {
+    "n_tiles": 12, "dma_cycles": 1462, "compute_cycles": 12, "serial_cycles": 2125,
+    "critical_path_serial_cycles": 1388, "pipelined_cycles": 1198,
+    "overlap_cycles": 927, "intra_pe_overlap_cycles": 190, "k_shards": 2,
+    "accumulate_cycles": 273, "staging_cycles": 0, "staging_words": 0,
+}
+K_SHARDED_DMA = {
+    f"photonic{pe}{suffix}": traffic
+    for pe in (0, 1)
+    for suffix, traffic in (
+        ("-dma", {"transfers": 7, "words_moved": 51, "bytes_moved": 204, "busy_cycles": 299}),
+        ("-dma-wb", {"transfers": 6, "words_moved": 60, "bytes_moved": 240,
+                     "busy_cycles": 432}),
+    )
+}
+
+FAULT_CASES = {
+    # transient flip of REG_FLAGS at the cycle the stream starts: the fault
+    # event ties with the stream's start and must land after the driver
+    "transient-at-start": (
+        dict(fault_type="transient", location=REG_FLAGS, bit=0), 0, None,
+        623, ROW_SHARDED_PIPELINE, ROW_SHARDED_DMA,
+        [4192, 16384, 32848, 2, 6, 5, 0, 1, 3, 0, 0, 0, 0, 0, 0, 0], 49,
+    ),
+    # transient flip of REG_TILES_DONE while tiles are in flight
+    "transient-mid-stream": (
+        dict(fault_type="transient", location=8, bit=3), 40, None,
+        623, ROW_SHARDED_PIPELINE, ROW_SHARDED_DMA,
+        [4192, 16384, 32848, 2, 6, 5, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0], 49,
+    ),
+    # stuck-at-1 pitch bit on a K-sharded (strided, pitch-programming) run
+    "permanent-k-sharded": (
+        dict(fault_type="permanent", location=9, bit=4), 10, 2,
+        1198, K_SHARDED_PIPELINE, K_SHARDED_DMA,
+        [4336, 16384, 262344, 2, 3, 5, 0, 0, 6, 16, 0, 0, 0, 0, 0, 0], 83,
+    ),
+}
+
+
+class TestMMRFaultsDuringTiledOffload:
+    @pytest.mark.parametrize("case", sorted(FAULT_CASES))
+    def test_faulted_offload_matches_per_word_driver(self, case):
+        fault, offset, k_shards, cycles, pipeline, dma, data, write_count = FAULT_CASES[case]
+        soc = PhotonicSoC()
+        for _ in range(2):
+            soc.add_photonic_accelerator()
+        weights, inputs = make_gemm_workload(12, 6, 5, rng=3)
+        soc.run_tiled_gemm(weights, inputs)  # the faulted run starts mid-life
+        start = soc.scheduler.current_cycle
+        assert start == 454
+        injector = FaultInjector(
+            soc, FaultSpec(target="mmr_data", cycle=start + offset, **fault)
+        )
+        injector.arm()
+        report = soc.run_tiled_gemm(weights, inputs, tile_rows=2, k_shards=k_shards)
+        assert injector.injected
+        assert np.array_equal(report.result, weights @ inputs)
+        assert report.cycles == cycles
+        assert report.pipeline == pipeline
+        assert report.dma == dma
+        mmr = soc.accelerators[0].mmr
+        assert mmr.data == data
+        assert mmr.write_count == write_count
