@@ -780,7 +780,6 @@ def profile_engine(
     weights: Optional[np.ndarray] = None,
     repeats: int = 3,
     probe_shape: Tuple[int, int] = (16, 16),
-    clock: Callable[[], float] = time.perf_counter,
 ) -> ReplicaProfile:
     """Measure an engine's steady-state single-column service time.
 
@@ -800,7 +799,6 @@ def profile_engine(
             model, else a ones matrix of ``probe_shape``).
         repeats: timed runs to take the minimum over.
         probe_shape: synthetic weight shape for unbound engines.
-        clock: injectable timer (tests pass a fake).
 
     Returns:
         The measured :class:`ReplicaProfile`.
@@ -824,9 +822,9 @@ def profile_engine(
     cycles_before = cycles_attr if isinstance(cycles_attr, (int, float)) else None
     best = float("inf")
     for _ in range(repeats):
-        started = clock()
+        started = time.perf_counter()
         engine.run_batch(weights, column)
-        best = min(best, clock() - started)
+        best = min(best, time.perf_counter() - started)
     offload_cycles = None
     if cycles_before is not None:
         offload_cycles = (engine.offload_cycles - cycles_before) / repeats
@@ -843,7 +841,6 @@ def profile_replicas(
     replicas,
     weights: Optional[np.ndarray] = None,
     repeats: int = 3,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> Dict[str, ReplicaProfile]:
     """Profile every replica's engine; returns ``{replica_name: profile}``.
 
@@ -852,9 +849,7 @@ def profile_replicas(
     """
     profiles: Dict[str, ReplicaProfile] = {}
     for replica in replicas:
-        profile = profile_engine(
-            replica.engine, weights=weights, repeats=repeats, clock=clock
-        )
+        profile = profile_engine(replica.engine, weights=weights, repeats=repeats)
         profiles[replica.name] = replace(profile, name=replica.name)
     return profiles
 

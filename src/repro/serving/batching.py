@@ -20,7 +20,6 @@ instead of wasting engine time.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from repro.serving.engine import InferenceEngine
 from repro.serving.errors import DeadlineExceededError, ServerClosedError
+from repro.serving.timebase import loop_time
 
 #: queue sentinel that tells a batcher to exit its serve loop.
 SHUTDOWN = None
@@ -44,8 +44,8 @@ class InferenceRequest:
         model_key: weight-hash grouping key (requests sharing it may be
             fused into one engine call).
         future: resolved with the ``(n_out,)`` output column.
-        submitted_at: clock timestamp at admission.
-        deadline_at: absolute clock deadline, or ``None``.
+        submitted_at: loop ``time()`` at admission.
+        deadline_at: absolute loop-time deadline, or ``None``.
         request_id: monotonically increasing id assigned by the server.
         trace: the request span (:class:`~repro.obs.trace.Span`) or wire
             context, ``None`` when tracing is off.
@@ -102,9 +102,7 @@ class MicroBatcher:
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry` for
             batch-size / latency instruments.
 
-    The straggler window (``max_wait_s``) is timed on the event loop's
-    clock (``loop.time()``), matching ``asyncio.wait_for``; the injectable
-    ``clock`` is only used for request latency/deadline bookkeeping.
+    The straggler window, latencies and deadlines use the running loop's ``time()``.
     """
 
     def __init__(
@@ -112,7 +110,6 @@ class MicroBatcher:
         engine: InferenceEngine,
         max_batch: int = 32,
         max_wait_s: float = 0.0,
-        clock: Callable[[], float] = time.perf_counter,
         on_result: Optional[Callable[[InferenceRequest, float, int, str], None]] = None,
         on_pull: Optional[Callable[[int], None]] = None,
         on_batch: Optional[Callable[[int], None]] = None,
@@ -126,7 +123,6 @@ class MicroBatcher:
         self.engine = engine
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_s)
-        self.clock = clock
         self.on_result = on_result
         self.on_pull = on_pull
         self.on_batch = on_batch
@@ -158,6 +154,7 @@ class MicroBatcher:
         into the open batch with :class:`ServerClosedError` — a pulled
         request must never be left as a forever-pending future.
         """
+        self._now = loop_time()
         while True:
             item = await queue.get()
             if item is SHUTDOWN:
@@ -179,7 +176,7 @@ class MicroBatcher:
 
     def _fail_batch(self, batch: List[InferenceRequest]) -> None:
         """Resolve a pulled-but-unserved batch on abort (typed error)."""
-        now = self.clock()
+        now = self._now()
         for request in batch:
             if not request.future.done():
                 request.future.set_exception(
@@ -201,16 +198,10 @@ class MicroBatcher:
         return False
 
     async def _coalesce_wait(self, queue: asyncio.Queue, batch: list) -> bool:
-        """Wait up to ``max_wait_s`` for stragglers; True on SHUTDOWN.
-
-        The window is measured on the event loop's clock so it stays
-        correct when a caller injects a frozen/simulated ``clock`` for
-        latency bookkeeping.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_wait_s
+        """Wait up to ``max_wait_s`` for stragglers; True on SHUTDOWN."""
+        deadline = self._now() + self.max_wait_s
         while len(batch) < self.max_batch:
-            remaining = deadline - loop.time()
+            remaining = deadline - self._now()
             if remaining <= 0:
                 return False
             try:
@@ -227,7 +218,7 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
     def _execute(self, batch: List[InferenceRequest]) -> None:
         """Fuse a batch into per-model engine calls and resolve futures."""
-        now = self.clock()
+        now = self._now()
         if self.metrics:
             self.metrics.histogram(
                 "batcher.batch_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
@@ -280,7 +271,7 @@ class MicroBatcher:
                     requests[0].weights, columns, key=model_key
                 )
             except Exception as exc:  # noqa: BLE001 - forwarded to the callers
-                done = self.clock()
+                done = self._now()
                 for request in requests:
                     if not request.future.done():
                         request.future.set_exception(exc)
@@ -291,7 +282,7 @@ class MicroBatcher:
                 if engine_span is not None:
                     self.tracer.pop()
                     self.tracer.end_span(engine_span)
-            done = self.clock()
+            done = self._now()
             self.stats.batches += 1
             self.stats.requests += len(requests)
             outputs = np.asarray(outputs)

@@ -102,13 +102,11 @@ class InferenceEngine:
         self,
         name: str = "engine",
         max_models: int = 8,
-        clock: Callable[[], float] = time.perf_counter,
     ):
         if max_models < 1:
             raise ValueError("max_models must be >= 1")
         self.name = str(name)
         self.max_models = int(max_models)
-        self.clock = clock
         self.stats = EngineStats()
         self._models: "OrderedDict[str, CompiledModel]" = OrderedDict()
 
@@ -139,9 +137,9 @@ class InferenceEngine:
             self._models.move_to_end(key)
             self.stats.cache_hits += 1
             return cached
-        started = self.clock()
+        started = time.perf_counter()
         compiled = self._compile(key, weights)
-        compiled.compile_s = self.clock() - started
+        compiled.compile_s = time.perf_counter() - started
         self.stats.compiles += 1
         self.stats.compile_s += compiled.compile_s
         self._models[key] = compiled
@@ -174,9 +172,9 @@ class InferenceEngine:
                 f"inputs must be a ({compiled.n_inputs}, batch) column block, "
                 f"got shape {inputs.shape}"
             )
-        started = self.clock()
+        started = time.perf_counter()
         outputs = compiled.runner(inputs)
-        self.stats.busy_s += self.clock() - started
+        self.stats.busy_s += time.perf_counter() - started
         self.stats.batches += 1
         self.stats.columns += inputs.shape[1]
         return outputs
@@ -205,10 +203,9 @@ class GemmEngine(InferenceEngine):
         weights: Optional[np.ndarray] = None,
         name: str = "gemm",
         max_models: int = 8,
-        clock: Callable[[], float] = time.perf_counter,
         **backend_kwargs,
     ):
-        super().__init__(name=name, max_models=max_models, clock=clock)
+        super().__init__(name=name, max_models=max_models)
         self.backend = resolve_backend(backend, **backend_kwargs)
         self.default_weights = (
             np.asarray(weights, dtype=float) if weights is not None else None
@@ -255,10 +252,9 @@ class MLPEngine(InferenceEngine):
         model: MLP,
         photonic: bool = True,
         name: str = "mlp",
-        clock: Callable[[], float] = time.perf_counter,
         **photonic_kwargs,
     ):
-        super().__init__(name=name, max_models=1, clock=clock)
+        super().__init__(name=name, max_models=1)
         self.model = model
         self.photonic = bool(photonic)
         self.photonic_kwargs = photonic_kwargs
@@ -335,13 +331,12 @@ class SoCGemmEngine(InferenceEngine):
         tile_rows: Optional[int] = None,
         name: str = "soc",
         max_models: int = 8,
-        clock: Callable[[], float] = time.perf_counter,
         tracer=None,
         cost_model=None,
         drift_monitor=None,
         replanner=None,
     ):
-        super().__init__(name=name, max_models=max_models, clock=clock)
+        super().__init__(name=name, max_models=max_models)
         if not getattr(soc, "accelerators", None):
             raise ValueError("SoC engine needs a PhotonicSoC with accelerators attached")
         self.soc = soc

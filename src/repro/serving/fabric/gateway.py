@@ -40,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import heapq
 import multiprocessing
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,6 +56,7 @@ from repro.serving.fabric import wire
 from repro.serving.fabric.worker import WorkerSpec, worker_main
 from repro.serving.scheduler import LATENCY_EWMA_ALPHA, ReplicaScheduler
 from repro.serving.telemetry import ServingTelemetry
+from repro.serving.timebase import loop_time
 
 
 @dataclass
@@ -69,8 +69,8 @@ class FabricRequest:
         weights: explicit model weights or ``None`` (worker default model).
         model_key: weight-hash grouping key for worker-side batching.
         future: resolved with the output column or a typed error.
-        submitted_at: gateway-clock admission timestamp.
-        deadline_at: absolute gateway-clock deadline, or ``None``.
+        submitted_at: gateway loop ``time()`` at admission.
+        deadline_at: absolute gateway loop-time deadline, or ``None``.
         priority: larger is more urgent; reorders *queued* work only.
         tenant: quota-accounting key, or ``None`` for unmetered traffic.
         seq: admission sequence number (FIFO tie-break within a priority).
@@ -213,7 +213,7 @@ class FabricGateway:
 
     Attributes:
         scheduler: the reused routing/admission layer over worker handles.
-        telemetry: end-to-end metrics sink (gateway clock).
+        telemetry: end-to-end metrics sink (gateway loop time).
         tenant_quotas: per-tenant outstanding-request bounds.
         default_tenant_quota: bound for tenants not listed explicitly
             (``None`` = unmetered); requests without a tenant are never
@@ -234,14 +234,11 @@ class FabricGateway:
         max_inflight: int = 64,
         tenant_quotas: Optional[Dict[str, int]] = None,
         default_tenant_quota: Optional[int] = None,
-        mp_context: str = "spawn",
-        clock: Callable[[], float] = time.perf_counter,
         telemetry: Optional[ServingTelemetry] = None,
         tracer=None,
     ):
         if not specs:
             raise ValueError("gateway needs at least one worker spec")
-        self.clock = clock
         self.tracer = tracer
         if tracer:
             # tracing gateways need tracing workers, or the cross-process
@@ -250,11 +247,11 @@ class FabricGateway:
                 spec.tracing = True
         self.handles = [WorkerHandle(spec, max_pending, max_inflight) for spec in specs]
         self.scheduler = ReplicaScheduler(self.handles, policy=policy, cost_fn=cost_fn)
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry(clock=clock)
+        self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
         self.tenant_quotas = dict(tenant_quotas or {})
         self.default_tenant_quota = default_tenant_quota
         self._tenant_outstanding: Dict[str, int] = {}
-        self._mp_context = multiprocessing.get_context(mp_context)
+        self._spawn = multiprocessing.get_context("spawn")
         self._by_name = {handle.name: handle for handle in self.handles}
         self._started = False
         self._closed = False
@@ -279,12 +276,13 @@ class FabricGateway:
         workers.
         """
         self._loop = asyncio.get_running_loop()
+        self._now = loop_time()
         spawned = []
         for handle in self.handles:
             if handle.process is not None and handle.alive:
                 continue
-            parent_conn, child_conn = self._mp_context.Pipe(duplex=True)
-            process = self._mp_context.Process(
+            parent_conn, child_conn = self._spawn.Pipe(duplex=True)
+            process = self._spawn.Process(
                 target=worker_main,
                 args=(child_conn, handle.spec),
                 name=f"fabric-{handle.name}",
@@ -339,10 +337,10 @@ class FabricGateway:
             target=pump, name=f"gateway-{handle.name}-reader", daemon=True
         ).start()
 
-    async def drain(self, poll_s: float = 0.001) -> None:
+    async def drain(self) -> None:
         """Wait until every admitted request has completed."""
         while any(handle.load > 0 for handle in self.handles):
-            await asyncio.sleep(poll_s)
+            await asyncio.sleep(0.001)
 
     async def shutdown(self, drain: bool = True, join_timeout_s: float = 10.0) -> None:
         """Stop admission, optionally serve the backlog, stop the workers.
@@ -474,7 +472,7 @@ class FabricGateway:
             raise WorkerCrashedError(
                 worker="*", detail="every worker process has exited"
             )
-        now = self.clock()
+        now = self._now()
         model_key = DEFAULT_MODEL_KEY if weights is None else weight_hash(weights)
         request = FabricRequest(
             request_id=self._next_request_id,
@@ -548,7 +546,7 @@ class FabricGateway:
             request = handle.pop_pending()
             if request is None:
                 return
-            now = self.clock()
+            now = self._now()
             if request.deadline_at is not None and now > request.deadline_at:
                 waited = now - request.submitted_at
                 self._finish(
@@ -591,7 +589,7 @@ class FabricGateway:
         batch_size: int = 1,
     ) -> None:
         """Resolve one request's future and account its final outcome."""
-        latency_s = self.clock() - request.submitted_at
+        latency_s = self._now() - request.submitted_at
         if not request.future.done():
             if outcome == "ok":
                 request.future.set_result(result)

@@ -31,6 +31,7 @@ from repro.serving.errors import BackpressureError, ServerClosedError
 from repro.serving.fabric.engines import resolve_factory
 from repro.serving.fabric.wire import encode_exception
 from repro.serving.scheduler import Replica
+from repro.serving.timebase import loop_time
 from repro.utils.rng import derive_worker_seed
 
 
@@ -82,15 +83,13 @@ def make_worker_specs(
     engine_factory: Union[str, Callable],
     engine_kwargs: Optional[Dict] = None,
     root_seed: Optional[int] = None,
-    seed_kwarg: str = "rng",
-    name_prefix: str = "w",
     **replica_options,
 ) -> list:
     """Build one :class:`WorkerSpec` per worker with derived per-worker seeds.
 
-    When ``root_seed`` is given, worker ``i`` receives
-    ``derive_worker_seed(root_seed, i)`` under ``seed_kwarg`` in its engine
-    kwargs — the deterministic stream-per-worker contract.  Pass
+    Worker ``i`` is named ``w<i>``.  When ``root_seed`` is given, it
+    receives ``derive_worker_seed(root_seed, i)`` as the ``rng`` engine
+    kwarg — the deterministic stream-per-worker contract.  Pass
     ``root_seed=None`` for unseeded (digital) engines whose factories take
     no RNG argument.  ``replica_options`` forward to every spec
     (``max_batch``, ``max_wait_s``, ``max_queue_depth``, ``warm_start``).
@@ -103,10 +102,10 @@ def make_worker_specs(
         seed = None
         if root_seed is not None:
             seed = derive_worker_seed(root_seed, index)
-            kwargs[seed_kwarg] = seed
+            kwargs["rng"] = seed
         specs.append(
             WorkerSpec(
-                name=f"{name_prefix}{index}",
+                name=f"w{index}",
                 engine_factory=engine_factory,
                 engine_kwargs=kwargs,
                 seed=seed,
@@ -152,6 +151,7 @@ class WorkerReplica:
         self._request_spans: Dict[int, object] = {}
         self._inbox: "asyncio.Queue" = asyncio.Queue()
         self._loop = asyncio.get_running_loop()
+        self._now = loop_time()
 
     # ------------------------------------------------------------------ #
     # pipe -> loop
@@ -160,24 +160,22 @@ class WorkerReplica:
         """Start the daemon thread pumping pipe messages onto the loop.
 
         Each message is queued as ``(message, received_at)``, stamped with
-        the replica clock when the pipe delivers it.  The loop may be busy
-        in a blocking engine call for a while before it handles a submit;
-        the request's deadline still counts from its arrival.
+        the loop's ``time()`` when the pipe delivers it.  The loop may be
+        busy in a blocking engine call for a while before it handles a
+        submit; the request's deadline still counts from its arrival.
         """
-        clock = self.replica.clock
-
         def pump() -> None:
             try:
                 while True:
                     message = self.conn.recv()
                     self._loop.call_soon_threadsafe(
-                        self._inbox.put_nowait, (message, clock())
+                        self._inbox.put_nowait, (message, self._now())
                     )
                     if message[0] == "shutdown":
                         return
             except (EOFError, OSError):
                 self._loop.call_soon_threadsafe(
-                    self._inbox.put_nowait, (("__eof__",), clock())
+                    self._inbox.put_nowait, (("__eof__",), self._now())
                 )
 
         thread = threading.Thread(
@@ -266,9 +264,9 @@ class WorkerReplica:
             model_key=model_key if model_key is not None else DEFAULT_MODEL_KEY,
             future=self._loop.create_future(),
             submitted_at=received_at,
-            # the gateway ships the *remaining* budget; re-anchor it on this
-            # process's clock (absolute deadlines do not cross clocks) at
-            # the moment the pipe delivered the submit
+            # the gateway ships the *remaining* budget (loop times do not cross
+            # processes); re-anchor it on this process's loop time at the
+            # moment the pipe delivered the submit
             deadline_at=received_at + deadline_s if deadline_s is not None else None,
             request_id=request_id,
         )

@@ -21,7 +21,6 @@ input vectors, independent of wall-clock jitter during replay.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from repro.serving.errors import BackpressureError, DeadlineExceededError
 from repro.serving.server import InferenceServer
+from repro.serving.timebase import loop_time
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -179,7 +179,6 @@ async def run_open_loop(
     weights: Optional[np.ndarray] = None,
     deadline_s: Optional[float] = None,
     offered_rate_hz: Optional[float] = None,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> LoadReport:
     """Replay an arrival trace open-loop against a running server.
 
@@ -192,10 +191,11 @@ async def run_open_loop(
         span = float(arrival_times[-1]) if n_requests else 0.0
         offered_rate_hz = n_requests / span if span > 0 else 0.0
     report = LoadReport(offered_rate_hz=float(offered_rate_hz), n_requests=n_requests)
-    start = clock()
+    now = loop_time()
+    start = now()
     futures = []
     for index, arrival in enumerate(arrival_times):
-        delay = (start + float(arrival)) - clock()
+        delay = (start + float(arrival)) - now()
         if delay > 0:
             await asyncio.sleep(delay)
         try:
@@ -207,7 +207,7 @@ async def run_open_loop(
         except BackpressureError:
             report.rejected += 1
     results = await asyncio.gather(*futures, return_exceptions=True)
-    report.duration_s = clock() - start
+    report.duration_s = now() - start
     _classify(report, results)
     report.telemetry = server.stats()
     return report
@@ -220,7 +220,6 @@ async def run_closed_loop(
     make_request: Callable[[int], np.ndarray],
     weights: Optional[np.ndarray] = None,
     deadline_s: Optional[float] = None,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> LoadReport:
     """Drive the server with ``n_clients`` back-to-back synchronous clients.
 
@@ -235,7 +234,8 @@ async def run_closed_loop(
         raise ValueError("need at least one client and one request per client")
     n_requests = n_clients * requests_per_client
     report = LoadReport(offered_rate_hz=0.0, n_requests=n_requests)
-    start = clock()
+    now = loop_time()
+    start = now()
 
     async def client(client_index: int) -> list:
         outcomes = []
@@ -260,7 +260,7 @@ async def run_closed_loop(
     per_client = await asyncio.gather(
         *(client(index) for index in range(n_clients))
     )
-    report.duration_s = clock() - start
+    report.duration_s = now() - start
     for outcomes in per_client:
         _classify(report, outcomes)
     report.telemetry = server.stats()

@@ -26,7 +26,6 @@ unbounded backlog.
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Callable, List, Optional, Sequence
 
 from repro.serving.batching import SHUTDOWN, InferenceRequest, MicroBatcher
@@ -58,7 +57,6 @@ class Replica:
         max_batch: int = 32,
         max_wait_s: float = 0.0,
         max_queue_depth: int = 64,
-        clock: Callable[[], float] = time.perf_counter,
         tracer=None,
         metrics=None,
     ):
@@ -67,7 +65,6 @@ class Replica:
         self.name = str(name)
         self.engine = engine
         self.max_queue_depth = int(max_queue_depth)
-        self.clock = clock
         self.queue: asyncio.Queue = asyncio.Queue()
         self.inflight = 0
         self.ewma_latency_s: Optional[float] = None
@@ -75,7 +72,6 @@ class Replica:
             engine,
             max_batch=max_batch,
             max_wait_s=max_wait_s,
-            clock=clock,
             on_result=self._on_result,
             on_pull=self._on_pull,
             on_batch=self._on_batch,

@@ -18,7 +18,6 @@ were benchmarked.
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from repro.serving.engine import DEFAULT_MODEL_KEY, weight_hash
 from repro.serving.errors import BackpressureError, ServerClosedError
 from repro.serving.scheduler import Replica, ReplicaScheduler
 from repro.serving.telemetry import ServingTelemetry
+from repro.serving.timebase import loop_time
 
 
 class InferenceServer:
@@ -56,32 +56,23 @@ class InferenceServer:
         replicas: Sequence[Replica],
         policy: str = "least-loaded",
         telemetry: Optional[ServingTelemetry] = None,
-        clock: Callable[[], float] = time.perf_counter,
         cost_fn: Optional[Callable[[Replica], float]] = None,
         tracer=None,
         metrics=None,
         replanner=None,
     ):
-        self.clock = clock
         self.scheduler = ReplicaScheduler(replicas, policy=policy, cost_fn=cost_fn)
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry(clock=clock)
+        self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
         self.tracer = tracer
         self.metrics = metrics
         self.replanner = replanner
         self._started = False
         self._closed = False
         self._next_request_id = 0
+        # the constructing loop's time(); start() rebinds to the serving loop
+        self._now = loop_time()
         for replica in self.scheduler.replicas:
-            # one clock for the whole server: request timestamps/deadlines
-            # are stamped here and compared in the batchers.  Replicas still
-            # on the default clock adopt the server's; an explicitly
-            # injected replica clock is left alone.  The tracer/metrics
-            # plane is adopted the same way: replicas built without their
-            # own instruments join the server's.
-            if replica.clock is time.perf_counter:
-                replica.clock = clock
-            if replica.batcher.clock is time.perf_counter:
-                replica.batcher.clock = clock
+            # replicas without their own tracer/metrics instruments join the server's
             if replica.batcher.tracer is None:
                 replica.batcher.tracer = tracer
             if replica.batcher.metrics is None:
@@ -113,6 +104,7 @@ class InferenceServer:
     # ------------------------------------------------------------------ #
     async def start(self) -> "InferenceServer":
         """Start every replica's batcher task; idempotent."""
+        self._now = loop_time()
         for replica in self.scheduler.replicas:
             replica.start()
         if not self._started:
@@ -121,7 +113,7 @@ class InferenceServer:
         self._closed = False
         return self
 
-    async def drain(self, poll_s: float = 0.0005) -> None:
+    async def drain(self) -> None:
         """Wait until every admitted request has completed.
 
         Covers queued requests, open batching windows and dispatched
@@ -129,7 +121,7 @@ class InferenceServer:
         pulled off the queue).
         """
         while self.scheduler.total_load() > 0:
-            await asyncio.sleep(poll_s)
+            await asyncio.sleep(0.0005)
 
     async def shutdown(self, drain: bool = True) -> None:
         """Stop admission, then stop the batcher tasks.
@@ -189,7 +181,7 @@ class InferenceServer:
             raise ValueError(
                 f"a request carries one (n_in,) input column, got shape {inputs.shape}"
             )
-        now = self.clock()
+        now = self._now()
         # the key only needs to group identical weights within a batcher;
         # every engine resolves the default key against its bound model
         model_key = DEFAULT_MODEL_KEY if weights is None else weight_hash(weights)

@@ -29,8 +29,7 @@ recompile instead of silently serving stale state.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -81,9 +80,8 @@ class SNNEngine(InferenceEngine):
         learning: bool = False,
         name: str = "snn",
         max_models: int = 4,
-        clock: Callable[[], float] = time.perf_counter,
     ):
-        super().__init__(name=name, max_models=max_models, clock=clock)
+        super().__init__(name=name, max_models=max_models)
         if encoding not in SNN_ENCODINGS:
             raise ValueError(f"encoding must be one of {SNN_ENCODINGS}, got {encoding!r}")
         if learning and network.stdp is None:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.eval.reporting import format_dict, format_table
+from repro.serving.timebase import loop_time
 
 
 def _jsonable(value):
@@ -176,8 +176,9 @@ class ServingTelemetry:
         queue_depth_samples: pool depth sampled at every admission.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self.clock = clock
+    def __init__(self):
+        # the constructing loop's time(); start() rebinds to the serving loop
+        self._now = loop_time()
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
         self.latencies = LatencySeries()
@@ -194,15 +195,16 @@ class ServingTelemetry:
     # ------------------------------------------------------------------ #
     def start(self) -> None:
         """Open (or resume) the lifetime window rates are computed over."""
+        self._now = loop_time()
         if self.started_at is None:
-            self.started_at = self.clock()
+            self.started_at = self._now()
         # a restart after shutdown resumes the lifetime window; a frozen
         # stopped_at would silently corrupt throughput/utilization rates
         self.stopped_at = None
 
     def stop(self) -> None:
-        """Freeze the lifetime window at the current clock reading."""
-        self.stopped_at = self.clock()
+        """Freeze the lifetime window at the current time."""
+        self.stopped_at = self._now()
 
     def on_admit(self, replica_name: str, pool_depth: int) -> None:
         """Count an admitted request and sample the pool queue depth."""
@@ -223,8 +225,7 @@ class ServingTelemetry:
         slice_ = self.replicas.setdefault(replica_name, ReplicaTelemetry())
         if outcome == "ok":
             slice_.completed += 1
-            # a non-finite latency (clock skew, injected test clocks) must
-            # never poison the percentile windows with NaN/inf
+            # a non-finite latency must never poison the percentile windows with NaN/inf
             if np.isfinite(latency_s):
                 slice_.latencies.add(latency_s)
                 self.latencies.add(latency_s)
@@ -259,7 +260,7 @@ class ServingTelemetry:
         """Seconds of server lifetime (live-reading until stopped)."""
         if self.started_at is None:
             return 0.0
-        end = self.stopped_at if self.stopped_at is not None else self.clock()
+        end = self.stopped_at if self.stopped_at is not None else self._now()
         return max(end - self.started_at, 0.0)
 
     def throughput_hz(self) -> float:
@@ -278,8 +279,8 @@ class ServingTelemetry:
     def utilization(self, replica_busy_s: Dict[str, float]) -> Dict[str, float]:
         """Per-replica engine-busy fraction of the server lifetime.
 
-        A zero-lifetime window (server never started, or queried in the
-        same clock tick it started) yields 0.0 utilization rather than a
+        A zero-lifetime window (server never started, or stopped at the
+        instant it started) yields 0.0 utilization rather than a
         ZeroDivisionError; busy fractions are clamped to [0, 1].
         """
         elapsed = self.elapsed_s()
@@ -328,7 +329,7 @@ class ServingTelemetry:
         """One queryable point of a telemetry trajectory (plain JSON types).
 
         The snapshot is the full :meth:`summary` dictionary stamped with
-        the capture time (``captured_at``, on the telemetry clock) and an
+        the capture time (``captured_at``, loop time) and an
         optional ``label`` (e.g. the offered load of the sweep point that
         produced it).  Everything is coerced to plain JSON scalars, so
         snapshots round-trip through :class:`TelemetryLog` unchanged —
@@ -336,7 +337,7 @@ class ServingTelemetry:
         queryable trajectories instead of one-shot reports.
         """
         snapshot = _jsonable(self.summary())
-        snapshot["captured_at"] = float(self.clock())
+        snapshot["captured_at"] = float(self._now())
         if label is not None:
             snapshot["label"] = str(label)
         return snapshot

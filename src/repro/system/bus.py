@@ -171,33 +171,37 @@ class SystemBus:
     # access routing
     # ------------------------------------------------------------------ #
     def read_word(self, address: int, initiator: Optional[str] = None) -> Tuple[int, int]:
-        """Read a word; returns ``(value, latency_cycles)``."""
+        """Read a word; returns ``(value, latency_cycles)``; a rejected read is free."""
         mapping = self.find(address)
         offset = address - mapping.base
-        self.transfers += 1
         target = mapping.target
-        delay = self._arbitration_delay(initiator)
         if isinstance(target, MemoryMappedRegisters):
-            return target.read_word(offset), self.traversal_latency + 1 + delay
-        if isinstance(target, MainMemory):
-            return (
-                target.read_word(offset),
-                self.traversal_latency + target.read_latency + delay,
-            )
-        raise MemoryAccessError(f"target {mapping.name!r} is not readable")
+            latency = self.traversal_latency + 1
+        elif isinstance(target, MainMemory):
+            latency = self.traversal_latency + target.read_latency
+        else:
+            raise MemoryAccessError(f"target {mapping.name!r} is not readable")
+        value = target.read_word(offset)
+        self.transfers += 1
+        return value, latency + self._arbitration_delay(initiator)
 
     def write_word(self, address: int, value: int, initiator: Optional[str] = None) -> int:
-        """Write a word; returns the access latency in cycles."""
+        """Write a word; returns its latency in cycles; a rejected write is free."""
         mapping = self.find(address)
         offset = address - mapping.base
-        self.transfers += 1
         target = mapping.target
-        delay = self._arbitration_delay(initiator)
         if isinstance(target, MemoryMappedRegisters):
+            target.check_offset(offset)
+            self.transfers += 1
+            # arbitrate before the write: a CTRL write may launch a DMA
+            # stream, which must not compete with the access that started it
+            delay = self._arbitration_delay(initiator)
             target.write_word(offset, value)
             return self.traversal_latency + 1 + delay
         if isinstance(target, MainMemory):
             target.write_word(offset, value)
+            self.transfers += 1
+            delay = self._arbitration_delay(initiator)
             return self.traversal_latency + target.write_latency + delay
         raise MemoryAccessError(f"target {mapping.name!r} is not writable")
 
@@ -247,8 +251,8 @@ class SystemBus:
         mapping = self.find(address)
         target = mapping.target
         if isinstance(target, MainMemory) and address + n_words * WORD_BYTES <= mapping.end:
-            self.transfers += n_words
             values = target.read_block(address - mapping.base, n_words)
+            self.transfers += n_words
             delay = self._arbitration_delay(initiator)
             return values, self.traversal_latency + target.read_latency + delay
         values = np.zeros(n_words, dtype=np.uint32)
@@ -286,10 +290,10 @@ class SystemBus:
         target = mapping.target
         span_end = address + ((n_blocks - 1) * stride_words + block_words) * WORD_BYTES
         if isinstance(target, MainMemory) and stride_words >= 0 and span_end <= mapping.end:
-            self.transfers += total
             values = target.read_strided(
                 address - mapping.base, block_words, n_blocks, stride_words
             )
+            self.transfers += total
             delay = self._arbitration_delay(initiator)
             return values, self.traversal_latency + target.read_latency + delay
         pieces = []
@@ -317,10 +321,10 @@ class SystemBus:
             mapping.base <= address and address + block_words * WORD_BYTES <= mapping.end
             for address in addresses
         ):
-            self.transfers += len(addresses) * block_words
             values = target.read_gather(
                 [address - mapping.base for address in addresses], block_words
             )
+            self.transfers += len(addresses) * block_words
             delay = self._arbitration_delay(initiator)
             return values, self.traversal_latency + target.read_latency + delay
         pieces = []
@@ -341,8 +345,8 @@ class SystemBus:
         mapping = self.find(address)
         target = mapping.target
         if isinstance(target, MainMemory) and address + values.size * WORD_BYTES <= mapping.end:
-            self.transfers += values.size
             target.write_block(address - mapping.base, values)
+            self.transfers += values.size
             delay = self._arbitration_delay(initiator)
             return self.traversal_latency + target.write_latency + delay
         latency = 0

@@ -82,17 +82,18 @@ class MemoryMappedRegisters:
     # bus-facing interface
     # ------------------------------------------------------------------ #
     def read_word(self, offset: int) -> int:
-        """Read a register by byte offset inside the block."""
+        """Read a register by byte offset inside the block (uncounted if invalid)."""
+        self.check_offset(offset)
         self.read_count += 1
         if offset == CTRL_OFFSET:
             return self.control
         if offset == STATUS_OFFSET:
             return self.status
-        index = self._data_index(offset)
-        return self.data[index]
+        return self.data[self._data_index(offset)]
 
     def write_word(self, offset: int, value: int) -> None:
-        """Write a register by byte offset inside the block."""
+        """Write a register by byte offset inside the block (no effect if invalid)."""
+        self.check_offset(offset)
         self.write_count += 1
         value = to_unsigned(int(value))
         if offset == CTRL_OFFSET:
@@ -112,8 +113,7 @@ class MemoryMappedRegisters:
             # The status register is device-owned; host writes clear DONE.
             self.status = STATUS_IDLE
             return
-        index = self._data_index(offset)
-        self.data[index] = value
+        self.data[self._data_index(offset)] = value
 
     def write_words(self, offset: int, values) -> None:
         """Write consecutive data registers starting at byte ``offset``.
@@ -131,6 +131,11 @@ class MemoryMappedRegisters:
             )
         self.write_count += len(values)
         self.data[index:stop] = [int(value) & WORD_MASK for value in values]
+
+    def check_offset(self, offset: int) -> None:
+        """Raise :class:`MemoryAccessError` unless ``offset`` names a register."""
+        if offset != CTRL_OFFSET and offset != STATUS_OFFSET:
+            self._data_index(offset)
 
     def _data_index(self, offset: int) -> int:
         if offset < DATA_OFFSET or offset % WORD_BYTES != 0:

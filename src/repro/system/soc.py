@@ -547,10 +547,17 @@ class PhotonicSoC:
         Returns the cycles *this* offload took (the scheduler clock is
         absolute over the SoC's lifetime; repeated offloads — a compiled
         multi-layer plan, a long-lived serving engine — must not fold the
-        previous runs' time into their own report).
+        previous runs' time into their own report).  The run stops at the
+        cycle the last stream completes, leaving later events queued.
         """
-        start_cycle = self.scheduler.current_cycle
-        final_cycle = self.scheduler.run(max_cycles=start_cycle + self.max_cycles)
+        scheduler = self.scheduler
+        start_cycle = scheduler.current_cycle
+        limit = start_cycle + self.max_cycles
+        streams = [pe for pe, descriptors in zip(self.accelerators, plans) if descriptors]
+        # one cycle's events at a time, until no stream is busy
+        while any(pe.busy for pe in streams) and scheduler.horizon() <= limit:
+            scheduler.run(max_cycles=scheduler.horizon())
+        final_cycle = scheduler.current_cycle
         failed = [
             accelerator.name
             for accelerator, descriptors in zip(self.accelerators, plans)

@@ -9,14 +9,20 @@ Each class pins one contract that previously lived only in prose:
 * a model-cache hit never re-programs a mesh (dense ``weight_hash`` and
   SNN ``learning_hash`` alike);
 * traced and untraced runs are bitwise identical — observability is a
-  read-only plane.
+  read-only plane;
+* serving has one time base, the running event loop's ``time()``: no
+  public serving callable (nor the replica profilers) takes a ``clock``.
 """
 
 import asyncio
+import inspect
 import json
 
 import numpy as np
 
+import repro.serving
+import repro.serving.fabric
+from repro.compiler.costmodel import profile_engine, profile_replicas
 from repro.core.backends import AnalogPhotonicBackend, IdealDigitalBackend
 from repro.serving import (
     GemmEngine,
@@ -274,3 +280,38 @@ class TestTracedUntracedParity:
         observed = serve(True)
         for lhs, rhs in zip(plain, observed):
             assert np.array_equal(lhs, rhs)
+
+
+# --------------------------------------------------------------------- #
+# contract: one serving time base, no clock knobs
+# --------------------------------------------------------------------- #
+def _public_callables():
+    """Every public function, class constructor and public method of serving."""
+    seen = {}
+    for module in (repro.serving, repro.serving.fabric):
+        for name in module.__all__:
+            seen[f"{module.__name__}.{name}"] = getattr(module, name)
+    seen["profile_engine"] = profile_engine
+    seen["profile_replicas"] = profile_replicas
+    for qualname, obj in list(seen.items()):
+        if inspect.isclass(obj):
+            for name, member in inspect.getmembers(obj, inspect.isfunction):
+                if not name.startswith("_") or name == "__init__":
+                    seen[f"{qualname}.{name}"] = member
+    return {qualname: obj for qualname, obj in seen.items() if callable(obj)}
+
+
+class TestOneServingTimeBase:
+    def test_no_public_serving_callable_takes_a_clock(self):
+        callables = _public_callables()
+        assert "repro.serving.InferenceServer.__init__" in callables
+        assert "repro.serving.fabric.FabricGateway.__init__" in callables
+        offenders = []
+        for qualname, obj in callables.items():
+            try:
+                parameters = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            if any("clock" in name for name in parameters):
+                offenders.append(qualname)
+        assert offenders == []

@@ -266,24 +266,6 @@ class TestBatching:
         replica = run_async(scenario())
         assert replica.inflight == 0
 
-    def test_server_clock_is_authoritative_for_replicas(self, rng):
-        weights = rng.normal(size=(3, 3))
-        ticks = [0.0]
-        clock = lambda: ticks[0]  # noqa: E731
-
-        async def scenario():
-            engine = GemmEngine(backend="ideal-digital", weights=weights)
-            replica = Replica("r0", engine, max_batch=4)  # default clock
-            server = InferenceServer([replica], clock=clock)
-            assert replica.batcher.clock is clock
-            async with server:
-                # deadline arithmetic is consistent under the frozen clock:
-                # 0.0 <= deadline, so the request must NOT expire
-                result = await server.submit(rng.normal(size=3), deadline_s=10.0)
-            return result
-
-        assert run_async(scenario()).shape == (3,)
-
     def test_restart_resets_telemetry_window(self, rng):
         weights = rng.normal(size=(3, 3))
 
@@ -447,16 +429,6 @@ class TestScheduling:
         replicas[0].inflight = 5
         assert scheduler.select() is replicas[1]
 
-    def test_injected_replica_clock_is_preserved(self, rng):
-        weights = rng.normal(size=(3, 3))
-        fake = lambda: 123.0  # noqa: E731
-        replica = Replica(
-            "r0", GemmEngine(backend="ideal-digital", weights=weights), clock=fake
-        )
-        InferenceServer([replica])
-        assert replica.clock is fake
-        assert replica.batcher.clock is fake
-
     def test_unknown_policy_rejected(self, rng):
         _, replicas = self.make_replicas(rng)
         with pytest.raises(ValueError):
@@ -595,12 +567,66 @@ class TestLifecycle:
 
 
 # --------------------------------------------------------------------- #
+# the serving time base: the running loop's time()
+# --------------------------------------------------------------------- #
+class TestLoopTime:
+    def test_stamps_windows_and_replay_read_the_running_loop(self, rng, run_offset_loop):
+        weights = rng.normal(size=(3, 3))
+        submitted_at = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            replica = Replica("r0", GemmEngine(backend="ideal-digital", weights=weights))
+            replica.add_observer(
+                lambda _name, request, _latency, _size, _outcome: submitted_at.append(
+                    request.submitted_at
+                )
+            )
+            server = InferenceServer([replica])
+            async with server:
+                started_at = server.telemetry.started_at
+                now = loop.time()
+
+                def make_request(index):
+                    if index == 3:
+                        loop.offset += 100.0  # the loop's time jumps mid-replay
+                    return rng.normal(size=3)
+
+                report = await run_closed_loop(server, 1, 4, make_request)
+            return started_at, now, report, server.telemetry
+
+        started_at, now, report, telemetry = run_offset_loop(scenario())
+        assert now - 10.0 < started_at <= now
+        assert started_at <= submitted_at[0] < started_at + 10.0
+        assert submitted_at[3] >= started_at + 100.0
+        assert 100.0 <= report.duration_s < 110.0
+        assert report.completed == 4
+        assert 100.0 <= telemetry.elapsed_s() < 110.0
+
+    def test_deadlines_are_judged_on_the_running_loop(self, rng, run_offset_loop):
+        weights = rng.normal(size=(3, 3))
+
+        async def scenario():
+            replica = Replica("r0", GemmEngine(backend="ideal-digital", weights=weights))
+            async with InferenceServer([replica]) as server:
+                met = await server.submit(rng.normal(size=3), deadline_s=10.0)
+                with pytest.raises(DeadlineExceededError):
+                    await server.submit(rng.normal(size=3), deadline_s=-1.0)
+            return met, server.telemetry
+
+        met, telemetry = run_offset_loop(scenario())
+        assert met.shape == (3,)
+        assert telemetry.completed == 1
+        assert telemetry.expired == 1
+
+
+# --------------------------------------------------------------------- #
 # telemetry
 # --------------------------------------------------------------------- #
 class TestTelemetry:
     def test_latency_percentiles_and_summary(self):
-        telemetry = ServingTelemetry(clock=lambda: 0.0)
-        telemetry.start()
+        telemetry = ServingTelemetry()
+        telemetry.started_at = telemetry.stopped_at = 0.0
         for latency_ms in range(1, 101):
             telemetry.on_result("r0", latency_ms * 1e-3, 1, "ok")
         summary = telemetry.summary()
@@ -638,7 +664,7 @@ class TestTelemetry:
         assert telemetry.max_queue_depth() == 50
 
     def test_utilization_bounded_by_one(self):
-        telemetry = ServingTelemetry(clock=lambda: 10.0)
+        telemetry = ServingTelemetry()
         telemetry.started_at = 0.0
         telemetry.stopped_at = 10.0
         utilization = telemetry.utilization({"r0": 5.0, "r1": 20.0})
@@ -996,14 +1022,15 @@ class TestTelemetryEmptyWindows:
         assert np.isfinite(summary["latency"]["p99_ms"])
 
     def test_utilization_with_zero_elapsed_window(self):
-        telemetry = ServingTelemetry(clock=lambda: 0.0)
+        telemetry = ServingTelemetry()
         assert telemetry.utilization({"r0": 1.0}) == {"r0": 0.0}
-        telemetry.start()  # started and queried in the same clock tick
+        telemetry.started_at = telemetry.stopped_at = 5.0  # a zero-length window
         assert telemetry.utilization({"r0": 1.0}) == {"r0": 0.0}
 
     def test_negative_busy_time_clamped(self):
-        telemetry = ServingTelemetry(clock=lambda: 10.0)
+        telemetry = ServingTelemetry()
         telemetry.started_at = 0.0
+        telemetry.stopped_at = 10.0
         assert telemetry.utilization({"r0": -3.0}) == {"r0": 0.0}
 
     def test_percentiles_s_empty_window(self):

@@ -529,6 +529,52 @@ class TestCrossProcessErrors:
 
         run_async(check())
 
+    def test_worker_stamps_arrivals_with_its_loop_time(self, run_offset_loop):
+        # the reader thread stamps each delivered submit with the worker
+        # loop's time(); a 10 s budget re-anchored there is met
+        async def check():
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": demo_weights()})
+            pipe = _InProcessPipe()
+            worker = WorkerReplica(pipe, spec)
+            stamped = []
+            worker.replica.add_observer(
+                lambda _name, request, *_rest: stamped.append(
+                    (request.submitted_at, request.deadline_at)
+                )
+            )
+            serving = asyncio.ensure_future(worker.serve())
+            before = asyncio.get_running_loop().time()
+            pipe.deliver(("submit", 1, np.ones(4), None, None, 10.0, None))
+            replies = await pipe.replies(1)
+            pipe.deliver(("shutdown", True))
+            await asyncio.wait_for(serving, 10)
+            return before, replies, stamped
+
+        before, replies, stamped = run_offset_loop(check())
+        assert replies[0][0] == "result"
+        [(submitted_at, deadline_at)] = stamped
+        assert before <= submitted_at < before + 10.0
+        assert deadline_at == pytest.approx(submitted_at + 10.0)
+
+    def test_gateway_stamps_with_its_loop_time(self, run_offset_loop):
+        async def check():
+            loop = asyncio.get_running_loop()
+            specs = make_worker_specs(1, GEMM, engine_kwargs={"weights": demo_weights()})
+            async with FabricGateway(specs) as gateway:
+                now = loop.time()
+                started_at = gateway.telemetry.started_at
+                met = gateway.submit_nowait(np.ones(4), deadline_s=10.0)
+                with pytest.raises(DeadlineExceededError):
+                    await gateway.submit(np.ones(4), deadline_s=-1.0)
+                await met
+            return now, started_at, gateway.stats()
+
+        now, started_at, stats = run_offset_loop(check())
+        assert now - 120.0 < started_at <= now
+        assert stats["completed"] == 1
+        assert stats["expired"] == 1
+
     def test_gateway_side_deadline_expiry_is_typed(self):
         async def check():
             weights = demo_weights()

@@ -2,9 +2,11 @@
 
 Covers the bisected bus address decode (against a linear-scan oracle),
 block MMR descriptor writes (accounting-equal to per-word writes, with
-arbitration on), the integer row/K partition of the shard planners
-(against ``np.array_split``), the tuple event heap, and ``mmr_data`` fault
-injection during tiled offloads pinned to figures of the per-word driver.
+arbitration on), rejected word accesses that charge nothing, the integer
+row/K partition of the shard planners (against ``np.array_split``), the
+tuple event heap, ``mmr_data`` fault injection during tiled offloads pinned
+to figures of the per-word driver, and offloads that stop at their last
+stream's completion.
 """
 
 import numpy as np
@@ -179,6 +181,59 @@ class TestBlockRegisterWrites:
 
 
 # ---------------------------------------------------------------------- #
+# rejected word accesses
+# ---------------------------------------------------------------------- #
+def _access_state(soc):
+    mmr = soc.accelerators[0].mmr
+    memory = soc.main_memory.stats
+    return (soc.bus.transfers, soc.bus.energy_j(), soc.bus.contention_cycles,
+            soc.bus.contention_events, mmr.read_count, mmr.write_count, list(mmr.data),
+            mmr.control, mmr.status, memory.reads, memory.writes)
+
+
+class TestRejectedAccessesChargeNothing:
+    """A word access the target rejects counts no transfer, energy or slot."""
+
+    BAD_MMR_OFFSETS = [0x0A, 0x01, 0x06, DATA_OFFSET + 16 * WORD_BYTES - 1]
+
+    @pytest.mark.parametrize("offset", BAD_MMR_OFFSETS)
+    def test_rejected_mmr_write(self, offset):
+        soc = _arbitrated_soc()
+        before = _access_state(soc)
+        with pytest.raises(MemoryAccessError, match="invalid MMR offset"):
+            soc.bus.write_word(soc.accelerators[0].mmr_base + offset, 1, initiator="host")
+        assert _access_state(soc) == before
+
+    @pytest.mark.parametrize("offset", BAD_MMR_OFFSETS)
+    def test_rejected_mmr_read(self, offset):
+        soc = _arbitrated_soc()
+        before = _access_state(soc)
+        with pytest.raises(MemoryAccessError, match="invalid MMR offset"):
+            soc.bus.read_word(soc.accelerators[0].mmr_base + offset, initiator="host")
+        assert _access_state(soc) == before
+
+    def test_rejected_main_memory_accesses(self):
+        soc = _arbitrated_soc()
+        before = _access_state(soc)
+        with pytest.raises(MemoryAccessError, match="misaligned"):
+            soc.bus.write_word(0x1002, 1, initiator="host")
+        with pytest.raises(MemoryAccessError, match="misaligned"):
+            soc.bus.read_word(0x1002, initiator="host")
+        assert _access_state(soc) == before
+
+    def test_accepted_accesses_still_charge_one_arbitrated_transfer_each(self):
+        soc = _arbitrated_soc()
+        register = soc.accelerators[0].mmr_base + DATA_OFFSET
+        assert soc.bus.write_word(register, 7, initiator="host") == soc.bus.traversal_latency + 4
+        value, latency = soc.bus.read_word(register, initiator="host")
+        assert (value, latency) == (7, soc.bus.traversal_latency + 4)
+        mmr = soc.accelerators[0].mmr
+        assert (soc.bus.transfers, mmr.write_count, mmr.read_count) == (2, 1, 1)
+        assert (soc.bus.contention_cycles, soc.bus.contention_events) == (6, 2)
+        assert soc.bus.energy_j() == 2 * soc.bus.energy_per_transfer
+
+
+# ---------------------------------------------------------------------- #
 # shard planners
 # ---------------------------------------------------------------------- #
 def _reference_plan_shards(n_rows, n_inner, n_cols, n_pes, a_addr, b_addr, c_addr,
@@ -336,3 +391,43 @@ class TestMMRFaultsDuringTiledOffload:
         mmr = soc.accelerators[0].mmr
         assert mmr.data == data
         assert mmr.write_count == write_count
+
+
+# ---------------------------------------------------------------------- #
+# an offload ends at its last stream's completion
+# ---------------------------------------------------------------------- #
+class TestOffloadStopsAtLastStream:
+    """Events after the last stream completes stay queued for the next run."""
+
+    @staticmethod
+    def _soc():
+        soc = PhotonicSoC()
+        for _ in range(2):
+            soc.add_mac_array_accelerator()
+        return soc
+
+    def test_fault_free_reference(self):
+        weights, inputs = make_gemm_workload(12, 6, 5, rng=3)
+        report = self._soc().run_tiled_gemm(weights, inputs, tile_rows=2)
+        assert report.cycles == report.pipeline["pipelined_cycles"] == 657
+
+    @pytest.mark.parametrize("fault_type", ["transient", "permanent"])
+    def test_later_fault_is_not_charged_to_the_offload(self, fault_type):
+        soc = self._soc()
+        weights, inputs = make_gemm_workload(12, 6, 5, rng=3)
+        location = 0x20000 // WORD_BYTES  # a word no offload touches
+        injector = FaultInjector(
+            soc,
+            FaultSpec(target="main_memory", fault_type=fault_type,
+                      location=location, bit=2, cycle=5000),
+        )
+        injector.arm()
+        report = soc.run_tiled_gemm(weights, inputs, tile_rows=2)
+        assert report.cycles == report.pipeline["pipelined_cycles"] == 657
+        assert np.array_equal(report.result, weights @ inputs)
+        assert not injector.injected
+        assert soc.scheduler.pending == 1  # the armed fault, still pending
+        soc.run_program("ebreak")  # the SoC's next run fires it
+        assert injector.injected
+        assert soc.scheduler.current_cycle >= 5000
+        assert soc.main_memory.read_word(location * WORD_BYTES) == 1 << 2
