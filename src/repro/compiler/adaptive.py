@@ -238,15 +238,6 @@ class AdaptiveReplanner:
         if n_columns >= 1:
             self._widths.append(int(n_columns))
 
-    def ingest_telemetry(self, telemetry) -> None:
-        """Fold a ``ServingTelemetry``'s recorded batch widths into the window.
-
-        The batch-observer wiring feeds widths live; this is the offline
-        equivalent for replaying a telemetry capture into the replanner.
-        """
-        for value in telemetry.batch_sizes.values:
-            self.observe_batch(int(value))
-
     def ingest_profiles(self, profiles: Dict[str, ReplicaProfile]) -> None:
         """Adopt a fresh ``profile_replicas`` result (replacing the old one).
 

@@ -739,10 +739,6 @@ class SoCCostModel:
         )
         return FanoutPrediction(fused_cycles=fused, serial_cycles=serial)
 
-    def cycles_to_s(self, cycles: float) -> float:
-        """Convert simulated cycles to seconds at the calibrated clock."""
-        return cycles / self.clock_hz
-
 
 # ---------------------------------------------------------------------- #
 # serving-side calibration

@@ -334,10 +334,6 @@ class ModelGraph:
         """The op registered under ``name`` (raises ``KeyError`` if absent)."""
         return self._ops[name]
 
-    def op_inputs(self, name: str) -> Tuple[str, ...]:
-        """Producer names feeding op ``name``, in edge order."""
-        return self._inputs[name]
-
     def __len__(self) -> int:
         """Number of ops in the graph (dead branches included)."""
         return len(self._ops)

@@ -13,9 +13,10 @@ plane threaded through the whole stack:
   ``WorkloadReport.pipeline`` phases and DMA traffic deltas into child
   spans.  Trace context crosses the fabric's pickle pipes and socket wire
   protocol, so a worker-process span stitches to its gateway parent.
-* :mod:`repro.obs.metrics` — process-safe counters / gauges / histograms
-  with fixed deterministic buckets; snapshots merge across worker
-  processes and persist through the serving layer's ``TelemetryLog``.
+* :mod:`repro.obs.metrics` — process-safe counters / gauges / histograms;
+  a histogram is a log-bucketed sketch answering quantiles within a fixed
+  relative accuracy, snapshots merge exactly across worker processes and
+  persist through the serving layer's ``TelemetryLog``.
 * :mod:`repro.obs.export` — Chrome ``trace_event``-format exporter for
   spans, scheduler dispatch logs and metric snapshots (loadable in
   ``chrome://tracing`` / Perfetto; validated by ``tools/trace_view.py``).

@@ -128,7 +128,7 @@ def metrics_events(
     """Convert a :meth:`MetricsRegistry.snapshot` to ``"C"`` counter events.
 
     Counters and gauges become single-sample counter tracks; histograms
-    contribute their ``count`` and ``sum`` (full bucket vectors stay in
+    contribute their ``count`` and ``sum`` (the bucket counts stay in
     the JSONL snapshots, which remain the analysis source of truth).
     """
     events: List[Dict] = []

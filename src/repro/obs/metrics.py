@@ -5,35 +5,24 @@ add); process safety comes from the snapshot/merge protocol rather than
 shared memory — each fabric worker snapshots its own
 :class:`MetricsRegistry`, ships the plain-JSON snapshot over the pipe
 with its ``bye`` stats, and the gateway folds them together with
-:meth:`MetricsRegistry.merge`.  Histogram buckets are fixed at
-construction (never adapted to data), so merged snapshots and replayed
-runs are bitwise comparable.
+:meth:`MetricsRegistry.merge`.  A :class:`Histogram` is a log-bucketed
+sketch at the fixed relative accuracy :data:`RELATIVE_ACCURACY`
+(DDSketch, Masson, Rim & Lee, VLDB 2019): bucket edges are a pure
+function of that constant, never adapted to data, so sketches from any
+process merge exactly and replayed runs are bitwise comparable.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional
 
-#: Default latency-style bucket upper bounds, in seconds.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.0001,
-    0.00025,
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-)
+#: Relative error bound α of every :meth:`Histogram.quantile` answer.
+RELATIVE_ACCURACY = 0.01
+_GAMMA = (1 + RELATIVE_ACCURACY) / (1 - RELATIVE_ACCURACY)
+_LOG_GAMMA = math.log(_GAMMA)
+# bucket ``k`` covers (γ^(k-1), γ^k]; 2γ^k/(γ+1) is within α of both edges
+_REPRESENTATIVE = 2 / (_GAMMA + 1)
 
 
 class Counter:
@@ -75,37 +64,85 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with deterministic upper bounds.
+    """Mergeable histogram answering quantiles within relative accuracy α.
 
-    ``bounds`` are inclusive upper edges; one implicit overflow bucket
-    catches everything above the last bound.  Bounds are frozen at
-    construction so snapshots from different processes merge exactly.
+    A positive observation ``v`` lands in bucket ``ceil(log(v) / log γ)``
+    with γ = (1 + α) / (1 - α); zero has its own bucket.  ``count`` and
+    ``sum`` are exact, memory grows with the logarithm of the observed
+    range (not with traffic), and two sketches merge by summing bucket
+    counts.
     """
 
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS):
-        if list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram {name!r} bounds must be sorted")
+    def __init__(self, name: str):
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(float(bound) for bound in bounds)
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)
+        self.buckets: Dict[int, int] = {}
+        self.zero = 0
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.counts[bisect_left(self.bounds, value)] += 1
+        """Record one finite, non-negative observation."""
+        if 0 < value < math.inf:
+            key = math.ceil(math.log(value) / _LOG_GAMMA)
+            self.buckets[key] = self.buckets.get(key, 0) + 1
+        elif value == 0:
+            self.zero += 1
+        else:
+            raise ValueError(f"histogram {self.name!r} cannot observe {value!r}")
         self.sum += value
         self.count += 1
 
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile (0 <= q <= 1) within relative accuracy α.
+
+        Answers with the representative of the bucket holding the order
+        statistic of rank ``floor(q * (count - 1))``, so the result is
+        within α of ``np.quantile(samples, q, method="lower")``.  An empty
+        histogram yields 0.0.
+        """
+        if not 0 <= q <= 1:
+            raise ValueError(f"quantile must lie in [0, 1], got {q!r}")
+        if not self.count:
+            return 0.0
+        rank = math.floor(q * (self.count - 1))
+        seen = self.zero
+        if rank < seen:
+            return 0.0
+        for key in sorted(self.buckets):
+            seen += self.buckets[key]
+            if rank < seen:
+                break
+        return _REPRESENTATIVE * _GAMMA**key
+
     def snapshot(self) -> Dict:
-        """Plain-JSON state (bounds + bucket counts + sum/count)."""
+        """Plain-JSON state (accuracy, zero and log buckets, sum/count)."""
         return {
             "type": "histogram",
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
+            "relative_accuracy": RELATIVE_ACCURACY,
+            "zero": self.zero,
+            "buckets": {str(key): self.buckets[key] for key in sorted(self.buckets)},
             "sum": self.sum,
             "count": self.count,
         }
+
+    def merge(self, state: Dict) -> None:
+        """Fold another histogram's :meth:`snapshot` into this one.
+
+        Bucket counts sum exactly.  A snapshot recorded at another
+        relative accuracy has other bucket edges, so it raises
+        ``ValueError`` instead of merging.
+        """
+        if state.get("relative_accuracy") != RELATIVE_ACCURACY:
+            raise ValueError(
+                f"histogram {self.name!r} relative accuracy differs between "
+                f"processes ({state.get('relative_accuracy')!r} != {RELATIVE_ACCURACY})"
+            )
+        for key, count in state["buckets"].items():
+            key = int(key)
+            self.buckets[key] = self.buckets.get(key, 0) + int(count)
+        self.zero += int(state["zero"])
+        self.sum += float(state["sum"])
+        self.count += int(state["count"])
 
 
 class MetricsRegistry:
@@ -127,9 +164,9 @@ class MetricsRegistry:
         """Get or create the gauge ``name``."""
         return self._get(name, Gauge, lambda: Gauge(name))
 
-    def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        """Get or create the histogram ``name`` (bounds fixed on first call)."""
-        return self._get(name, Histogram, lambda: Histogram(name, bounds))
+    def histogram(self, name: str) -> Histogram:
+        """Get or create the histogram ``name``."""
+        return self._get(name, Histogram, lambda: Histogram(name))
 
     def _get(self, name, kind, factory):
         instrument = self._instruments.get(name)
@@ -161,7 +198,8 @@ class MetricsRegistry:
 
         Counters and histograms sum; gauges take the incoming value (last
         writer wins — fabric workers report disjoint gauges in practice).
-        Histogram bounds must match exactly or ``ValueError`` is raised.
+        Histograms must share :data:`RELATIVE_ACCURACY` or ``ValueError``
+        is raised.
         """
         for name, state in snapshot.items():
             kind = state.get("type")
@@ -170,15 +208,7 @@ class MetricsRegistry:
             elif kind == "gauge":
                 self.gauge(name).set(float(state["value"]))
             elif kind == "histogram":
-                histogram = self.histogram(name, state["bounds"])
-                if list(histogram.bounds) != [float(b) for b in state["bounds"]]:
-                    raise ValueError(
-                        f"histogram {name!r} bucket bounds differ between processes"
-                    )
-                for i, count in enumerate(state["counts"]):
-                    histogram.counts[i] += int(count)
-                histogram.sum += float(state["sum"])
-                histogram.count += int(state["count"])
+                self.histogram(name).merge(state)
             else:
                 raise ValueError(f"unknown instrument type {kind!r} for metric {name!r}")
 

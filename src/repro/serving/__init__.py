@@ -59,11 +59,7 @@ from repro.serving.resilience import (
 from repro.serving.scheduler import POLICIES, Replica, ReplicaScheduler
 from repro.serving.server import InferenceServer
 from repro.serving.snn import SNNEngine, run_patterns_serial
-from repro.serving.telemetry import (
-    LatencySeries,
-    ServingTelemetry,
-    TelemetryLog,
-)
+from repro.serving.telemetry import ServingTelemetry, TelemetryLog
 
 __all__ = [
     "BackpressureError",
@@ -79,7 +75,6 @@ __all__ = [
     "InferenceEngine",
     "InferenceRequest",
     "InferenceServer",
-    "LatencySeries",
     "LoadReport",
     "MLPEngine",
     "MicroBatcher",

@@ -220,9 +220,7 @@ class MicroBatcher:
         """Fuse a batch into per-model engine calls and resolve futures."""
         now = self._now()
         if self.metrics:
-            self.metrics.histogram(
-                "batcher.batch_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
-            ).observe(len(batch))
+            self.metrics.histogram("batcher.batch_size").observe(len(batch))
         groups: "Dict[str, List[InferenceRequest]]" = {}
         for request in batch:
             if request.future.cancelled():

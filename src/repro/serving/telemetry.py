@@ -2,7 +2,8 @@
 
 One :class:`ServingTelemetry` instance observes a whole server: every
 admission samples queue depth, every completion records end-to-end latency
-(queue wait + batching wait + engine service), and rejections/expiries are
+(queue wait + batching wait + engine service) into its replica's mergeable
+:class:`~repro.obs.metrics.Histogram` sketch, and rejections/expiries are
 counted by outcome.  ``summary()`` returns the SLO dictionary the traffic
 benchmarks persist; ``report()`` renders it through
 :mod:`repro.eval.reporting` so serving numbers print in the same style as
@@ -12,6 +13,7 @@ the paper-experiment tables.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +22,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.eval.reporting import format_dict, format_table
+from repro.obs.metrics import Histogram
 from repro.serving.timebase import loop_time
 
 
@@ -40,109 +43,16 @@ def _jsonable(value):
     return value
 
 
-class BoundedSeries:
-    """A numeric series retaining only the most recent ``max_samples``.
-
-    Long-lived servers record one value per request; a ring buffer keeps
-    memory O(1) in traffic while percentiles/means stay exact over the
-    retained window.  ``total`` counts every value ever recorded.
-    """
-
-    def __init__(self, max_samples: int = 100_000):
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        self.max_samples = int(max_samples)
-        self.total = 0
-        self._values: List[float] = []
-        self._cursor = 0
-
-    def add(self, value: float) -> None:
-        """Record one value, evicting the oldest once the ring is full."""
-        self.total += 1
-        if len(self._values) < self.max_samples:
-            self._values.append(float(value))
-        else:
-            self._values[self._cursor] = float(value)
-            self._cursor = (self._cursor + 1) % self.max_samples
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The retained window as a float array (oldest eviction order)."""
-        return np.asarray(self._values, dtype=float)
-
-    def max(self) -> float:
-        """Maximum over the retained window; 0.0 when empty."""
-        return float(np.max(self.values)) if self._values else 0.0
-
-    def mean(self) -> float:
-        """Mean over the retained window; 0.0 when empty."""
-        return float(np.mean(self.values)) if self._values else 0.0
-
-
-class LatencySeries(BoundedSeries):
-    """Latency samples with percentile accessors (over the retained window)."""
-
-    def percentile_s(self, percentile: float) -> float:
-        """Latency at ``percentile`` (0-100); 0.0 when empty.
-
-        Every percentile/mean accessor on this class is total; an empty
-        sample window (a replica that has served zero requests, a server
-        queried before traffic arrives) yields 0.0, never NaN or an
-        exception from ``np.percentile`` on an empty array.
-        """
-        if not self._values:
-            return 0.0
-        return float(np.percentile(self.values, percentile))
-
-    @property
-    def mean_s(self) -> float:
-        """Mean latency in seconds over the retained window."""
-        return float(np.mean(self.values)) if self._values else 0.0
-
-    @property
-    def p50_s(self) -> float:
-        """Median latency in seconds."""
-        return self.percentile_s(50)
-
-    @property
-    def p95_s(self) -> float:
-        """95th-percentile latency in seconds."""
-        return self.percentile_s(95)
-
-    @property
-    def p99_s(self) -> float:
-        """99th-percentile latency in seconds."""
-        return self.percentile_s(99)
-
-    def percentiles_s(self, percentiles) -> List[float]:
-        """Several percentiles from one materialized sample array."""
-        values = self.values
-        if values.size == 0:
-            return [0.0 for _ in percentiles]
-        return [float(p) for p in np.percentile(values, list(percentiles))]
-
-    def summary(self) -> Dict[str, float]:
-        """Count/mean/p50/p95/p99 in milliseconds (SLO form).
-
-        ``count`` is the all-time total; the statistics cover the retained
-        ring window, computed from a single pass over the samples.
-        """
-        values = self.values
-        if values.size:
-            mean = float(np.mean(values))
-            p50, p95, p99 = (float(p) for p in np.percentile(values, [50, 95, 99]))
-        else:
-            mean = p50 = p95 = p99 = 0.0
-        return {
-            "count": self.total,
-            "mean_ms": mean * 1e3,
-            "p50_ms": p50 * 1e3,
-            "p95_ms": p95 * 1e3,
-            "p99_ms": p99 * 1e3,
-        }
+def _latency_summary(latencies: Histogram) -> Dict[str, float]:
+    """Count/mean/p50/p95/p99 in milliseconds (SLO form); zeros when empty."""
+    count = latencies.count
+    return {
+        "count": count,
+        "mean_ms": latencies.sum / count * 1e3 if count else 0.0,
+        "p50_ms": latencies.quantile(0.50) * 1e3,
+        "p95_ms": latencies.quantile(0.95) * 1e3,
+        "p99_ms": latencies.quantile(0.99) * 1e3,
+    }
 
 
 @dataclass
@@ -155,7 +65,7 @@ class ReplicaTelemetry:
     failed: int = 0
     batches: int = 0
     fused_requests: int = 0
-    latencies: LatencySeries = field(default_factory=LatencySeries)
+    latencies: Histogram = field(default_factory=lambda: Histogram("latency_s"))
 
     @property
     def mean_batch(self) -> float:
@@ -166,14 +76,20 @@ class ReplicaTelemetry:
 class ServingTelemetry:
     """Aggregated serving metrics for one server lifetime.
 
-    All per-request series are bounded rings (:class:`BoundedSeries`), so a
-    long-lived server's telemetry memory stays O(1) in traffic; counters
-    (``submitted``, ``completed``, ``rejected``...) remain exact totals.
+    Every statistic covers the whole lifetime, in memory that does not grow
+    with traffic.
+    Each replica's latencies go into one :class:`~repro.obs.metrics.Histogram`
+    sketch, and the server-wide latency block is the merge of those
+    sketches, so percentiles are within
+    :data:`~repro.obs.metrics.RELATIVE_ACCURACY` of the exact lower-rank
+    order statistic.  Counters (``submitted``, ``rejected``, per-replica
+    outcomes) and the queue-depth mean and maximum are exact.
 
     Attributes:
-        latencies: end-to-end request latencies (admission to completion).
         rejected: requests refused by admission control (backpressure).
-        queue_depth_samples: pool depth sampled at every admission.
+        submitted: admitted requests; also the number of pool-depth samples
+            (one per admission) behind :meth:`mean_queue_depth`.
+        replicas: per-replica slices, created at a replica's first event.
     """
 
     def __init__(self):
@@ -181,14 +97,11 @@ class ServingTelemetry:
         self._now = loop_time()
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
-        self.latencies = LatencySeries()
         self.rejected = 0
         self.submitted = 0
-        self.queue_depth_samples = BoundedSeries()
+        self._queue_depth_sum = 0
         self._max_queue_depth = 0
         self.replicas: Dict[str, ReplicaTelemetry] = {}
-        #: recent fused batch sizes (for debugging/diagnostics)
-        self.batch_sizes = BoundedSeries()
 
     # ------------------------------------------------------------------ #
     # event hooks (wired by the server)
@@ -206,13 +119,19 @@ class ServingTelemetry:
         """Freeze the lifetime window at the current time."""
         self.stopped_at = self._now()
 
+    def _replica(self, name: str) -> ReplicaTelemetry:
+        slice_ = self.replicas.get(name)
+        if slice_ is None:
+            slice_ = self.replicas[name] = ReplicaTelemetry()
+        return slice_
+
     def on_admit(self, replica_name: str, pool_depth: int) -> None:
         """Count an admitted request and sample the pool queue depth."""
         self.submitted += 1
-        self.queue_depth_samples.add(int(pool_depth))
+        self._queue_depth_sum += pool_depth
         if pool_depth > self._max_queue_depth:
             self._max_queue_depth = int(pool_depth)
-        self.replicas.setdefault(replica_name, ReplicaTelemetry())
+        self._replica(replica_name)
 
     def on_reject(self) -> None:
         """Count a request refused by admission control."""
@@ -222,13 +141,12 @@ class ServingTelemetry:
         self, replica_name: str, latency_s: float, batch_size: int, outcome: str
     ) -> None:
         """Per-request outcome hook (matches the replica observer signature)."""
-        slice_ = self.replicas.setdefault(replica_name, ReplicaTelemetry())
+        slice_ = self._replica(replica_name)
         if outcome == "ok":
             slice_.completed += 1
-            # a non-finite latency must never poison the percentile windows with NaN/inf
-            if np.isfinite(latency_s):
-                slice_.latencies.add(latency_s)
-                self.latencies.add(latency_s)
+            # a non-finite latency must never poison the latency sketch
+            if math.isfinite(latency_s):
+                slice_.latencies.observe(latency_s)
         elif outcome == "expired":
             slice_.expired += 1
         elif outcome == "cancelled":
@@ -238,10 +156,9 @@ class ServingTelemetry:
 
     def on_batch(self, replica_name: str, batch_size: int) -> None:
         """Record one fused engine batch of ``batch_size`` requests."""
-        slice_ = self.replicas.setdefault(replica_name, ReplicaTelemetry())
+        slice_ = self._replica(replica_name)
         slice_.batches += 1
         slice_.fused_requests += int(batch_size)
-        self.batch_sizes.add(int(batch_size))
 
     # ------------------------------------------------------------------ #
     # derived metrics
@@ -269,12 +186,12 @@ class ServingTelemetry:
         return self.completed / elapsed if elapsed > 0 else 0.0
 
     def max_queue_depth(self) -> int:
-        """All-time maximum admitted pool depth (survives ring eviction)."""
+        """All-time maximum admitted pool depth."""
         return self._max_queue_depth
 
     def mean_queue_depth(self) -> float:
-        """Mean pool depth over the retained sample window."""
-        return self.queue_depth_samples.mean()
+        """All-time mean admitted pool depth; 0.0 before any admission."""
+        return self._queue_depth_sum / self.submitted if self.submitted else 0.0
 
     def utilization(self, replica_busy_s: Dict[str, float]) -> Dict[str, float]:
         """Per-replica engine-busy fraction of the server lifetime.
@@ -293,6 +210,9 @@ class ServingTelemetry:
 
     def summary(self) -> Dict:
         """The SLO dictionary persisted by the traffic benchmarks."""
+        latencies = Histogram("latency_s")
+        for slice_ in self.replicas.values():
+            latencies.merge(slice_.latencies.snapshot())
         return {
             "elapsed_s": self.elapsed_s(),
             "submitted": self.submitted,
@@ -300,7 +220,7 @@ class ServingTelemetry:
             "rejected": self.rejected,
             "expired": self.expired,
             "throughput_hz": self.throughput_hz(),
-            "latency": self.latencies.summary(),
+            "latency": _latency_summary(latencies),
             "queue_depth": {
                 "max": self.max_queue_depth(),
                 "mean": self.mean_queue_depth(),
@@ -313,7 +233,6 @@ class ServingTelemetry:
 
     @staticmethod
     def _replica_summary(slice_: ReplicaTelemetry) -> Dict:
-        p50_s, p99_s = slice_.latencies.percentiles_s([50, 99])
         return {
             "completed": slice_.completed,
             "expired": slice_.expired,
@@ -321,8 +240,8 @@ class ServingTelemetry:
             "failed": slice_.failed,
             "batches": slice_.batches,
             "mean_batch": slice_.mean_batch,
-            "p50_ms": p50_s * 1e3,
-            "p99_ms": p99_s * 1e3,
+            "p50_ms": slice_.latencies.quantile(0.50) * 1e3,
+            "p99_ms": slice_.latencies.quantile(0.99) * 1e3,
         }
 
     def to_snapshot(self, label: Optional[str] = None) -> Dict:

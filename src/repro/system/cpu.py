@@ -207,13 +207,6 @@ class RiscvCPU:
             raise CPUError(f"register x{index} out of range")
         return 0 if index == 0 else self.registers[index]
 
-    def write_register(self, index: int, value: int) -> None:
-        """Write ``value`` wrapped to 32 bits into ``x<index>`` (``x0`` ignores writes)."""
-        if not 0 <= index < N_REGISTERS:
-            raise CPUError(f"register x{index} out of range")
-        if index != 0:
-            self.registers[index] = to_unsigned(int(value))
-
     # ------------------------------------------------------------------ #
     # program control
     # ------------------------------------------------------------------ #

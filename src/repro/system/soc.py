@@ -862,12 +862,6 @@ class PhotonicSoC:
         self._dma_accounting(report, dma_snapshot)
         return report
 
-    def accelerator_status(self, accelerator_index: int = 0) -> int:
-        """Read an accelerator's STATUS register (host-side view)."""
-        accelerator = self.accelerators[accelerator_index]
-        value, _ = self.bus.read_word(accelerator.mmr_base + 0x04)
-        return value
-
     def all_accelerators_done(self) -> bool:
         """True when every attached accelerator reports DONE or idle."""
         return all(not accelerator.busy for accelerator in self.accelerators)

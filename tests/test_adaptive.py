@@ -24,7 +24,7 @@ from repro.compiler import (
     soc_fingerprint,
 )
 from repro.obs.drift import DriftMonitor
-from repro.serving import InferenceServer, Replica, ServingTelemetry, SoCGemmEngine
+from repro.serving import InferenceServer, Replica, SoCGemmEngine
 from repro.system import PhotonicSoC
 
 #: Production GeMM shapes used to feed the sample window in drift tests.
@@ -371,16 +371,6 @@ class TestServingWiring:
         run_async(drive())
         assert replanner.expected_width() is not None
         assert sum(replanner._widths) == 5  # every request counted once
-
-    def test_ingest_telemetry_replays_recorded_widths(self):
-        # regression: BoundedSeries.values is a property, not a method
-        telemetry = ServingTelemetry()
-        for width in (1, 8, 8, 16, 32):
-            telemetry.on_batch("r0", width)
-        _, _, replanner = drifted_replanner()
-        replanner.ingest_telemetry(telemetry)
-        assert list(replanner._widths) == [1, 8, 8, 16, 32]
-        assert replanner.expected_width() == 13  # round(mean(1, 8, 8, 16, 32))
 
     def test_server_without_replanner_adds_no_observer(self):
         soc = make_soc(1)

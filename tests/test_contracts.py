@@ -93,7 +93,9 @@ class TestOneCallPerMicroBatch:
             return server
 
         server = run_async(drive())
-        fused_batches = len(server.telemetry.batch_sizes.values)
+        fused_batches = sum(
+            slice_.batches for slice_ in server.telemetry.replicas.values()
+        )
         # however the batcher grouped them, every fused batch was exactly
         # one backend call — and all 10 requests were served
         assert backend.calls == fused_batches

@@ -24,6 +24,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.export import CYCLE_PROCESS
+from repro.obs.metrics import RELATIVE_ACCURACY
 from repro.serving import (
     FabricClient,
     FabricGateway,
@@ -162,13 +163,20 @@ class TestMetrics:
 
     def test_histogram_buckets_are_deterministic(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("latency", bounds=(0.001, 0.01, 0.1))
-        for value in (0.0005, 0.005, 0.05, 5.0):
+        histogram = registry.histogram("latency")
+        for value in (0.0, 0.005, 0.005, 5.0):
             histogram.observe(value)
-        assert histogram.counts == [1, 1, 1, 1]  # last = overflow bucket
+        # bucket k = ceil(log(v) / log γ) at α = 0.01, a pure function of v
+        assert histogram.zero == 1
+        assert histogram.buckets == {-264: 2, 81: 1}
         assert histogram.count == 4
-        with pytest.raises(ValueError, match="sorted"):
-            registry.histogram("bad", bounds=(2.0, 1.0))
+        assert histogram.sum == pytest.approx(5.01)
+        for bad in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="cannot observe"):
+                histogram.observe(bad)
+        assert histogram.count == 4  # a refused value is not counted
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            histogram.quantile(1.5)
 
     def test_kind_clash_raises(self):
         registry = MetricsRegistry()
@@ -181,7 +189,7 @@ class TestMetrics:
         for worker, n in ((worker_a, 3), (worker_b, 5)):
             worker.counter("done").inc(n)
             worker.gauge("depth").set(n)
-            histogram = worker.histogram("lat", bounds=(1.0, 2.0))
+            histogram = worker.histogram("lat")
             histogram.observe(0.5)
             histogram.observe(1.5)
 
@@ -189,17 +197,24 @@ class TestMetrics:
         gateway.merge_all([worker_a.snapshot(), worker_b.snapshot()])
         assert gateway.counter("done").value == 8
         assert gateway.gauge("depth").value == 5  # last writer wins
-        merged = gateway.histogram("lat", bounds=(1.0, 2.0))
-        assert merged.counts == [2, 2, 0]
+        merged = gateway.histogram("lat")
+        assert merged.buckets == {-34: 2, 21: 2}
         assert merged.count == 4
+        assert merged.quantile(1.0) == pytest.approx(1.5, rel=RELATIVE_ACCURACY)
 
     def test_merge_rejects_mismatched_bounds_and_unknown_kind(self):
         gateway = MetricsRegistry()
-        gateway.histogram("lat", bounds=(1.0, 2.0))
+        gateway.histogram("lat")
         foreign = MetricsRegistry()
-        foreign.histogram("lat", bounds=(1.0, 3.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bounds differ"):
-            gateway.merge(foreign.snapshot())
+        foreign.histogram("lat").observe(0.5)
+        snapshot = foreign.snapshot()
+        snapshot["lat"]["relative_accuracy"] = 0.02  # other bucket edges
+        with pytest.raises(ValueError, match="relative accuracy differs"):
+            gateway.merge(snapshot)
+        fixed_buckets = {"type": "histogram", "bounds": [1.0], "counts": [1, 0]}
+        with pytest.raises(ValueError, match="relative accuracy differs"):
+            gateway.merge({"lat": fixed_buckets})
+        assert gateway.histogram("lat").count == 0  # nothing half-merged
         with pytest.raises(ValueError, match="unknown instrument"):
             gateway.merge({"x": {"type": "mystery", "value": 1}})
 
@@ -263,7 +278,7 @@ class TestExport:
     def test_metrics_counter_events(self):
         registry = MetricsRegistry()
         registry.counter("requests").inc(4)
-        registry.histogram("lat", bounds=(1.0,)).observe(0.5)
+        registry.histogram("lat").observe(0.5)
         events = metrics_events(registry.snapshot())
         by_name = {event["name"]: event for event in events}
         assert by_name["requests"]["args"] == {"requests": 4}

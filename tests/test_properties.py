@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from repro.devices.coupler import DirectionalCoupler
 from repro.devices.mzi import ideal_mzi_matrix, physical_mzi_matrix
 from repro.mesh.clements import ClementsMesh
 from repro.mesh.reck import ReckMesh
+from repro.obs.metrics import RELATIVE_ACCURACY, Histogram
 from repro.system.assembler import assemble
 from repro.system.memory import to_signed, to_unsigned
 from repro.utils.linalg import is_unitary, matrix_fidelity, random_unitary
@@ -291,3 +294,44 @@ class TestDriftMonitorProperties:
             shape, backend = DRIFT_KEYS[key_index]
             monitor.record(shape, backend, predicted, measured)
         assert monitor.flags() == []  # no key can reach min_samples
+
+
+# --------------------------------------------------------------------- #
+# metrics: mergeable relative-accuracy histograms
+# --------------------------------------------------------------------- #
+_GAMMA = (1 + RELATIVE_ACCURACY) / (1 - RELATIVE_ACCURACY)
+
+sketch_samples = st.lists(
+    st.tuples(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1e300, allow_subnormal=False),
+            # exact bucket edges γ^k, where log rounding decides the bucket
+            st.integers(min_value=-2000, max_value=2000).map(lambda k: _GAMMA**k),
+        ),
+        st.integers(min_value=0, max_value=3),  # which of four workers saw it
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+class TestHistogramProperties:
+    @DEFAULT_SETTINGS
+    @given(sketch_samples)
+    def test_merged_quantiles_within_relative_accuracy(self, tagged):
+        samples = [value for value, _ in tagged]
+        workers = [Histogram("lat") for _ in range(4)]
+        whole = Histogram("lat")
+        for value, worker in tagged:
+            workers[worker].observe(value)
+            whole.observe(value)
+        merged = Histogram("lat")
+        for worker in workers:  # snapshots cross processes as JSON
+            merged.merge(json.loads(json.dumps(worker.snapshot())))
+
+        assert merged.buckets == whole.buckets
+        assert (merged.zero, merged.count) == (whole.zero, whole.count)
+        for q in (0.0, 0.5, 0.9, 0.95, 0.99, 1.0):
+            exact = float(np.quantile(samples, q, method="lower"))
+            bound = RELATIVE_ACCURACY * (1 + 1e-9) * exact
+            assert abs(merged.quantile(q) - exact) <= bound
