@@ -7,8 +7,6 @@ PCM phase shifters (one-off programming energy, zero holding power), as a
 function of mesh size and of how many inferences reuse the same weights.
 """
 
-import numpy as np
-
 from benchmarks.conftest import run_once
 from repro.core import PhotonicCoreEnergyModel, combined_component_count
 from repro.eval import format_table

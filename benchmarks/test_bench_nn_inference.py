@@ -6,8 +6,6 @@ photonic, 8-bit converters with detector noise, and decreasing PCM weight
 level counts.
 """
 
-import numpy as np
-
 from benchmarks.conftest import run_once
 from repro.core import MLP, PhotonicMLP, QuantizationSpec, train_mlp
 from repro.eval import classification_accuracy, format_table, make_digit_dataset

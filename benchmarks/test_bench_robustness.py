@@ -7,8 +7,6 @@ Reck architectures (the Fldzhyan mesh is covered by its dedicated test
 suite; keeping the benchmark to analytic meshes keeps it fast).
 """
 
-import numpy as np
-
 from benchmarks.conftest import run_once
 from repro.eval import format_table
 from repro.mesh import ClementsMesh, ReckMesh, sweep_error_magnitude

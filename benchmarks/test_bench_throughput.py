@@ -18,7 +18,6 @@ Run ``python benchmarks/run_bench.py`` to persist the numbers to
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import run_once
 from repro.core.gemm import TDMGeMM, WDMGeMM

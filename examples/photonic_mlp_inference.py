@@ -15,8 +15,6 @@ designer cares about (experiment E6).
 Run with:  python examples/photonic_mlp_inference.py
 """
 
-import numpy as np
-
 from repro.core import MLP, PhotonicMLP, QuantizationSpec, train_mlp
 from repro.eval import classification_accuracy, format_table, make_digit_dataset
 from repro.mesh import MeshErrorModel

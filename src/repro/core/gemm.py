@@ -21,7 +21,7 @@ system-level simulator and the E5 benchmark can compare the schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

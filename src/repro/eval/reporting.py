@@ -8,7 +8,7 @@ logs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], precision: int = 4) -> str:

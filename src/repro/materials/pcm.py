@@ -22,7 +22,7 @@ used GST225 numbers as a low-FOM baseline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np

@@ -17,7 +17,7 @@ programming routines and introspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np

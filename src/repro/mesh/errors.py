@@ -11,7 +11,7 @@ sweep factories on top of :class:`repro.mesh.base.MeshErrorModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -26,6 +26,7 @@ from repro.serving.engine import (
 from repro.serving.errors import (
     BackpressureError,
     DeadlineExceededError,
+    ProtocolError,
     ServerClosedError,
     ServingError,
     WorkerCrashedError,
@@ -79,6 +80,7 @@ __all__ = [
     "MLPEngine",
     "MicroBatcher",
     "POLICIES",
+    "ProtocolError",
     "Replica",
     "ReplicaScheduler",
     "SNNEngine",

@@ -69,3 +69,15 @@ class WorkerCrashedError(ServingError):
         self.worker = str(worker)
         self.detail = str(detail)
         super().__init__(f"worker {worker!r} crashed: {detail}")
+
+
+class ProtocolError(ServingError, ValueError):
+    """A socket frame could not be parsed.
+
+    Raised for an oversized length prefix, a header that is not a JSON
+    object, or array specs that do not describe the binary payload (unknown
+    dtype, shape/nbytes mismatch, truncation), and for a submit that
+    carries no input array.  The gateway answers it typed and closes only
+    the offending connection: after a bad frame the stream cannot be
+    trusted to resynchronise.
+    """

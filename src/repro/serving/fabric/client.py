@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.serving.errors import ServerClosedError
+from repro.serving.errors import ProtocolError, ServerClosedError
 from repro.serving.fabric import wire
 
 
@@ -44,24 +44,31 @@ class FabricClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                header, payload = await wire.read_frame(self._reader)
+                header, arrays = await wire.read_message(self._reader)
                 kind = header.get("kind")
                 client_id = header.get("id")
                 if kind == "result":
                     future = self._outstanding.pop(client_id, None)
                     if future is not None and not future.done():
-                        arrays = wire.unpack_arrays(header.get("arrays", []), payload)
                         future.set_result(arrays[0])
                 elif kind == "error":
+                    error = wire.decode_exception(header["error"])
+                    if client_id is None:
+                        # the gateway refused a frame it could not attribute
+                        # and is closing the connection: fail everything
+                        self._fail_all(error)
+                        continue
                     future = self._outstanding.pop(client_id, None)
                     if future is not None and not future.done():
-                        future.set_exception(wire.decode_exception(header["error"]))
+                        future.set_exception(error)
                 elif kind == "stats":
                     future = self._stats.pop(client_id, None)
                     if future is not None and not future.done():
                         future.set_result(header.get("stats", {}))
         except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
             self._fail_all(ServerClosedError("gateway connection closed"))
+        except ProtocolError as exc:
+            self._fail_all(exc)
         except asyncio.CancelledError:
             self._fail_all(ServerClosedError("client closed"))
             raise

@@ -16,6 +16,10 @@ What the process boundary adds over :class:`InferenceServer`:
   requests are outstanding on a worker pipe; everything else waits in a
   per-worker priority heap at the gateway, where a later high-priority
   arrival *preempts* queued (never in-flight) lower-priority work.
+* **Batched wire.**  Requests dispatched to a worker in one loop tick
+  cross its pipe as one ``("submit", rows)`` frame, and each fused engine
+  call comes back as one ``("result", ...)`` frame: one pickle and one
+  thread hop per frame on each side instead of per request.
 * **Per-tenant admission quotas.**  A tenant at its outstanding-request
   quota is rejected with the same typed
   :class:`~repro.serving.errors.BackpressureError` the bounded queues
@@ -38,6 +42,7 @@ socket — is served by :meth:`start_server` and spoken by
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import heapq
 import multiprocessing
 from dataclasses import dataclass
@@ -49,6 +54,7 @@ from repro.serving.engine import DEFAULT_MODEL_KEY, weight_hash
 from repro.serving.errors import (
     BackpressureError,
     DeadlineExceededError,
+    ProtocolError,
     ServerClosedError,
     WorkerCrashedError,
 )
@@ -148,6 +154,7 @@ class WorkerHandle:
         self.queue = _HandleQueue(self)
         self.engine = _HandleEngine(self)
         self.inflight_requests: Dict[int, FabricRequest] = {}
+        self._outbox: List[tuple] = []
         self._pending: List[Tuple[int, int, FabricRequest]] = []
         self._bye = asyncio.Event()
         self._ready = asyncio.Event()
@@ -541,7 +548,12 @@ class FabricGateway:
     # dispatch and completion
     # ------------------------------------------------------------------ #
     def _pump(self, handle: WorkerHandle) -> None:
-        """Dispatch queued requests while the handle has pipe credit."""
+        """Move queued requests into the handle's outbox while it has pipe credit.
+
+        Priority order, credit and the deadline check all apply here, at
+        dispatch; the rows leave together as one frame (:meth:`_flush`).
+        """
+        outbox = handle._outbox
         while handle.alive and handle.inflight < handle.max_inflight:
             request = handle.pop_pending()
             if request is None:
@@ -563,21 +575,29 @@ class FabricGateway:
                 request.deadline_at - now if request.deadline_at is not None else None
             )
             handle.inflight_requests[request.request_id] = request
-            message = (
-                "submit",
-                request.request_id,
-                request.inputs,
-                request.weights,
-                request.model_key,
-                remaining,
-                wire.pack_trace(request.trace),
+            if not outbox:
+                self._loop.call_soon(self._flush, handle)
+            outbox.append(
+                (
+                    request.request_id,
+                    request.inputs,
+                    request.weights,
+                    request.model_key,
+                    remaining,
+                    wire.pack_trace(request.trace),
+                )
             )
-            try:
-                handle.conn.send(message)
-            except (OSError, ValueError, BrokenPipeError):
-                handle.inflight_requests.pop(request.request_id, None)
-                self._on_worker_eof(handle)
-                return
+
+    def _flush(self, handle: WorkerHandle) -> None:
+        """Send everything dispatched this loop tick as one ``("submit", rows)`` frame."""
+        rows = handle._outbox
+        if not rows or not handle.alive:
+            return
+        handle._outbox = []
+        try:
+            handle.conn.send(("submit", rows))
+        except (OSError, ValueError):
+            self._on_worker_eof(handle)
 
     def _finish(
         self,
@@ -608,17 +628,20 @@ class FabricGateway:
     def _on_message(self, handle: WorkerHandle, message) -> None:
         kind = message[0]
         if kind == "result":
-            # the 6th field carries the worker's drained span dicts (or None)
-            _, request_id, output, batch_size, _worker_latency, spans = message
+            # one frame per fused engine call: row i of the stacked outputs
+            # answers request_ids[i]; index 4 is the rows' summed worker
+            # latency, index 5 the worker's drained span dicts (or None)
+            _, request_ids, outputs, batch_size, _worker_latency, spans = message
             if self.tracer:
                 self.tracer.ingest(spans)
-            request = handle.inflight_requests.pop(request_id, None)
-            if request is not None:
-                self._finish(
-                    handle, request, "ok", result=np.asarray(output),
-                    batch_size=int(batch_size),
-                )
-                self.telemetry.on_batch(handle.name, int(batch_size))
+            inflight = handle.inflight_requests
+            for row, request_id in enumerate(request_ids):
+                request = inflight.pop(request_id, None)
+                if request is not None:
+                    self._finish(
+                        handle, request, "ok", result=outputs[row], batch_size=batch_size
+                    )
+            self.telemetry.on_batch(handle.name, batch_size)
             self._pump(handle)
         elif kind == "error":
             _, request_id, payload, batch_size, _worker_latency, spans = message
@@ -647,6 +670,7 @@ class FabricGateway:
         """Worker pipe EOF: crash unless we are the ones shutting it down."""
         was_alive = handle.alive
         handle.alive = False
+        handle._outbox.clear()
         handle._bye.set()
         handle._ready.set()  # unblock a start() still waiting on this worker
         if handle.draining or not was_alive:
@@ -673,6 +697,7 @@ class FabricGateway:
 
     def _fail_outstanding(self, error: Exception) -> None:
         for handle in self.handles:
+            handle._outbox.clear()
             for request in handle.drain_pending():
                 self._finish(handle, request, "error", error=error)
             for request in list(handle.inflight_requests.values()):
@@ -702,13 +727,14 @@ class FabricGateway:
                 writer.write(wire.pack_frame(header, payload))
                 await writer.drain()
 
+        async def send_error(client_id, exc: Exception) -> None:
+            await send({"kind": "error", "id": client_id, "error": wire.encode_exception(exc)})
+
         async def relay(client_id, future: asyncio.Future) -> None:
             try:
                 output = await future
             except Exception as exc:  # noqa: BLE001 - typed errors cross the wire
-                await send(
-                    {"kind": "error", "id": client_id, "error": wire.encode_exception(exc)}
-                )
+                await send_error(client_id, exc)
             else:
                 specs, payload = wire.pack_arrays([np.asarray(output)])
                 await send(
@@ -719,15 +745,23 @@ class FabricGateway:
         try:
             while True:
                 try:
-                    header, payload = await wire.read_frame(reader)
+                    header, arrays = await wire.read_message(reader)
+                    kind = header.get("kind")
+                    if kind == "submit" and (not arrays or arrays[0] is None):
+                        raise ProtocolError("submit frame carries no input array")
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     return
-                kind = header.get("kind")
+                except ProtocolError as exc:
+                    # the stream cannot be trusted past a malformed frame: answer
+                    # it typed if the peer still listens, then close only this
+                    # connection (``finally``)
+                    with contextlib.suppress(ConnectionError):
+                        await send_error(None, exc)
+                    return
                 if kind == "submit":
-                    arrays = wire.unpack_arrays(header.get("arrays", []), payload)
+                    client_id = header.get("id")
                     inputs = arrays[0]
                     weights = arrays[1] if len(arrays) > 1 else None
-                    client_id = header.get("id")
                     try:
                         future = self.submit_nowait(
                             inputs,
@@ -739,13 +773,7 @@ class FabricGateway:
                             trace=header.get("trace"),
                         )
                     except Exception as exc:  # noqa: BLE001 - typed across the wire
-                        await send(
-                            {
-                                "kind": "error",
-                                "id": client_id,
-                                "error": wire.encode_exception(exc),
-                            }
-                        )
+                        await send_error(client_id, exc)
                     else:
                         task = asyncio.ensure_future(relay(client_id, future))
                         relays.add(task)

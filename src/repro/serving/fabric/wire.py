@@ -12,9 +12,18 @@ are defined here:
 * **Gateway <-> worker** — pickle-framed duplex pipes
   (``multiprocessing.Pipe``), the same plumbing the
   :mod:`repro.eval.sweeps` process pool already relies on.  Messages are
-  plain tuples; only this module's :func:`encode_exception` /
-  :func:`decode_exception` dictionaries and ndarrays cross the pipe, so
-  every message stays picklable by construction.
+  plain tuples: a ``("submit", rows)`` frame carries every request
+  dispatched in one gateway loop tick, and a ``("result", ...)`` frame
+  answers one fused engine call (see
+  :mod:`repro.serving.fabric.gateway`).  Only this module's
+  :func:`encode_exception` / :func:`decode_exception` dictionaries and
+  ndarrays cross the pipe, so every message stays picklable by
+  construction.
+
+Socket input comes from outside the program, so :func:`read_message`
+reads, checks and decodes a frame in one guarded step that raises the
+typed :class:`~repro.serving.errors.ProtocolError` for anything
+malformed.
 
 Typed errors must survive both transports: an exception is flattened to a
 JSON-safe dictionary and rebuilt as the *same* exception type on the far
@@ -34,6 +43,7 @@ import numpy as np
 from repro.serving.errors import (
     BackpressureError,
     DeadlineExceededError,
+    ProtocolError,
     ServerClosedError,
     ServingError,
     WorkerCrashedError,
@@ -82,7 +92,7 @@ def unpack_arrays(specs: Sequence, payload: bytes) -> List[Optional[np.ndarray]]
         nbytes = int(spec["nbytes"])
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise ValueError(
+            raise ProtocolError(
                 f"frame payload truncated: expected {nbytes} bytes at offset "
                 f"{offset}, got {len(chunk)}"
             )
@@ -109,13 +119,36 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[Dict, bytes]:
     prefix = await reader.readexactly(FRAME_PREFIX.size)
     header_len, payload_len = FRAME_PREFIX.unpack(prefix)
     if header_len + payload_len > MAX_FRAME_BYTES:
-        raise ValueError(
+        raise ProtocolError(
             f"refusing oversized frame ({header_len + payload_len} bytes > "
             f"{MAX_FRAME_BYTES}); stream is corrupt or hostile"
         )
     header = json.loads((await reader.readexactly(header_len)).decode("utf-8"))
     payload = await reader.readexactly(payload_len) if payload_len else b""
     return header, payload
+
+
+async def read_message(
+    reader: asyncio.StreamReader,
+) -> Tuple[Dict, List[Optional[np.ndarray]]]:
+    """Read one frame and decode its arrays in one guarded step.
+
+    Returns ``(header, arrays)``.  Raises ``IncompleteReadError`` at EOF and
+    :class:`~repro.serving.errors.ProtocolError` for anything malformed:
+    an oversized length prefix, a header that is not valid JSON or not an
+    object, or array specs that do not describe the payload.
+    """
+    try:
+        header, payload = await read_frame(reader)
+        if not isinstance(header, dict):
+            raise ProtocolError(
+                f"frame header must be a JSON object, got {type(header).__name__}"
+            )
+        return header, unpack_arrays(header.get("arrays", []), payload)
+    except ProtocolError:
+        raise
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+        raise ProtocolError(f"malformed frame: {type(exc).__name__}: {exc}") from exc
 
 
 # --------------------------------------------------------------------- #
@@ -177,6 +210,8 @@ def encode_exception(exc: BaseException) -> Dict:
         return {"kind": "empty-campaign", "message": str(exc)}
     if isinstance(exc, ServerClosedError):
         return {"kind": "server-closed", "message": str(exc)}
+    if isinstance(exc, ProtocolError):
+        return {"kind": "protocol", "message": str(exc)}
     if isinstance(exc, ServingError):
         return {"kind": "serving", "message": str(exc)}
     return {"kind": "generic", "type": type(exc).__name__, "message": str(exc)}
@@ -204,6 +239,8 @@ def decode_exception(payload: Dict) -> Exception:
         return EmptyCampaignError(payload.get("message", "empty campaign"))
     if kind == "server-closed":
         return ServerClosedError(payload.get("message", "server closed"))
+    if kind == "protocol":
+        return ProtocolError(payload.get("message", "malformed frame"))
     if kind == "serving":
         return ServingError(payload.get("message", "serving error"))
     type_name = payload.get("type", "Exception")

@@ -5,8 +5,10 @@ A :class:`WorkerReplica` is the process-level unit of the serving fabric:
 picklable :class:`WorkerSpec`, and serves a standard in-process
 :class:`~repro.serving.scheduler.Replica` (bounded queue + dynamic
 micro-batcher) whose requests arrive over a pickle-framed duplex pipe from
-the gateway.  Every request outcome — result, deadline expiry, engine
-failure, admission rejection — is reported back over the pipe with its
+the gateway, as ``("submit", rows)`` frames of one row per request.  Each
+fused engine call replies with one ``("result", ...)`` frame carrying its
+rows' stacked outputs.  Every failed row — deadline expiry, engine failure,
+admission rejection, cancellation — is reported back on its own with its
 typed error encoded by :mod:`repro.serving.fabric.wire`, so the process
 boundary never downgrades an exception to a string.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from repro.serving.batching import InferenceRequest
 from repro.serving.engine import DEFAULT_MODEL_KEY
 from repro.serving.errors import BackpressureError, ServerClosedError
 from repro.serving.fabric.engines import resolve_factory
-from repro.serving.fabric.wire import encode_exception
+from repro.serving.fabric.wire import encode_exception, unpack_trace
 from repro.serving.scheduler import Replica
 from repro.serving.timebase import loop_time
 from repro.utils.rng import derive_worker_seed
@@ -59,8 +61,8 @@ class WorkerSpec:
             window (ignored for engines without a default model).
         tracing: build a process-local :class:`~repro.obs.trace.Tracer`
             inside the worker so submits carrying gateway trace context
-            get a stitched worker-side span tree (shipped back with each
-            result and the final ``bye``).
+            get a stitched worker-side span tree (shipped back once per
+            reply frame and with the final ``bye``).
     """
 
     name: str
@@ -149,6 +151,7 @@ class WorkerReplica:
         )
         self.replica.add_observer(self._on_outcome)
         self._request_spans: Dict[int, object] = {}
+        self._group: List[tuple] = []
         self._inbox: "asyncio.Queue" = asyncio.Queue()
         self._loop = asyncio.get_running_loop()
         self._now = loop_time()
@@ -160,9 +163,10 @@ class WorkerReplica:
         """Start the daemon thread pumping pipe messages onto the loop.
 
         Each message is queued as ``(message, received_at)``, stamped with
-        the loop's ``time()`` when the pipe delivers it.  The loop may be
-        busy in a blocking engine call for a while before it handles a
-        submit; the request's deadline still counts from its arrival.
+        the loop's ``time()`` when the pipe delivers it: one thread hop per
+        frame, not per request.  The loop may be busy in a blocking engine
+        call for a while before it handles a submit frame; its rows'
+        deadlines still count from their arrival.
         """
         def pump() -> None:
             try:
@@ -195,26 +199,29 @@ class WorkerReplica:
         batch_size: int,
         outcome: str,
     ) -> None:
-        future = request.future
-        spans = None
         if self.tracer:
             span = self._request_spans.pop(request.request_id, None)
             if span is not None:
                 self.tracer.end_span(span, attrs={"outcome": outcome})
-            # ship everything finished so far (this request's span tree plus
-            # any batch/engine/SoC spans closed since the last result)
-            spans = self.tracer.drain()
+        future = request.future
         if outcome == "ok":
-            self.conn.send(
-                (
-                    "result",
-                    request.request_id,
-                    np.asarray(future.result()),
-                    batch_size,
-                    latency_s,
-                    spans,
+            # the batcher reports a fused engine call's rows back to back,
+            # batch_size of them: the last row completes the reply frame
+            group = self._group
+            group.append((request.request_id, future.result(), latency_s))
+            if len(group) == batch_size:
+                self._group = []
+                request_ids, outputs, latencies = zip(*group)
+                self.conn.send(
+                    (
+                        "result",
+                        list(request_ids),
+                        np.stack(outputs),
+                        batch_size,
+                        sum(latencies),
+                        self._drain_spans(),
+                    )
                 )
-            )
             return
         if future.cancelled():
             error = ServerClosedError("request cancelled inside the worker")
@@ -222,66 +229,68 @@ class WorkerReplica:
             error = future.exception()
             if error is None:  # notified as expired/error but resolved: defensive
                 error = ServerClosedError(f"request finished with outcome {outcome!r}")
+        self._send_error(request.request_id, error, batch_size, latency_s)
+
+    def _send_error(
+        self, request_id: int, error: Exception, batch_size: int, latency_s: float
+    ) -> None:
         self.conn.send(
             (
                 "error",
-                request.request_id,
+                request_id,
                 encode_exception(error),
                 batch_size,
                 latency_s,
-                spans,
+                self._drain_spans(),
             )
         )
+
+    def _drain_spans(self):
+        # ship everything finished so far (request span trees plus any
+        # batch/engine/SoC spans closed since the last reply); None untraced
+        return self.tracer.drain() if self.tracer else None
 
     # ------------------------------------------------------------------ #
     # message handling
     # ------------------------------------------------------------------ #
     def _handle_submit(self, message, received_at: float) -> None:
-        # the 7th element is the wire trace context, None when untraced
-        _, request_id, inputs, weights, model_key, deadline_s, trace_ctx = message
-        if self.replica.depth >= self.spec.max_queue_depth:
-            # worker-side admission: the typed rejection crosses the pipe
-            self.conn.send(
-                (
-                    "error",
+        # every row of a frame is admitted under the frame's receive stamp
+        for request_id, inputs, weights, model_key, deadline_s, trace_ctx in message[1]:
+            if self.replica.depth >= self.spec.max_queue_depth:
+                # worker-side admission: the typed rejection crosses the pipe
+                self._send_error(
                     request_id,
-                    encode_exception(
-                        BackpressureError(
-                            replica=self.spec.name,
-                            depth=self.replica.depth,
-                            limit=self.spec.max_queue_depth,
-                        )
+                    BackpressureError(
+                        replica=self.spec.name,
+                        depth=self.replica.depth,
+                        limit=self.spec.max_queue_depth,
                     ),
                     0,
                     0.0,
-                    None,
                 )
+                continue
+            request = InferenceRequest(
+                inputs=np.asarray(inputs),
+                weights=weights,
+                model_key=model_key if model_key is not None else DEFAULT_MODEL_KEY,
+                future=self._loop.create_future(),
+                submitted_at=received_at,
+                # the gateway ships the *remaining* budget (loop times do not
+                # cross processes); re-anchor it on this process's loop time
+                # at the moment the pipe delivered the frame
+                deadline_at=received_at + deadline_s if deadline_s is not None else None,
+                request_id=request_id,
             )
-            return
-        request = InferenceRequest(
-            inputs=np.asarray(inputs),
-            weights=weights,
-            model_key=model_key if model_key is not None else DEFAULT_MODEL_KEY,
-            future=self._loop.create_future(),
-            submitted_at=received_at,
-            # the gateway ships the *remaining* budget (loop times do not cross
-            # processes); re-anchor it on this process's loop time at the
-            # moment the pipe delivered the submit
-            deadline_at=received_at + deadline_s if deadline_s is not None else None,
-            request_id=request_id,
-        )
-        if self.tracer and trace_ctx is not None:
-            from repro.obs.trace import TraceContext
-
-            span = self.tracer.start_span(
-                "worker:request",
-                parent=TraceContext.from_dict(trace_ctx),
-                track="request",
-                attrs={"request_id": request_id, "worker": self.spec.name},
-            )
-            self._request_spans[request_id] = span
-            request.trace = span
-        self.replica.queue.put_nowait(request)
+            if self.tracer and trace_ctx is not None:
+                span = self.tracer.start_span(
+                    "worker:request",
+                    parent=unpack_trace(trace_ctx),
+                    track="request",
+                    attrs={"request_id": request_id, "worker": self.spec.name},
+                )
+                self._request_spans[request_id] = span
+                request.trace = span
+            self.replica.queue.put_nowait(request)
 
     def stats(self) -> Dict:
         """Worker-lifetime counters shipped back in the ``bye`` message."""

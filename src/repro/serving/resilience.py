@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.serving.batching import MicroBatcher
 from repro.serving.engine import InferenceEngine
 from repro.serving.errors import DeadlineExceededError
 from repro.serving.scheduler import Replica

@@ -11,8 +11,8 @@ the graph — exactly what the compute-unit timing model needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import networkx as nx
 

@@ -21,7 +21,7 @@ every word still crosses the bus and is counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 from repro.system.bus import SystemBus

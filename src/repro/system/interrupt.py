@@ -8,7 +8,7 @@ records which ones fired, and notifies the CPU(s) registered for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 

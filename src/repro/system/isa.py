@@ -12,7 +12,7 @@ injector need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 #: Architectural register count (x0..x31).

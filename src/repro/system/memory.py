@@ -10,7 +10,7 @@ the system-level speed/energy accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np

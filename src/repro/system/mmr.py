@@ -10,8 +10,8 @@ through an interrupt line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from repro.system.memory import MemoryAccessError, WORD_BYTES, WORD_MASK, to_unsigned
 

@@ -38,7 +38,6 @@ from repro.system.mmr import (
     CTRL_IRQ_PER_TILE,
     CTRL_START,
     DATA_OFFSET,
-    STATUS_DONE,
     STATUS_ERROR,
 )
 from repro.system.programs import accelerator_offload_program, gemm_program

@@ -7,7 +7,7 @@ keeps experiments reproducible without threading a generator everywhere.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -18,7 +18,6 @@ from repro.compiler import (
     PlanCache,
     SoCCostModel,
     compile_for_soc,
-    cost_model_fingerprint,
     replica_cost_fn,
     sharding_signature,
     soc_fingerprint,

@@ -20,7 +20,6 @@ from repro.compiler import (
     GraphError,
     ModelGraph,
     PlanCache,
-    Placement,
     ShardingDecision,
     SoCCostModel,
     SplitOp,

@@ -7,7 +7,7 @@ from repro.core.calibration import calibrate_mesh, measure_realized_matrix, proj
 from repro.core.energy import AreaModel, PhotonicCoreEnergyModel, combined_component_count
 from repro.mesh.base import MeshErrorModel
 from repro.mesh.clements import ClementsMesh
-from repro.utils.linalg import is_unitary, matrix_fidelity, random_unitary
+from repro.utils.linalg import is_unitary
 
 
 def make_energy_model(non_volatile=True, n=8):

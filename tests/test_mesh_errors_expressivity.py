@@ -20,7 +20,6 @@ from repro.mesh.expressivity import (
     programming_fidelity,
 )
 from repro.mesh.fldzhyan import FldzhyanMesh
-from repro.utils.linalg import random_unitary
 
 
 class TestErrorModelFactories:

@@ -31,7 +31,6 @@ from repro.serving import (
     GemmEngine,
     InferenceServer,
     Replica,
-    ServingTelemetry,
     SoCGemmEngine,
     TelemetryLog,
     make_worker_specs,

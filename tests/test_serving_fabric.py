@@ -23,7 +23,8 @@ from repro.serving import (
     WorkerSpec,
     make_worker_specs,
 )
-from repro.serving.errors import ServingError
+from repro.serving.engine import weight_hash
+from repro.serving.errors import ProtocolError, ServingError
 from repro.serving.fabric import engines, wire
 from repro.serving.fabric.worker import WorkerReplica
 from repro.utils.rng import derive_worker_seed
@@ -71,14 +72,32 @@ class _InProcessPipe:
     def send(self, message):
         self.sent.append(message)
 
+    def answered(self):
+        """``{request_id: reply}`` over every result frame row and error sent."""
+        by_id = {}
+        for message in self.sent:
+            if message[0] == "result":
+                for request_id in message[1]:
+                    by_id[request_id] = message
+            elif message[0] == "error":
+                by_id[message[1]] = message
+        return by_id
+
     async def replies(self, count, timeout_s=10.0):
+        """Wait until ``count`` requests are answered; returns :meth:`answered`."""
         loop = asyncio.get_running_loop()
         give_up = loop.time() + timeout_s
         while True:
-            replies = [m for m in self.sent if m[0] in ("result", "error")]
-            if len(replies) >= count or loop.time() > give_up:
-                return replies
+            by_id = self.answered()
+            if len(by_id) >= count or loop.time() > give_up:
+                return by_id
             await asyncio.sleep(0.01)
+
+
+def submit_frame(*rows):
+    """A gateway submit frame; each row is ``(request_id, inputs, weights,
+    model_key, remaining_s, trace)``."""
+    return ("submit", list(rows))
 
 
 class TestWire:
@@ -133,6 +152,7 @@ class TestWire:
             WorkerCrashedError(worker="w1", detail="exit code -9"),
             ServerClosedError("gone"),
             ServingError("typed base"),
+            ProtocolError("malformed frame"),
         ],
     )
     def test_typed_errors_round_trip(self, error):
@@ -503,24 +523,23 @@ class TestCrossProcessErrors:
             pipe = _InProcessPipe()
             worker = WorkerReplica(pipe, spec)
             serving = asyncio.ensure_future(worker.serve())
-            pipe.deliver(("submit", 1, np.ones(4), None, None, None, None))
+            pipe.deliver(submit_frame((1, np.ones(4), None, None, None, None)))
 
             entered = []
 
             def submit_while_blocked():
                 entered.append(backend.entered.wait(10))
-                pipe.deliver(("submit", 2, np.ones(4), None, None, 0.005, None))
+                pipe.deliver(submit_frame((2, np.ones(4), None, None, 0.005, None)))
 
             pusher = threading.Thread(target=submit_while_blocked)
             pusher.start()
-            replies = await pipe.replies(2)
+            by_id = await pipe.replies(2)
             pusher.join(10)
             assert not pusher.is_alive()
             assert entered == [True]
             pipe.deliver(("shutdown", True))
             await asyncio.wait_for(serving, 10)
 
-            by_id = {reply[1]: reply for reply in replies}
             assert by_id[1][0] == "result"
             assert by_id[2][0] == "error"
             error = wire.decode_exception(by_id[2][2])
@@ -545,14 +564,14 @@ class TestCrossProcessErrors:
             )
             serving = asyncio.ensure_future(worker.serve())
             before = asyncio.get_running_loop().time()
-            pipe.deliver(("submit", 1, np.ones(4), None, None, 10.0, None))
+            pipe.deliver(submit_frame((1, np.ones(4), None, None, 10.0, None)))
             replies = await pipe.replies(1)
             pipe.deliver(("shutdown", True))
             await asyncio.wait_for(serving, 10)
             return before, replies, stamped
 
         before, replies, stamped = run_offset_loop(check())
-        assert replies[0][0] == "result"
+        assert replies[1][0] == "result"
         [(submitted_at, deadline_at)] = stamped
         assert before <= submitted_at < before + 10.0
         assert deadline_at == pytest.approx(submitted_at + 10.0)
@@ -639,6 +658,217 @@ class TestCrossProcessErrors:
                     gateway.submit_nowait(np.ones(4))
             finally:
                 await gateway.shutdown(drain=False)
+
+        run_async(check())
+
+
+# --------------------------------------------------------------------- #
+# the batched pipe wire: one submit frame per dispatch tick, one result
+# frame per fused model group
+# --------------------------------------------------------------------- #
+class _RecordingConnection:
+    """A gateway pipe end that records every message it sends."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+        self._conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def integer_columns(n, n_in=4):
+    """Integer-valued inputs: every summation order gives the same floats."""
+    return np.arange(n * n_in, dtype=float).reshape(n, n_in) % 7 - 3
+
+
+class TestBatchedWire:
+    def test_one_tick_of_submits_crosses_as_one_frame(self):
+        async def check():
+            weights = demo_weights()
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": weights})
+            async with FabricGateway([spec], max_inflight=16) as gateway:
+                handle = gateway.handles[0]
+                handle.conn = recorder = _RecordingConnection(handle.conn)
+                inputs = integer_columns(16)
+                futures = [gateway.submit_nowait(column) for column in inputs]
+                outputs = await asyncio.gather(*futures)
+            submits = [message for message in recorder.sent if message[0] == "submit"]
+            assert len(submits) == 1
+            rows = submits[0][1]
+            assert len(rows) == 16
+            assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+            for column, output in zip(inputs, outputs):
+                assert np.array_equal(output, weights @ column)
+
+        run_async(check())
+
+    def test_one_model_group_replies_with_one_result_frame(self):
+        async def check():
+            weights = demo_weights()
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": weights})
+            pipe = _InProcessPipe()
+            worker = WorkerReplica(pipe, spec)
+            latencies = {}
+            worker.replica.add_observer(
+                lambda _name, request, latency_s, *_rest: latencies.__setitem__(
+                    request.request_id, latency_s
+                )
+            )
+            serving = asyncio.ensure_future(worker.serve())
+            inputs = integer_columns(8)
+            pipe.deliver(
+                submit_frame(*[(i, inputs[i], None, None, None, None) for i in range(8)])
+            )
+            await pipe.replies(8)
+            pipe.deliver(("shutdown", True))
+            await asyncio.wait_for(serving, 10)
+
+            results = [message for message in pipe.sent if message[0] == "result"]
+            assert len(results) == 1
+            _, request_ids, outputs, batch_size, worker_latency_s, spans = results[0]
+            assert request_ids == list(range(8))
+            assert batch_size == 8 and outputs.shape == (8, 3)
+            reference = engines.make_gemm_engine(weights=weights)
+            for row, column in enumerate(inputs):
+                alone = reference.run_batch(None, column[:, None])[:, 0]
+                assert np.array_equal(outputs[row], alone)
+            # index 4 is the rows' summed worker latency (perfbench reads it)
+            assert worker_latency_s == pytest.approx(sum(latencies.values()), rel=1e-12)
+            assert spans is None  # untraced worker ships no spans
+
+        run_async(check())
+
+    def test_model_groups_of_different_widths_reply_separately(self):
+        async def check():
+            spec = WorkerSpec(name="w0", engine_factory=GEMM, warm_start=False)
+            pipe = _InProcessPipe()
+            worker = WorkerReplica(pipe, spec)
+            serving = asyncio.ensure_future(worker.serve())
+            wide, narrow = demo_weights(3, 4), demo_weights(2, 4) + 1.0
+            inputs = integer_columns(6)
+            models = [wide if i % 2 == 0 else narrow for i in range(6)]
+            pipe.deliver(
+                submit_frame(
+                    *[
+                        (i, inputs[i], models[i], weight_hash(models[i]), None, None)
+                        for i in range(6)
+                    ]
+                )
+            )
+            await pipe.replies(6)
+            pipe.deliver(("shutdown", True))
+            await asyncio.wait_for(serving, 10)
+
+            results = [message for message in pipe.sent if message[0] == "result"]
+            assert sorted(message[1] for message in results) == [[0, 2, 4], [1, 3, 5]]
+            for _, request_ids, outputs, batch_size, _latency, _spans in results:
+                weights = models[request_ids[0]]
+                assert batch_size == 3 and outputs.shape == (3, weights.shape[0])
+                for row, request_id in enumerate(request_ids):
+                    assert np.array_equal(outputs[row], weights @ inputs[request_id])
+
+        run_async(check())
+
+    def test_mixed_frame_answers_every_row_typed(self):
+        async def check():
+            weights = demo_weights()
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": weights}, max_queue_depth=4)
+            pipe = _InProcessPipe()
+            worker = WorkerReplica(pipe, spec)
+            serving = asyncio.ensure_future(worker.serve())
+            inputs = integer_columns(5)
+            pipe.deliver(
+                submit_frame(
+                    (0, inputs[0], None, None, -1.0, None),  # expired on arrival
+                    *[(i, inputs[i], None, None, None, None) for i in (1, 2, 3)],
+                    (4, inputs[4], None, None, None, None),  # over max_queue_depth
+                )
+            )
+            by_id = await pipe.replies(5)
+            pipe.deliver(("shutdown", True))
+            await asyncio.wait_for(serving, 10)
+
+            assert sorted(by_id) == [0, 1, 2, 3, 4]
+            expired = wire.decode_exception(by_id[0][2])
+            assert isinstance(expired, DeadlineExceededError)
+            assert expired.deadline_s == pytest.approx(-1.0)
+            rejected = wire.decode_exception(by_id[4][2])
+            assert isinstance(rejected, BackpressureError)
+            assert (rejected.replica, rejected.limit) == ("w0", 4)
+            [result] = [message for message in pipe.sent if message[0] == "result"]
+            assert result[1] == [1, 2, 3] and result[3] == 3
+            for row, request_id in enumerate(result[1]):
+                assert np.array_equal(result[2][row], weights @ inputs[request_id])
+
+        run_async(check())
+
+    def test_abort_in_the_dispatch_tick_sends_no_submit_after_shutdown(self):
+        async def check():
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": demo_weights()})
+            gateway = FabricGateway([spec])
+            await gateway.start()
+            handle = gateway.handles[0]
+            handle.conn = recorder = _RecordingConnection(handle.conn)
+            futures = [gateway.submit_nowait(np.ones(4)) for _ in range(4)]
+            await gateway.shutdown(drain=False)
+            kinds = [message[0] for message in recorder.sent]
+            assert "shutdown" in kinds
+            assert "submit" not in kinds[kinds.index("shutdown"):]
+            for future in futures:
+                assert isinstance(future.exception(), ServerClosedError)
+
+        run_async(check())
+
+    def test_failed_frame_send_fails_its_rows_typed(self):
+        class _BrokenConnection(_RecordingConnection):
+            def send(self, message):
+                raise BrokenPipeError("pipe closed under the gateway")
+
+        async def check():
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": demo_weights()})
+            gateway = FabricGateway([spec])
+            await gateway.start()
+            handle = gateway.handles[0]
+            handle.conn = _BrokenConnection(handle.conn)
+            futures = [gateway.submit_nowait(np.ones(4)) for _ in range(3)]
+            try:
+                for future in futures:
+                    with pytest.raises(WorkerCrashedError):
+                        await asyncio.wait_for(future, 5)
+                assert handle.inflight == 0 and not handle.alive
+            finally:
+                gateway.kill_worker("w0")
+                await gateway.shutdown(drain=False)
+
+        run_async(check())
+
+    def test_worker_replies_before_bye(self):
+        async def check():
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": demo_weights()})
+            pipe = _InProcessPipe()
+            worker = WorkerReplica(pipe, spec)
+            serving = asyncio.ensure_future(worker.serve())
+            inputs = integer_columns(8)
+            pipe.deliver(
+                submit_frame(*[(i, inputs[i], None, None, None, None) for i in range(8)])
+            )
+            pipe.deliver(("shutdown", True))
+            await asyncio.wait_for(serving, 10)
+
+            kinds = [message[0] for message in pipe.sent]
+            assert kinds[-1] == "bye" and kinds.count("bye") == 1
+            assert sorted(pipe.answered()) == list(range(8))
 
         run_async(check())
 
@@ -743,3 +973,58 @@ class TestWireFrontDoor:
                     assert set(stats["fabric"]["workers"]) == {"w0", "w1"}
 
         run_async(check())
+
+
+class TestMalformedFrames:
+    """Hostile frames end their own connection with a typed error, nothing else."""
+
+    FRAMES = {
+        "unknown dtype": wire.pack_frame(
+            {"kind": "submit", "id": 1,
+             "arrays": [{"dtype": "<x9", "shape": [4], "nbytes": 32}]},
+            bytes(32),
+        ),
+        "shape/nbytes mismatch": wire.pack_frame(
+            {"kind": "submit", "id": 2,
+             "arrays": [{"dtype": "<f8", "shape": [5], "nbytes": 32}]},
+            bytes(32),
+        ),
+        "no arrays": wire.pack_frame({"kind": "submit", "id": 3}),
+        "non-object header": wire.pack_frame([1, 2, 3]),
+        "invalid JSON": wire.FRAME_PREFIX.pack(9, 0) + b"{not json",
+        "oversized length prefix": wire.FRAME_PREFIX.pack(wire.MAX_FRAME_BYTES, 1),
+    }
+
+    def test_each_frame_gets_a_typed_error_and_the_gateway_keeps_serving(self):
+        async def check():
+            fired = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: fired.append(context)
+            )
+            weights = demo_weights()
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": weights})
+            refused = {}
+            async with FabricGateway([spec]) as gateway:
+                host, port = await gateway.start_server()
+                async with await FabricClient.connect(host, port) as client:
+                    for label, frame in self.FRAMES.items():
+                        reader, writer = await asyncio.open_connection(host, port)
+                        writer.write(frame)
+                        await writer.drain()
+                        header, _payload = await wire.read_frame(reader)
+                        refused[label] = wire.decode_exception(header["error"])
+                        # the gateway closes the offending connection only
+                        with pytest.raises(asyncio.IncompleteReadError):
+                            await wire.read_frame(reader)
+                        writer.close()
+                        await writer.wait_closed()
+                        output = await client.submit(np.full(4, 2.0))
+                        assert np.array_equal(output, weights @ np.full(4, 2.0))
+            assert fired == []
+            return refused
+
+        refused = run_async(check())
+        assert set(refused) == set(self.FRAMES)
+        for label, error in refused.items():
+            assert isinstance(error, ProtocolError), label
