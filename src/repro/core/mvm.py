@@ -205,7 +205,14 @@ class PhotonicMVM:
         ``compute_reference=False`` skips the exact digital product (the
         result's ``reference`` is ``None``) — callers that only consume
         ``value`` save a second matmul of the same size as the optical one.
+
+        Real weights applied to real inputs return real arrays.  Float,
+        integer and bool inputs are real by their dtype; any other input
+        (a complex or object array) is real when its imaginary part is
+        all close to zero.
         """
+        vectors = np.asarray(vectors)
+        real_typed = vectors.dtype.kind in "biuf"
         vectors = np.asarray(vectors, dtype=complex)
         n_out, n_in = self.weight_matrix.shape
         if vectors.ndim != 2 or vectors.shape[0] != n_in:
@@ -236,7 +243,7 @@ class PhotonicMVM:
 
         # --- detection ---------------------------------------------------------
         if self.coherent_detection:
-            detected = output_fields.copy()
+            detected = output_fields
             if add_noise:
                 noise_scale = self._coherent_noise_scale()
                 detected = detected + self._rng.normal(
@@ -245,12 +252,14 @@ class PhotonicMVM:
             if self.quantization.output_bits is not None:
                 # The coherent ADC full scale must accommodate constructive
                 # interference of all inputs, i.e. sqrt(n_in) in field units.
+                # One quantiser pass over the interleaved (re, im) float view.
                 adc_full_scale = float(np.sqrt(n_in))
-                detected = quantize_uniform(
-                    detected.real, self.quantization.output_bits, full_scale=adc_full_scale
-                ) + 1j * quantize_uniform(
-                    detected.imag, self.quantization.output_bits, full_scale=adc_full_scale
+                parts = quantize_uniform(
+                    detected.view(float),
+                    self.quantization.output_bits,
+                    full_scale=adc_full_scale,
                 )
+                detected = parts[:, 0::2] + 1j * parts[:, 1::2]
             analog = detected
         else:
             intensities = self.detector.detect(
@@ -264,7 +273,9 @@ class PhotonicMVM:
             # All-zero input columns produce exactly zero output (the early
             # return of the scalar path), not the modulator extinction floor.
             value = value * active
-        real_case = self._real_weights and bool(np.allclose(vectors.imag, 0.0))
+        real_case = self._real_weights and (
+            real_typed or bool(np.allclose(vectors.imag, 0.0))
+        )
         if real_case:
             if reference is not None:
                 reference = reference.real
@@ -279,7 +290,7 @@ class PhotonicMVM:
         rescaled back to the digital domain.  Thin wrapper over
         :meth:`apply_batch` with a batch of one.
         """
-        vector = np.asarray(vector, dtype=complex).reshape(-1)
+        vector = np.asarray(vector).reshape(-1)
         if vector.shape[0] != self.weight_matrix.shape[1]:
             raise ValueError(f"input vector must have length {self.weight_matrix.shape[1]}")
         batched = self.apply_batch(vector[:, None], add_noise=add_noise)
@@ -314,8 +325,4 @@ class PhotonicMVM:
         Real-valued problems come back as real arrays so the result can be
         compared (or rounded) against the digital reference directly.
         """
-        inputs = np.asarray(inputs, dtype=complex)
-        value = self.apply_batch(inputs, add_noise=add_noise, compute_reference=False).value
-        if self._real_weights and np.allclose(inputs.imag, 0.0):
-            return np.real(value)
-        return value
+        return self.apply_batch(inputs, add_noise=add_noise, compute_reference=False).value

@@ -65,7 +65,12 @@ class MachZehnderModulator:
         normalising its inputs.
         """
         values = np.asarray(values, dtype=float)
-        if np.any(values < 0.0) or np.any(values > 1.0 + 1e-12):
+        # fmin/fmax skip NaNs, so a NaN passes unless another value is out
+        # of range, as with elementwise comparisons.
+        if values.size and (
+            np.fmin.reduce(values, axis=None) < 0.0
+            or np.fmax.reduce(values, axis=None) > 1.0 + 1e-12
+        ):
             raise ValueError("modulator inputs must be normalised into [0, 1]")
         n_levels = 2 ** self.dac_bits
         quantized = np.round(np.clip(values, 0.0, 1.0) * (n_levels - 1)) / (n_levels - 1)

@@ -43,10 +43,10 @@ DEFAULT_MODEL_KEY = "default"
 def weight_hash(weights: np.ndarray) -> str:
     """Content hash of a weight matrix (shape + dtype + raw bytes)."""
     weights = np.ascontiguousarray(weights)
-    digest = hashlib.sha1()
-    digest.update(str(weights.shape).encode())
-    digest.update(str(weights.dtype).encode())
-    digest.update(weights.tobytes())
+    # ``dtype.str`` (e.g. '<f8') keeps byte order distinct and formats far
+    # faster than ``str(dtype)``; ``data`` hashes the buffer without a copy.
+    digest = hashlib.sha1(f"{weights.shape}{weights.dtype.str}".encode())
+    digest.update(weights.data)
     return digest.hexdigest()
 
 

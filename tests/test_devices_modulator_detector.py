@@ -35,6 +35,31 @@ class TestMachZehnderModulator:
         with pytest.raises(ValueError):
             modulator.encode(np.array([-0.2]))
 
+    def test_rejects_any_negative_value(self):
+        with pytest.raises(ValueError):
+            MachZehnderModulator().encode(np.array([[0.5, 0.2], [-1e-300, 1.0]]))
+
+    def test_full_scale_tolerance_is_one_part_in_1e12(self):
+        modulator = MachZehnderModulator()
+        assert modulator.encode(np.array([1 + 1e-12])).shape == (1,)
+        with pytest.raises(ValueError):
+            modulator.encode(np.array([1 + 2e-12]))
+
+    def test_empty_input_encodes_to_empty(self):
+        encoded = MachZehnderModulator().encode(np.array([]))
+        assert encoded.shape == (0,)
+        assert encoded.dtype == np.float64
+
+    def test_nan_passes_through_unless_another_value_is_out_of_range(self):
+        modulator = MachZehnderModulator(insertion_loss_db=0.0)
+        encoded = modulator.encode(np.array([np.nan, 1.0]))
+        assert np.isnan(encoded[0])
+        assert encoded[1] == pytest.approx(1.0)
+        assert np.isnan(modulator.encode(np.array([np.nan, np.nan]))).all()
+        for neighbour in (-0.5, 2.0):
+            with pytest.raises(ValueError):
+                modulator.encode(np.array([np.nan, neighbour]))
+
     def test_encoding_energy(self):
         modulator = MachZehnderModulator(energy_per_symbol=50e-15)
         assert modulator.encoding_energy(100) == pytest.approx(5e-12)

@@ -7,6 +7,9 @@ against a straightforward composed/looped reference and demands agreement
 to machine precision.
 """
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -287,6 +290,88 @@ class TestSinglePortEngines:
         a = PhotonicMVM(weights, error_model=model, rng=0).realized_matrix
         b = PhotonicMVM(weights, error_model=model, rng=0).realized_matrix
         assert np.allclose(a, b)
+
+
+# Captured from the per-part ADC datapath (separate real and imaginary
+# quantiser calls, ``allclose`` real-input checks).  Bits of the SVD and the
+# complex matmuls enter it, so another BLAS/LAPACK build may need a fresh
+# capture from a known-good commit.
+MVM_DATAPATH_DIGEST = "29f27d555f36de6e3ccef1ce272584ae0e8a37d9"
+
+
+def mvm_datapath_digest() -> str:
+    """SHA-1 over dtype, shape and raw bytes of every MVM entry point's output.
+
+    The grid crosses real, complex and one-port weight shapes with both
+    detection modes, each quantiser on and off, an optional mesh error
+    model, noise on and off, and real, complex, complex-with-zero-imag,
+    int64 and zero-column inputs.  Each engine is seeded and called in a
+    fixed order, so the noisy outputs also pin the RNG stream.
+    """
+    digest = hashlib.sha1()
+
+    def feed(array):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+
+    data = np.random.default_rng(2024)
+    weight_cases = [
+        data.normal(size=(4, 4)),
+        data.normal(size=(3, 5)),
+        data.normal(size=(4, 3)) + 1j * data.normal(size=(4, 3)),
+        data.normal(size=(1, 5)),
+        data.normal(size=(6, 1)),
+    ]
+    specs = [
+        QuantizationSpec(input_bits=i, output_bits=o, weight_levels=w)
+        for i, o, w in itertools.product((None, 5), (None, 6), (None, 32))
+    ]
+    error_models = [None, MeshErrorModel(phase_error_std=0.02, rng=3)]
+    for weights, coherent, spec, error_model in itertools.product(
+        weight_cases, (True, False), specs, error_models
+    ):
+        n_in = weights.shape[1]
+        real = data.normal(size=(n_in, 3))
+        zero_column = real.copy()
+        zero_column[:, 1] = 0.0
+        inputs = [
+            real,
+            real + 1j * data.normal(size=(n_in, 3)),
+            real.astype(complex),
+            data.integers(-3, 4, size=(n_in, 3)),
+            zero_column,
+        ]
+        engine = PhotonicMVM(
+            weights,
+            quantization=spec,
+            error_model=error_model,
+            coherent_detection=coherent,
+            rng=11,
+        )
+        for x, add_noise in itertools.product(inputs, (False, True)):
+            feed(engine.matmul(x, add_noise=add_noise))
+            batched = engine.apply_batch(x, add_noise=add_noise)
+            feed(batched.value)
+            feed(batched.reference)
+            single = engine.apply(x[:, 0], add_noise=add_noise)
+            feed(single.value)
+            feed(single.reference)
+            feed(engine.apply_many(x, add_noise=add_noise))
+    return digest.hexdigest()
+
+
+class TestMVMDatapathDigest:
+    """Bitwise oracle over the MVM entry points.
+
+    The batch-versus-apply tests above pass for a change that shifts every
+    path alike; this one pins the bytes themselves, including the sign of
+    zeros and the real/complex dtype of each result.  Update the literal
+    only for a deliberate change of the analog model.
+    """
+
+    def test_outputs_match_pinned_digest(self):
+        assert mvm_datapath_digest() == MVM_DATAPATH_DIGEST
 
 
 def reference_snn_run(

@@ -967,6 +967,22 @@ class TestCompiledWeightsEviction:
             np.arange(12.0).reshape(3, 4)
         )
 
+    def test_weight_hash_of_strided_views_equals_contiguous_copy(self, rng):
+        weights = rng.normal(size=(3, 5))
+        transposed = weights.T
+        fortran = np.asfortranarray(weights)
+        assert not transposed.flags.c_contiguous
+        assert not fortran.flags.c_contiguous
+        assert weight_hash(transposed) == weight_hash(np.ascontiguousarray(transposed))
+        assert weight_hash(fortran) == weight_hash(weights)
+
+    def test_weight_hash_distinguishes_byte_order(self, rng):
+        values = rng.normal(size=(4, 4))
+        big = values.astype(">f8")
+        little = values.astype("<f8")
+        assert np.array_equal(big, little)
+        assert weight_hash(big) != weight_hash(little)
+
 
 # --------------------------------------------------------------------- #
 # telemetry guards: empty sample windows
