@@ -152,21 +152,147 @@ def case_max_instructions():
     return _snapshot(soc, end)
 
 
-#: issue cycles of dynamic instructions 11 (``li t3, 0``, the first
-#: accumulator reset) and 200 of the 4x5x3 GeMM; an injection at 11 runs
-#: before the reset (the pending event wins the tie) and is masked
-ISSUE_CYCLES = {11: 11, 200: 1040}
+#: issue cycles of the 4x5x3 GeMM's dynamic instructions: every one of the
+#: first 28 (the first two basic blocks, the first ``loop_k`` entry and the
+#: first inner-loop body) and instruction 200
+ISSUE_CYCLES = {
+    0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9, 10: 10, 11: 11, 12: 12,
+    13: 13, 14: 16, 15: 17, 16: 18, 17: 19, 18: 52, 19: 55, 20: 56, 21: 57, 22: 58,
+    23: 91, 24: 94, 25: 95, 26: 96, 27: 97, 200: 1040,
+}
+
+#: dynamic instructions 11 (``li t3, 0``, the first accumulator reset) and
+#: 200; an injection at 11 runs before the reset (the pending event wins
+#: the tie) and is masked
+FAULT_ISSUE_KS = (11, 200)
 
 
 def case_fault_at_issue_cycle():
     """Transient flips of the accumulator at exactly an instruction's issue."""
     weights, inputs = _operands()
     snapshots = []
-    for k, cycle in sorted(ISSUE_CYCLES.items()):
+    for k in FAULT_ISSUE_KS:
+        cycle = ISSUE_CYCLES[k]
         soc = PhotonicSoC()
         FaultInjector(soc, FaultSpec("cpu_register", "transient", 28, 4, cycle)).arm()
         snapshots.append(_report_snapshot(soc, soc.run_cpu_gemm(weights, inputs)))
     return snapshots
+
+
+RESULTS_ADDR = 0x2000
+
+#: one ALU/MUL result each, stored to consecutive words at ``RESULTS_ADDR``;
+#: t0 = -7, t1 = 3, t2 = -1, t3 = INT_MIN, t5 = 35
+EVERY_OPCODE_RESULTS = [
+    "sra t4, t0, t1", "srl t4, t0, t1", "sll t4, t0, t1", "sra t4, t0, t2",
+    "srl t4, t3, t5", "sll t4, t2, t5",
+    "srai t4, t0, 1", "srli t4, t0, 1", "slli t4, t2, 31", "slli t4, t0, 33",
+    "slt t4, t0, t1", "slt t4, t1, t0", "sltu t4, t0, t1", "sltu t4, t1, t0",
+    "slti t4, t0, -3", "slti t4, t0, -8", "slti t4, t0, 4294967295",
+    "sltiu t4, t0, -3", "sltiu t4, t1, -1", "sltiu t4, t0, 5",
+    "add t4, t0, t3", "sub t4, t3, t1", "and t4, t0, t5", "or t4, t0, t5", "xor t4, t0, t2",
+    "addi t4, t3, -1", "andi t4, t0, -4", "ori t4, t0, 0x100", "xori t4, t0, -1",
+    "addi t4, t0, 0x100000000",
+    "mul t4, t0, t1", "mul t4, t3, t3", "mulh t4, t0, t1", "mulh t4, t3, t3",
+    "mulh t4, t3, t2", "mulh t4, t2, t2",
+    "div t4, t0, t1", "rem t4, t0, t1", "div t4, t1, t0", "rem t4, t1, t0",
+    "div t4, t0, zero", "rem t4, t0, zero", "div t4, t3, t2", "rem t4, t3, t2",
+    "lui t4, 0x12345", "lui t4, -1", "auipc t4, 1", "auipc t4, 0",
+]
+
+
+def every_opcode_program() -> str:
+    """Every mnemonic, both branch outcomes, links, x0 writes and a loop."""
+    lines = [
+        "li gp, 0x2000", "li t0, -7", "li t1, 3", "li t2, -1", "li t3, -2147483648",
+        "li t5, 35",
+    ]
+    for index, line in enumerate(EVERY_OPCODE_RESULTS):
+        lines += [line, f"sw t4, {4 * index}(gp)"]
+    lines += [
+        # writes to x0 are dropped; a load into x0 still reaches the bus
+        "addi zero, t1, 5", "lui zero, 7", "auipc zero, 1", "mul zero, t0, t1",
+        "lw zero, 0(gp)", "add s0, zero, zero",
+        # loads with positive and negative offsets
+        "addi s1, gp, 8", "lw s2, -4(s1)", "lw s3, 4(s1)",
+        # branches on negative operands: each taken one skips a poison add
+        "li s4, 0",
+        "beq t0, t0, f_beq", "addi s4, s4, 1000",
+        "f_beq:", "beq t0, t1, bad", "bne t0, t1, f_bne", "addi s4, s4, 1000",
+        "f_bne:", "bne t1, t1, bad", "blt t0, t1, f_blt", "addi s4, s4, 1000",
+        "f_blt:", "blt t1, t0, bad", "bge t1, t0, f_bge", "addi s4, s4, 1000",
+        "f_bge:", "bge t0, t1, bad", "bltu t1, t0, f_bltu", "addi s4, s4, 1000",
+        "f_bltu:", "bltu t0, t1, bad", "bgeu t0, t1, f_bgeu", "addi s4, s4, 1000",
+        "f_bgeu:", "bgeu t1, t0, bad", "addi s4, s4, 1",
+        # calls: jal and jalr with link registers, jalr with rd == rs1 and an
+        # odd target, and j (jal x0)
+        "call sub1", "mv s5, ra",
+        "li s6, sub2", "jalr ra, s6, 0", "mv s7, ra",
+        "li s8, sub3", "jalr s8, s8, 1", "mv s9, s8",
+        "j loop_init",
+        "sub1:", "addi s10, s10, 1", "ret",
+        "sub2:", "addi s10, s10, 16", "jalr zero, ra, 0",
+        "sub3:", "addi s10, s10, 256", "jalr zero, s8, 0",
+        "bad:", "li s11, 0xbad", "halt",
+        # a counted loop
+        "loop_init:", "li a0, 5", "li a1, 0",
+        "loop:", "addi a1, a1, 3", "addi a0, a0, -1", "bnez a0, loop",
+        "halt",
+    ]
+    return "\n".join(lines)
+
+
+#: programs that fault mid-block or run off their end, each on a fresh SoC
+FAULTING_PROGRAMS = {
+    "misaligned_lw": "li t0, 3\naddi t1, t1, 1\nlw t2, 0(t0)\naddi t3, t3, 1\nhalt",
+    "unmapped_sw": "li t0, 1\nli t1, 0x7ffffff0\nsw t0, 0(t1)\naddi t2, t2, 1\nhalt",
+    "runs_off_end": "li t0, 1\naddi t0, t0, 2",
+    "jalr_to_misaligned_pc": "li t0, 6\naddi t1, t1, 1\njalr ra, t0, 0\nhalt",
+    "branch_past_end": "li t0, 1\nbnez t0, 64\nhalt",
+}
+
+
+def case_every_opcode():
+    soc = PhotonicSoC()
+    end = soc.run_program(every_opcode_program())
+    results = soc.read_matrix(RESULTS_ADDR, 1, len(EVERY_OPCODE_RESULTS))
+    return _snapshot(soc, end, results)
+
+
+def case_faulting_programs():
+    snapshots = {}
+    for name, source in FAULTING_PROGRAMS.items():
+        soc = PhotonicSoC()
+        snapshots[name] = _snapshot(soc, soc.run_program(source))
+    return snapshots
+
+
+#: (register, bit) flipped at every cycle of the first ``loop_k`` body of
+#: the 4x5x3 GeMM: t4 (bit 1 makes its address misaligned) and t5 (the
+#: loaded A element)
+SWEEP_FAULTS = ((29, 1), (30, 3))
+SWEEP_CYCLES = range(ISSUE_CYCLES[13], ISSUE_CYCLES[27] + 1)
+
+
+def case_transient_fault_sweep():
+    """Group the injection cycles by the snapshot each one produces."""
+    weights, inputs = _operands()
+    grouped = {}
+    for register, bit in SWEEP_FAULTS:
+        groups = []
+        for cycle in SWEEP_CYCLES:
+            soc = PhotonicSoC()
+            spec = FaultSpec("cpu_register", "transient", register, bit, cycle)
+            FaultInjector(soc, spec).arm()
+            snapshot = _report_snapshot(soc, soc.run_cpu_gemm(weights, inputs))
+            for cycles, seen in groups:
+                if seen == snapshot:
+                    cycles.append(cycle)
+                    break
+            else:
+                groups.append(([cycle], snapshot))
+        grouped[(register, bit)] = groups
+    return grouped
 
 
 CASES = {
@@ -178,6 +304,9 @@ CASES = {
     "spin_loop": case_spin_loop,
     "max_instructions": case_max_instructions,
     "fault_at_issue_cycle": case_fault_at_issue_cycle,
+    "every_opcode": case_every_opcode,
+    "faulting_programs": case_faulting_programs,
+    "transient_fault_sweep": case_transient_fault_sweep,
 }
 
 
@@ -476,6 +605,373 @@ EXPECTED = {
         },
     ],
 }
+
+# the every-opcode, faulting-program and fault-sweep cases, captured from the
+# predecoded per-instruction interpreter
+EXPECTED["every_opcode"] = {
+    "instructions": 158,
+    "cycles": 1830,
+    "loads": 3,
+    "stores": 48,
+    "branches_taken": 10,
+    "stall_cycles": 1632,
+    "energy_j": "1.1680000000000016e-09",
+    "per_category": [
+        ("alu", 67), ("store", 48), ("mul", 15), ("load", 3), ("branch", 17), ("jump", 7),
+        ("system", 1),
+    ],
+    "pc": 616,
+    "registers": {
+        1: 540, 3: 8192, 5: 4294967289, 6: 3, 7: 4294967295, 9: 8200, 11: 15, 18: 536870911,
+        19: 4294967295, 20: 1, 21: 528, 22: 568, 23: 540, 24: 552, 25: 552, 26: 273,
+        28: 2147483648, 29: 400, 30: 35,
+    },
+    "halted": True,
+    "fault_cause": None,
+    "end_cycle": 1829,
+    "energy_breakdown": {
+        "cpu": "1.1680000000000016e-09",
+        "main_memory": "1.02e-09",
+        "bus": "5.1e-11",
+    },
+    "result": [
+        [
+            -1, 536870911, -56, -1, 268435456, -8, -4, 2147483644, -2147483648, -14, 1, 0, 0, 1,
+            1, 0, 1, 1, 1, 0, 2147483641, 2147483645, 33, -5, 6, 2147483647, -8, -7, 6, -7, -21,
+            0, -1, 1073741824, 0, 0, -2, -1, 0, 3, -1, -7, -2147483648, 0, 305418240, -4096, 4488,
+            400,
+        ],
+    ],
+}
+
+EXPECTED["faulting_programs"] = {
+    "misaligned_lw": {
+        "instructions": 2,
+        "cycles": 2,
+        "loads": 0,
+        "stores": 0,
+        "branches_taken": 0,
+        "stall_cycles": 0,
+        "energy_j": "1e-11",
+        "per_category": [("alu", 2)],
+        "pc": 8,
+        "registers": {5: 3, 6: 1},
+        "halted": True,
+        "fault_cause": "misaligned word access at 0x3",
+        "end_cycle": 2,
+        "energy_breakdown": {"cpu": "1e-11", "main_memory": "0.0", "bus": "0.0"},
+    },
+    "unmapped_sw": {
+        "instructions": 2,
+        "cycles": 2,
+        "loads": 0,
+        "stores": 0,
+        "branches_taken": 0,
+        "stall_cycles": 0,
+        "energy_j": "1e-11",
+        "per_category": [("alu", 2)],
+        "pc": 8,
+        "registers": {5: 1, 6: 2147483632},
+        "halted": True,
+        "fault_cause": "bus decode error: no target at 0x7ffffff0",
+        "end_cycle": 2,
+        "energy_breakdown": {"cpu": "1e-11", "main_memory": "0.0", "bus": "0.0"},
+    },
+    "runs_off_end": {
+        "instructions": 2,
+        "cycles": 2,
+        "loads": 0,
+        "stores": 0,
+        "branches_taken": 0,
+        "stall_cycles": 0,
+        "energy_j": "1e-11",
+        "per_category": [("alu", 2)],
+        "pc": 8,
+        "registers": {5: 3},
+        "halted": True,
+        "fault_cause": "pc 0x8 outside program",
+        "end_cycle": 2,
+        "energy_breakdown": {"cpu": "1e-11", "main_memory": "0.0", "bus": "0.0"},
+    },
+    "jalr_to_misaligned_pc": {
+        "instructions": 3,
+        "cycles": 3,
+        "loads": 0,
+        "stores": 0,
+        "branches_taken": 0,
+        "stall_cycles": 0,
+        "energy_j": "1.4e-11",
+        "per_category": [("alu", 2), ("jump", 1)],
+        "pc": 6,
+        "registers": {1: 12, 5: 6, 6: 1},
+        "halted": True,
+        "fault_cause": "pc 0x6 outside program",
+        "end_cycle": 3,
+        "energy_breakdown": {"cpu": "1.4e-11", "main_memory": "0.0", "bus": "0.0"},
+    },
+    "branch_past_end": {
+        "instructions": 2,
+        "cycles": 3,
+        "loads": 0,
+        "stores": 0,
+        "branches_taken": 1,
+        "stall_cycles": 0,
+        "energy_j": "9e-12",
+        "per_category": [("alu", 1), ("branch", 1)],
+        "pc": 68,
+        "registers": {5: 1},
+        "halted": True,
+        "fault_cause": "pc 0x44 outside program",
+        "end_cycle": 3,
+        "energy_breakdown": {"cpu": "9e-12", "main_memory": "0.0", "bus": "0.0"},
+    },
+}
+
+EXPECTED["transient_fault_sweep"] = {
+    (29, 1): [
+        (
+            [
+                13, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38,
+                39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 59, 60, 61, 62, 63, 64,
+                65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84,
+                85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97,
+            ],
+            {
+                "instructions": 1061,
+                "cycles": 5686,
+                "loads": 120,
+                "stores": 12,
+                "branches_taken": 17,
+                "stall_cycles": 4224,
+                "energy_j": "7.712999999999958e-09",
+                "per_category": [
+                    ("alu", 567), ("branch", 93), ("mul", 192), ("load", 120), ("jump", 76),
+                    ("store", 12), ("system", 1),
+                ],
+                "pc": 148,
+                "registers": {
+                    5: 4, 6: 3, 7: 5, 8: 4096, 9: 16384, 18: 32768, 19: 4, 20: 5, 21: 3,
+                    28: 4294967294, 29: 32812, 30: 4294967291, 31: 5,
+                },
+                "halted": True,
+                "fault_cause": None,
+                "end_cycle": 5685,
+                "energy_breakdown": {
+                    "cpu": "7.712999999999958e-09",
+                    "main_memory": "2.64e-09",
+                    "bus": "1.32e-10",
+                },
+                "result": [[56, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
+            },
+        ),
+        (
+            [14, 15, 16, 17],
+            {
+                "instructions": 1061,
+                "cycles": 5686,
+                "loads": 120,
+                "stores": 12,
+                "branches_taken": 17,
+                "stall_cycles": 4224,
+                "energy_j": "7.712999999999958e-09",
+                "per_category": [
+                    ("alu", 567), ("branch", 93), ("mul", 192), ("load", 120), ("jump", 76),
+                    ("store", 12), ("system", 1),
+                ],
+                "pc": 148,
+                "registers": {
+                    5: 4, 6: 3, 7: 5, 8: 4096, 9: 16384, 18: 32768, 19: 4, 20: 5, 21: 3,
+                    28: 4294967294, 29: 32812, 30: 4294967291, 31: 5,
+                },
+                "halted": True,
+                "fault_cause": None,
+                "end_cycle": 5685,
+                "energy_breakdown": {
+                    "cpu": "7.712999999999958e-09",
+                    "main_memory": "2.64e-09",
+                    "bus": "1.32e-10",
+                },
+                "result": [[31, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
+            },
+        ),
+        (
+            [18, 19],
+            {
+                "instructions": 17,
+                "cycles": 19,
+                "loads": 0,
+                "stores": 0,
+                "branches_taken": 0,
+                "stall_cycles": 0,
+                "energy_j": "9.199999999999999e-11",
+                "per_category": [("alu", 13), ("branch", 3), ("mul", 1)],
+                "pc": 68,
+                "registers": {8: 4096, 9: 16384, 18: 32768, 19: 4, 20: 5, 21: 3, 29: 4098},
+                "halted": True,
+                "fault_cause": "misaligned word access at 0x1002",
+                "end_cycle": 19,
+                "energy_breakdown": {
+                    "cpu": "9.199999999999999e-11",
+                    "main_memory": "0.0",
+                    "bus": "0.0",
+                },
+                "result": [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            },
+        ),
+        (
+            [53, 54, 55, 56],
+            {
+                "instructions": 1061,
+                "cycles": 5686,
+                "loads": 120,
+                "stores": 12,
+                "branches_taken": 17,
+                "stall_cycles": 4224,
+                "energy_j": "7.712999999999958e-09",
+                "per_category": [
+                    ("alu", 567), ("branch", 93), ("mul", 192), ("load", 120), ("jump", 76),
+                    ("store", 12), ("system", 1),
+                ],
+                "pc": 148,
+                "registers": {
+                    5: 4, 6: 3, 7: 5, 8: 4096, 9: 16384, 18: 32768, 19: 4, 20: 5, 21: 3,
+                    28: 4294967294, 29: 32812, 30: 4294967291, 31: 5,
+                },
+                "halted": True,
+                "fault_cause": None,
+                "end_cycle": 5685,
+                "energy_breakdown": {
+                    "cpu": "7.712999999999958e-09",
+                    "main_memory": "2.64e-09",
+                    "bus": "1.32e-10",
+                },
+                "result": [[-8, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
+            },
+        ),
+        (
+            [57, 58],
+            {
+                "instructions": 22,
+                "cycles": 58,
+                "loads": 1,
+                "stores": 0,
+                "branches_taken": 0,
+                "stall_cycles": 32,
+                "energy_j": "1.3200000000000004e-10",
+                "per_category": [("alu", 16), ("branch", 3), ("mul", 2), ("load", 1)],
+                "pc": 88,
+                "registers": {8: 4096, 9: 16384, 18: 32768, 19: 4, 20: 5, 21: 3, 29: 16386, 30: 8},
+                "halted": True,
+                "fault_cause": "misaligned word access at 0x4002",
+                "end_cycle": 58,
+                "energy_breakdown": {
+                    "cpu": "1.3200000000000004e-10",
+                    "main_memory": "2e-11",
+                    "bus": "1e-12",
+                },
+                "result": [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            },
+        ),
+    ],
+    (30, 3): [
+        (
+            [13, 14, 15, 16, 17, 18, 19, 95, 96, 97],
+            {
+                "instructions": 1061,
+                "cycles": 5686,
+                "loads": 120,
+                "stores": 12,
+                "branches_taken": 17,
+                "stall_cycles": 4224,
+                "energy_j": "7.712999999999958e-09",
+                "per_category": [
+                    ("alu", 567), ("branch", 93), ("mul", 192), ("load", 120), ("jump", 76),
+                    ("store", 12), ("system", 1),
+                ],
+                "pc": 148,
+                "registers": {
+                    5: 4, 6: 3, 7: 5, 8: 4096, 9: 16384, 18: 32768, 19: 4, 20: 5, 21: 3,
+                    28: 4294967294, 29: 32812, 30: 4294967291, 31: 5,
+                },
+                "halted": True,
+                "fault_cause": None,
+                "end_cycle": 5685,
+                "energy_breakdown": {
+                    "cpu": "7.712999999999958e-09",
+                    "main_memory": "2.64e-09",
+                    "bus": "1.32e-10",
+                },
+                "result": [[56, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
+            },
+        ),
+        (
+            [
+                20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39,
+                40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59,
+                60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79,
+                80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91,
+            ],
+            {
+                "instructions": 1061,
+                "cycles": 5686,
+                "loads": 120,
+                "stores": 12,
+                "branches_taken": 17,
+                "stall_cycles": 4224,
+                "energy_j": "7.712999999999958e-09",
+                "per_category": [
+                    ("alu", 567), ("branch", 93), ("mul", 192), ("load", 120), ("jump", 76),
+                    ("store", 12), ("system", 1),
+                ],
+                "pc": 148,
+                "registers": {
+                    5: 4, 6: 3, 7: 5, 8: 4096, 9: 16384, 18: 32768, 19: 4, 20: 5, 21: 3,
+                    28: 4294967294, 29: 32812, 30: 4294967291, 31: 5,
+                },
+                "halted": True,
+                "fault_cause": None,
+                "end_cycle": 5685,
+                "energy_breakdown": {
+                    "cpu": "7.712999999999958e-09",
+                    "main_memory": "2.64e-09",
+                    "bus": "1.32e-10",
+                },
+                "result": [[16, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
+            },
+        ),
+        (
+            [92, 93, 94],
+            {
+                "instructions": 1061,
+                "cycles": 5686,
+                "loads": 120,
+                "stores": 12,
+                "branches_taken": 17,
+                "stall_cycles": 4224,
+                "energy_j": "7.712999999999958e-09",
+                "per_category": [
+                    ("alu", 567), ("branch", 93), ("mul", 192), ("load", 120), ("jump", 76),
+                    ("store", 12), ("system", 1),
+                ],
+                "pc": 148,
+                "registers": {
+                    5: 4, 6: 3, 7: 5, 8: 4096, 9: 16384, 18: 32768, 19: 4, 20: 5, 21: 3,
+                    28: 4294967294, 29: 32812, 30: 4294967291, 31: 5,
+                },
+                "halted": True,
+                "fault_cause": None,
+                "end_cycle": 5685,
+                "energy_breakdown": {
+                    "cpu": "7.712999999999958e-09",
+                    "main_memory": "2.64e-09",
+                    "bus": "1.32e-10",
+                },
+                "result": [[48, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
+            },
+        ),
+    ],
+}
+
 EXPECTED_OUTCOMES = {
     ("cpu_gemm", "cpu_register", "transient"): ["sdc", "sdc", "masked", "masked", "masked",
                                                 "masked", "masked", "masked", "masked", "masked",
