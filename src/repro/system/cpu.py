@@ -8,34 +8,59 @@ enough to compare a software GeMM against the photonic accelerator
 offload, cheap enough to run fault-injection campaigns with thousands of
 simulated executions.
 
+The core executes *translated basic blocks*.  The first time it enters a
+pc it generates one Python function for the straight-line run of
+instructions from there up to and including the next branch, ``jal``,
+``jalr`` or halt.  Register indices, immediates, latencies and energies
+are literals in that function, and loads and stores call the bus inline.
+A block whose terminator is a ``j`` or a branch back to its own entry, or
+a branch whose not-taken run ends in one (a ``for`` loop's head), keeps
+looping inside the same call.  Translations are cached per assembled
+:class:`Program` and latency/energy table in a bounded LRU
+(:data:`TRANSLATION_CACHE_SIZE`), so a program that runs again, on this
+core or another, is not translated again.
+
 The CPU shares the :class:`repro.system.event.EventScheduler` with the DMA
 engines, accelerators, interrupt controller and fault injectors, but it
-does not spend one event per instruction.  :meth:`RiscvCPU.load_program`
-predecodes every instruction once into a tuple (kind, registers,
-immediate, bound ALU or branch function, latency, energy, category).  A
-CPU event then *runs ahead*: it executes instructions in a local loop
-while the next issue cycle is strictly below the scheduler's
-:meth:`~repro.system.event.EventScheduler.horizon` (the earliest pending
-event, or the end of the current ``run()``), and schedules one event at
-the cycle where it stopped.  No other component acts between two events,
-so every cycle count, joule, register value and the interleaving with DMA
-transfers, accelerator completions, interrupts and injected faults are
-exactly those of one event per instruction.  On a tie the pending event
-runs first: it was scheduled earlier, so it holds the lower sequence
-number.
+does not spend one event per instruction.  A CPU event *runs ahead*: it
+calls block after block while the next issue cycle is strictly below the
+scheduler's :meth:`~repro.system.event.EventScheduler.horizon` (the
+earliest pending event, or the end of the current ``run()``), and
+schedules one event at the cycle where it stopped.  The same check
+follows every instruction inside a block, and a block re-reads the
+horizon whenever a load or store scheduled an event, so no other
+component acts between two instructions of one event: every cycle count,
+joule, register value and the interleaving with DMA transfers,
+accelerator completions, interrupts and injected faults are exactly those
+of one event per instruction.  On a tie the pending event runs first: it
+was scheduled earlier, so it holds the lower sequence number.
+
+A block adds its instructions' energies one literal at a time, in program
+order, so the float sum is the per-instruction one.  Every way out of a
+block is an exit that holds the block's static counts up to there
+(instructions, loads, stores, taken branch, base cycles and the
+per-category counts in first-occurrence order); a loop counts each pass
+that goes round as its back edge's exit.  When the event stops it folds
+the exits it passed into :class:`CPUStats`; a run capped by
+``max_instructions`` executes the same blocks without their loops, cut
+to the remaining budget.  A load or store that raises leaves pc,
+counters, cycles and ``current_cycle`` as they were before the faulting
+instruction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.system.assembler import Program
 from repro.system.event import EventScheduler
 from repro.system.bus import SystemBus
-from repro.system.isa import BRANCH_OPS, Instruction, N_REGISTERS
-from repro.system.memory import MemoryAccessError, WORD_MASK, to_signed, to_unsigned
+from repro.system.isa import BRANCH_OPS, N_REGISTERS
+from repro.system.memory import MemoryAccessError, to_signed
 
 #: Base latency (cycles) per instruction category.
 DEFAULT_LATENCIES: Dict[str, int] = {
@@ -86,10 +111,16 @@ class CPUStats:
 
 
 # ---------------------------------------------------------------------- #
-# predecoded operations
+# block translation
 # ---------------------------------------------------------------------- #
-# Register values are unsigned 32-bit words; every result is wrapped to a
-# word when it is written back, so these functions may return any int.
+#: translations kept per process, one per program and latency/energy table
+TRANSLATION_CACHE_SIZE = 64
+
+
+# Register values are unsigned 32-bit words, so ``x ^ 0x80000000`` orders
+# words as signed values and ``(x ^ 0x80000000) - 0x80000000`` is
+# ``to_signed(x)``.  ``div``/``rem`` truncate toward zero; by zero they
+# give -1 and the dividend.
 def _div(lhs: int, rhs: int) -> int:
     divisor = to_signed(rhs)
     return -1 if divisor == 0 else int(to_signed(lhs) / divisor)
@@ -100,78 +131,381 @@ def _rem(lhs: int, rhs: int) -> int:
     return dividend if divisor == 0 else dividend - int(dividend / divisor) * divisor
 
 
-#: ALU/MUL functions of ``(rs1 value, operand)``; the operand is the rs2
-#: value or, for an immediate form, the immediate wrapped to a word.
-#: ``mul`` keeps the low word, which is the same for signed and unsigned
-#: operands, so it needs no sign conversion.
-_ALU_FUNCTIONS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda lhs, rhs: lhs + rhs,
-    "sub": lambda lhs, rhs: lhs - rhs,
-    "and": lambda lhs, rhs: lhs & rhs,
-    "or": lambda lhs, rhs: lhs | rhs,
-    "xor": lambda lhs, rhs: lhs ^ rhs,
-    "slt": lambda lhs, rhs: 1 if to_signed(lhs) < to_signed(rhs) else 0,
-    "sltu": lambda lhs, rhs: 1 if lhs < rhs else 0,
-    "sll": lambda lhs, rhs: lhs << (rhs & 0x1F),
-    "srl": lambda lhs, rhs: lhs >> (rhs & 0x1F),
-    "sra": lambda lhs, rhs: to_signed(lhs) >> (rhs & 0x1F),
-    "mul": lambda lhs, rhs: lhs * rhs,
-    "mulh": lambda lhs, rhs: (to_signed(lhs) * to_signed(rhs)) >> 32,
-    "div": _div,
-    "rem": _rem,
+#: result of each ALU/MUL operation on ``{a}`` (rs1 value) and ``{b}`` (the
+#: rs2 value or, for an immediate form, the immediate wrapped to a word)
+_ALU_TEMPLATES: Dict[str, str] = {
+    "add": "({a} + {b}) & 0xFFFFFFFF",
+    "sub": "({a} - {b}) & 0xFFFFFFFF",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "slt": "1 if {a} ^ 0x80000000 < {b} ^ 0x80000000 else 0",
+    "sltu": "1 if {a} < {b} else 0",
+    "sll": "({a} << ({b} & 31)) & 0xFFFFFFFF",
+    "srl": "{a} >> ({b} & 31)",
+    "sra": "((({a} ^ 0x80000000) - 0x80000000) >> ({b} & 31)) & 0xFFFFFFFF",
+    "mul": "({a} * {b}) & 0xFFFFFFFF",
+    "mulh": "((({a} ^ 0x80000000) - 0x80000000) * (({b} ^ 0x80000000) - 0x80000000)"
+            " >> 32) & 0xFFFFFFFF",
+    "div": "_div({a}, {b}) & 0xFFFFFFFF",
+    "rem": "_rem({a}, {b}) & 0xFFFFFFFF",
 }
 
+#: slti compares against the immediate as written, not its 32-bit wrap
+_SLTI_TEMPLATE = "1 if ({a} ^ 0x80000000) - 0x80000000 < {b} else 0"
 
-#: register-register function behind each immediate mnemonic
+#: register-register operation behind each immediate mnemonic
 _IMMEDIATE_BASE = {
     "addi": "add", "andi": "and", "ori": "or", "xori": "xor", "slti": "slt",
     "sltiu": "sltu", "slli": "sll", "srli": "srl", "srai": "sra",
 }
 
-
-def _slt_immediate(lhs: int, imm: int) -> int:
-    # slti compares against the immediate as written, not its 32-bit wrap
-    return 1 if to_signed(lhs) < imm else 0
-
-
-_BRANCH_FUNCTIONS: Dict[str, Callable[[int, int], bool]] = {
-    "beq": lambda lhs, rhs: lhs == rhs,
-    "bne": lambda lhs, rhs: lhs != rhs,
-    "blt": lambda lhs, rhs: to_signed(lhs) < to_signed(rhs),
-    "bge": lambda lhs, rhs: to_signed(lhs) >= to_signed(rhs),
-    "bltu": lambda lhs, rhs: lhs < rhs,
-    "bgeu": lambda lhs, rhs: lhs >= rhs,
+_BRANCH_TEMPLATES: Dict[str, str] = {
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "blt": "{a} ^ 0x80000000 < {b} ^ 0x80000000",
+    "bge": "{a} ^ 0x80000000 >= {b} ^ 0x80000000",
+    "bltu": "{a} < {b}",
+    "bgeu": "{a} >= {b}",
 }
 
-# Instruction kinds, in dispatch order (most frequent first).
-_ALU_IMM, _ALU_REG, _BRANCH, _LOAD, _JAL, _STORE, _JALR, _CONST, _HALT = range(9)
 
-#: ``(kind, rd, rs1, rs2, imm, function, latency, energy, category)``; ``imm``
-#: holds what the kind needs: the ALU operand, the load/store or jalr offset,
-#: the lui/auipc result, or the absolute branch/jal target.
-_Decoded = Tuple[int, int, int, int, int, Optional[Callable], int, float, str]
+class _Exit:
+    """One way out of a translated block: its static counts up to there."""
+
+    __slots__ = ("instructions", "loads", "stores", "taken", "base_cycles", "per_category",
+                 "halts")
+
+    def __init__(self, instructions, loads, stores, taken, base_cycles, per_category, halts):
+        self.instructions = instructions
+        self.loads = loads
+        self.stores = stores
+        self.taken = taken
+        #: cycles without bus latency; the rest of an event's cycles are stalls
+        self.base_cycles = base_cycles
+        #: ``(category, count)`` in first-occurrence order
+        self.per_category = per_category
+        self.halts = halts
+
+
+class _BlockFault(Exception):
+    """A load or store raised inside a block (the cause is ``__cause__``).
+
+    Carries the state before the faulting instruction: its pc and issue
+    cycle, the energy so far, and the exit of the instructions the block
+    executed before it (``None`` when it was the first).
+    """
+
+    def __init__(self, pc: int, issue: int, energy: float, executed: Optional[_Exit]):
+        super().__init__(pc)
+        self.pc = pc
+        self.issue = issue
+        self.energy = energy
+        self.executed = executed
 
 
 def _reg(index: Optional[int]) -> int:
     # an absent source reads x0 (always 0); an absent destination is x0
-    return 0 if index is None else index
+    return 0 if index is None else operator.index(index)
+
+
+def _float_literal(value) -> str:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"instruction energy must be finite, got {value!r}")
+    return repr(value)
+
+
+def _literal_tables(
+    latencies: Dict[str, int], energies: Dict[str, float]
+) -> Tuple[Dict[str, int], Dict[str, str]]:
+    """Latencies as ints and energies as float literals (rejects anything else)."""
+    return (
+        {category: operator.index(value) for category, value in latencies.items()},
+        {category: _float_literal(value) for category, value in energies.items()},
+    )
+
+
+#: a translated block without a loop: ``(function, instruction count)``
+_Block = Tuple[Callable, int]
+
+_TERMINATORS = BRANCH_OPS | {"jal", "jalr", "ecall", "ebreak"}
+
+
+def _straight_run(instructions, index: int, limit: Optional[int] = None) -> List[int]:
+    """Instruction indices from ``index`` up to and including the next terminator."""
+    run: List[int] = []
+    while index < len(instructions) and len(run) != limit:
+        run.append(index)
+        if instructions[index].op in _TERMINATORS:
+            break
+        index += 1
+    return run
+
+
+def _jumps_to(instructions, index: int, entry: int) -> bool:
+    """Whether instruction ``index`` is a ``j`` or a branch to byte address ``entry``."""
+    instruction = instructions[index]
+    if instruction.op in BRANCH_OPS or (instruction.op == "jal" and not instruction.rd):
+        return 4 * index + instruction.imm == entry
+    return False
+
+
+def _plan(instructions, pc: int, loop: bool, limit: Optional[int]) -> Tuple[List[int], bool]:
+    """The instruction indices of the block at ``pc`` and whether they loop.
+
+    A block is the straight run from ``pc`` through its terminator (or
+    ``limit`` instructions).  With ``loop`` it runs again from ``pc``
+    inside the same call when that terminator is a ``j`` or branch back to
+    ``pc``, or when it is a branch whose not-taken run ends in one.
+    """
+    run = _straight_run(instructions, pc // 4, limit)
+    if not loop:
+        return run, False
+    last = run[-1]
+    if _jumps_to(instructions, last, pc):
+        return run, True
+    if instructions[last].op in BRANCH_OPS:
+        rest = _straight_run(instructions, last + 1)
+        if rest and _jumps_to(instructions, rest[-1], pc):
+            return run + rest, True
+    return run, False
+
+
+def _translate_block(
+    program: Program,
+    pc: int,
+    latencies: Dict[str, int],
+    energies: Dict[str, str],
+    loop: bool = True,
+    limit: Optional[int] = None,
+) -> _Block:
+    """Generate the function of the basic block that starts at ``pc``.
+
+    The block runs to the next branch, ``jal``, ``jalr`` or halt, to the
+    end of the program, or to ``limit`` instructions; with ``loop`` it may
+    also loop back to ``pc`` (:func:`_plan`).  The function is
+    ``block(regs, bus, scheduler, t, horizon, sequence, energy, visits)``
+    with ``t`` the first instruction's issue cycle; ``energies`` are float
+    literals (:func:`_literal_tables`).  It returns ``(next pc, issue
+    cycle of its last instruction, that instruction's latency, energy,
+    exit)``, and returns early, after any instruction, whose next issue
+    cycle reaches ``horizon``.  Each pass of a loop that goes round is
+    counted in ``visits`` as its exit.  The source holds only integer
+    and float literals and fixed templates.
+    """
+    instructions = program.instructions
+    if pc % 4 or not 0 <= pc < 4 * len(instructions):
+        raise CPUError(f"pc {pc:#x} outside program")
+    path, loops = _plan(instructions, pc, loop, limit)
+    name = f"block_{pc:#x}"
+    namespace: Dict[str, object] = {"_div": _div, "_rem": _rem, "_BlockFault": _BlockFault}
+    per_category: Dict[str, int] = {}
+    counts = {"instructions": 0, "loads": 0, "stores": 0, "base_cycles": 0}
+
+    def exit_(taken: int = 0, halts: bool = False) -> str:
+        exit_name = f"X{len(namespace)}"
+        namespace[exit_name] = _Exit(
+            counts["instructions"], counts["loads"], counts["stores"], taken,
+            counts["base_cycles"] + taken, tuple(per_category.items()), halts,
+        )
+        return exit_name
+
+    lines = [f"def {name}(regs, bus, scheduler, t, horizon, sequence, energy, visits):"]
+    pad = "    "
+    if loops:
+        lines.append("    while True:")
+        pad = "        "
+
+    def emit(*code: str) -> None:
+        lines.extend(pad + line for line in code)
+
+    def go_round(cost: int, taken: int) -> None:
+        # the loop's back edge: one more pass unless the horizon is reached
+        done = exit_(taken=taken)
+        emit(f"if t + {cost} >= horizon:",
+             f"    return {pc}, t, {cost}, energy, {done}",
+             f"t += {cost}",
+             f"visits[{done}] = visits.get({done}, 0) + 1")
+
+    for position, index in enumerate(path):
+        instruction = instructions[index]
+        op, category = instruction.op, instruction.category
+        here, next_pc = 4 * index, 4 * index + 4
+        final = position == len(path) - 1
+        rd, rs1, rs2 = _reg(instruction.rd), _reg(instruction.rs1), _reg(instruction.rs2)
+        imm = None if instruction.imm is None else operator.index(instruction.imm)
+        a, b = f"regs[{rs1}]", f"regs[{rs2}]"
+        latency, joules = latencies[category], energies[category]
+        # a faulting load or store leaves the state after the instructions before it
+        faulted = exit_() if op in ("lw", "sw") and counts["instructions"] else "None"
+        counts["instructions"] += 1
+        counts["base_cycles"] += latency
+        per_category[category] = per_category.get(category, 0) + 1
+        emit(f"# {here:#x}: {op}")
+        if op in BRANCH_OPS:
+            target = here + imm
+            emit(f"energy += {joules}",
+                 f"if {_BRANCH_TEMPLATES[op].format(a=a, b=b)}:")
+            if loops and final:
+                pad += "    "
+                go_round(latency + 1, taken=1)
+                pad = pad[:-4]
+                emit("else:", f"    return {next_pc}, t, {latency}, energy, {exit_()}")
+                break
+            emit(f"    return {target}, t, {latency + 1}, energy, {exit_(taken=1)}")
+            if final:
+                emit(f"return {next_pc}, t, {latency}, energy, {exit_()}")
+                break
+            # a branch inside a loop: the not-taken path stays in the block
+            emit(f"if t + {latency} >= horizon:",
+                 f"    return {next_pc}, t, {latency}, energy, {exit_()}",
+                 f"t += {latency}")
+            continue
+        if op == "jal":
+            if rd:
+                emit(f"regs[{rd}] = {next_pc}")
+            emit(f"energy += {joules}")
+            if loops:
+                go_round(latency, taken=0)
+            else:
+                emit(f"return {here + imm}, t, {latency}, energy, {exit_()}")
+            break
+        if op == "jalr":
+            emit(f"target = ({a} + {imm}) & 0xFFFFFFFE")
+            if rd:
+                emit(f"regs[{rd}] = {next_pc}")
+            emit(f"energy += {joules}", f"return target, t, {latency}, energy, {exit_()}")
+            break
+        if op in ("ecall", "ebreak"):
+            emit(f"energy += {joules}",
+                 f"return {next_pc}, t, {latency}, energy, {exit_(halts=True)}")
+            break
+        cost = str(latency)
+        if op in ("lw", "sw"):
+            address = f"({a} + {imm}) & 0xFFFFFFFF" if imm else a
+            if op == "lw":
+                counts["loads"] += 1
+                access = (f"value, access = bus.read_word({address})" if rd
+                          else f"access = bus.read_word({address})[1]")
+            else:
+                counts["stores"] += 1
+                access = f"access = bus.write_word({address}, {b})"
+            # The bus may start a device, so it sees the issue cycle.  Any
+            # exception leaves with the state before this instruction: the
+            # core halts on a MemoryAccessError and re-raises anything else.
+            emit("scheduler.current_cycle = t",
+                 "try:",
+                 f"    {access}",
+                 "except Exception as exc:",
+                 f"    raise _BlockFault({here}, t, energy, {faulted}) from exc")
+            if op == "lw" and rd:
+                emit(f"regs[{rd}] = int(value) & 0xFFFFFFFF")
+            # an access that scheduled an event (a device start) moves the horizon
+            emit("if scheduler.sequence != sequence:",
+                 "    horizon = scheduler.horizon()",
+                 "    sequence = scheduler.sequence",
+                 f"latency = {latency} + access")
+            cost = "latency"
+        elif op == "lui":
+            if rd:
+                emit(f"regs[{rd}] = {(imm << 12) & 0xFFFFFFFF}")
+        elif op == "auipc":
+            if rd:
+                emit(f"regs[{rd}] = {(here + (imm << 12)) & 0xFFFFFFFF}")
+        elif rd:
+            base = _IMMEDIATE_BASE.get(op, op)
+            if instruction.rs2 is not None:
+                template = _ALU_TEMPLATES[base]
+            elif base == "slt":
+                template, b = _SLTI_TEMPLATE, str(imm)
+            else:
+                template, b = _ALU_TEMPLATES[base], str(imm & 0xFFFFFFFF)
+            emit(f"regs[{rd}] = {template.format(a=a, b=b)}")
+        emit(f"energy += {joules}")
+        if final:
+            # the end of the program or of the instruction budget
+            emit(f"return {next_pc}, t, {cost}, energy, {exit_()}")
+            break
+        emit(f"if t + {cost} >= horizon:",
+             f"    return {next_pc}, t, {cost}, energy, {exit_()}",
+             f"t += {cost}")
+    filename = f"<riscv block {pc:#x}>" if limit is None else f"<riscv block {pc:#x}:{limit}>"
+    exec(compile("\n".join(lines) + "\n", filename, "exec"), namespace)
+    return namespace[name], counts["instructions"]
+
+
+class _Translation:
+    """The translated blocks of one program under one latency/energy table."""
+
+    __slots__ = ("program", "latencies", "energies", "blocks", "_straight")
+
+    def __init__(self, program: Program, latencies: Dict[str, int], energies: Dict[str, float]):
+        #: held so that ``id(program)`` in the cache key stays this program's
+        self.program = program
+        self.latencies, self.energies = _literal_tables(latencies, energies)
+        #: entry pc -> block function
+        self.blocks: Dict[int, Callable] = {}
+        #: ``(entry pc, instruction limit or None)`` -> block without a loop
+        self._straight: Dict[Tuple[int, Optional[int]], _Block] = {}
+
+    def translate(self, pc: int) -> Callable:
+        """Translate the block at ``pc`` and add it to :attr:`blocks`."""
+        block, _ = _translate_block(self.program, pc, self.latencies, self.energies)
+        self.blocks[pc] = block
+        return block
+
+    def capped(self, pc: int, budget: int) -> _Block:
+        """The block at ``pc`` without its loop, cut to ``budget`` instructions."""
+        entry = self._straight.get((pc, None))
+        if entry is None:
+            entry = self._straight[pc, None] = _translate_block(
+                self.program, pc, self.latencies, self.energies, loop=False
+            )
+        if entry[1] > budget:
+            entry = self._straight.get((pc, budget))
+            if entry is None:
+                entry = self._straight[pc, budget] = _translate_block(
+                    self.program, pc, self.latencies, self.energies, loop=False, limit=budget
+                )
+        return entry
+
+
+_TRANSLATIONS: "OrderedDict[tuple, _Translation]" = OrderedDict()
+
+
+def _translation_for(
+    program: Program, latencies: Dict[str, int], energies: Dict[str, float]
+) -> _Translation:
+    """The cached translation of ``program`` under these tables (LRU, bounded)."""
+    key = (id(program), tuple(sorted(latencies.items())), tuple(sorted(energies.items())))
+    translation = _TRANSLATIONS.get(key)
+    if translation is None:
+        translation = _TRANSLATIONS[key] = _Translation(program, latencies, energies)
+        while len(_TRANSLATIONS) > TRANSLATION_CACHE_SIZE:
+            _TRANSLATIONS.popitem(last=False)
+    else:
+        _TRANSLATIONS.move_to_end(key)
+    return translation
 
 
 class RiscvCPU:
-    """Predecoded, run-ahead RV32IM subset core.
+    """Block-translating, run-ahead RV32IM subset core.
 
     Attributes:
         scheduler: shared event queue.
         bus: system interconnect for loads/stores.
         clock_hz: core clock (converts cycles to seconds for reports).
         name: instance name (used by multi-core / cluster configurations).
-        latencies / energies: per-category base latency and dynamic
-            energy, bound into the predecoded program by
-            :meth:`load_program`.
+        latencies / energies: per-category base latency (int cycles) and
+            dynamic energy (finite joules), read by :meth:`load_program`
+            to pick the program's translation.
         registers: the architectural register file (unsigned 32-bit words;
             fault injectors write it between events).
         interrupt_pending: set by :meth:`raise_interrupt` when a subscribed
             interrupt line fires; cleared by :meth:`load_program`.
+        fault_cause: why the loaded program stopped on an architectural
+            fault (bad pc, rejected load or store), else ``None``.
     """
 
     def __init__(
@@ -194,8 +528,9 @@ class RiscvCPU:
         self.program: Optional[Program] = None
         self.halted = False
         self.interrupt_pending = False
+        self.fault_cause: Optional[str] = None
         self.stats = CPUStats()
-        self._decoded: Dict[int, _Decoded] = {}
+        self._translation: Optional[_Translation] = None
         self._max_instructions: Optional[int] = None
 
     # ------------------------------------------------------------------ #
@@ -211,55 +546,16 @@ class RiscvCPU:
     # program control
     # ------------------------------------------------------------------ #
     def load_program(self, program: Program, max_instructions: Optional[int] = None) -> None:
-        """Load and predecode a program and reset the architectural state."""
+        """Load a program and reset the architectural state."""
         self.program = program
-        # predecoded instructions by byte address: a misaligned or
-        # out-of-program pc is simply a missing key
-        self._decoded = {
-            4 * index: self._decode(instruction, 4 * index)
-            for index, instruction in enumerate(program.instructions)
-        }
+        self._translation = _translation_for(program, self.latencies, self.energies)
         self.pc = 0
         self.registers = [0] * N_REGISTERS
         self.halted = False
         self.interrupt_pending = False
+        self.fault_cause = None
         self.stats = CPUStats()
         self._max_instructions = max_instructions
-
-    def _decode(self, instruction: Instruction, pc: int) -> _Decoded:
-        """Resolve everything about one instruction that does not depend on state."""
-        op = instruction.op
-        category = instruction.category
-        rd, rs1, rs2 = _reg(instruction.rd), _reg(instruction.rs1), _reg(instruction.rs2)
-        imm, function = instruction.imm, None
-        if op in ("ecall", "ebreak"):
-            kind = _HALT
-        elif op == "lui":
-            kind, imm = _CONST, imm << 12
-        elif op == "auipc":
-            kind, imm = _CONST, pc + (imm << 12)
-        elif op == "jal":
-            kind, imm = _JAL, pc + imm
-        elif op == "jalr":
-            kind = _JALR
-        elif op in BRANCH_OPS:
-            kind, imm, function = _BRANCH, pc + imm, _BRANCH_FUNCTIONS[op]
-        elif op == "lw":
-            kind = _LOAD
-        elif op == "sw":
-            kind = _STORE
-        else:
-            base = _IMMEDIATE_BASE.get(op, op)
-            if instruction.rs2 is not None:
-                kind, function = _ALU_REG, _ALU_FUNCTIONS[base]
-            elif base == "slt":
-                kind, function = _ALU_IMM, _slt_immediate
-            else:
-                kind, imm, function = _ALU_IMM, to_unsigned(imm), _ALU_FUNCTIONS[base]
-        return (
-            kind, rd, rs1, rs2, imm, function,
-            self.latencies[category], self.energies[category], category,
-        )
 
     def start(self, delay: int = 0) -> None:
         """Schedule the first instruction fetch."""
@@ -275,99 +571,99 @@ class RiscvCPU:
     # execution
     # ------------------------------------------------------------------ #
     def _execute_next(self) -> None:
-        """Run ahead from the current cycle up to the scheduler's horizon."""
+        """Run translated blocks from the current cycle up to the scheduler's horizon."""
         if self.halted:
             return
         scheduler = self.scheduler
         bus = self.bus
         regs = self.registers
-        decoded = self._decoded
+        translation = self._translation
+        blocks = translation.blocks
         stats = self.stats
-        per_category = stats.per_category
-        max_instructions = self._max_instructions
-        if max_instructions is None:
-            max_instructions = math.inf
-        instructions, cycles, energy = stats.instructions, stats.cycles, stats.energy_j
+        budget = None
+        if self._max_instructions is not None:
+            budget = self._max_instructions - stats.instructions
+            # a capped run fetches every block cut to the remaining budget
+            blocks = {}
         pc = self.pc
-        issue = scheduler.current_cycle
+        energy = stats.energy_j
+        start = t = scheduler.current_cycle
+        # latency of the last instruction when the event stops after it
+        pending = 0
         horizon = scheduler.horizon()
         sequence = scheduler.sequence
+        visits: Dict[_Exit, int] = {}
+        seen = visits.get
         try:
             while True:
-                if instructions >= max_instructions:
-                    self.halted = True
-                    break
-                try:
-                    kind, rd, rs1, rs2, imm, function, latency, joules, category = decoded[pc]
-                except KeyError:
-                    raise CPUError(f"pc {pc:#x} outside program") from None
-                next_pc = pc + 4
-                if kind == _ALU_IMM:
-                    if rd:
-                        regs[rd] = function(regs[rs1], imm) & WORD_MASK
-                elif kind == _ALU_REG:
-                    if rd:
-                        regs[rd] = function(regs[rs1], regs[rs2]) & WORD_MASK
-                elif kind == _BRANCH:
-                    if function(regs[rs1], regs[rs2]):
-                        next_pc = imm
-                        stats.branches_taken += 1
-                        latency += 1  # simple taken-branch penalty
-                elif kind == _LOAD or kind == _STORE:
-                    # the bus may start a device: it sees the issue cycle
-                    scheduler.current_cycle = issue
-                    address = (regs[rs1] + imm) & WORD_MASK
-                    if kind == _LOAD:
-                        value, access_latency = bus.read_word(address)
-                        if rd:
-                            regs[rd] = int(value) & WORD_MASK
-                        stats.loads += 1
+                block = blocks.get(pc)
+                if block is None:
+                    if budget is None:
+                        block = translation.translate(pc)
+                    elif budget <= 0:
+                        self.halted = True
+                        break
                     else:
-                        access_latency = bus.write_word(address, regs[rs2])
-                        stats.stores += 1
-                    latency += access_latency
-                    stats.stall_cycles += access_latency
-                    if scheduler.sequence != sequence:
-                        # the access scheduled an event (e.g. a device start)
-                        horizon = scheduler.horizon()
-                        sequence = scheduler.sequence
-                elif kind == _JAL:
-                    if rd:
-                        regs[rd] = next_pc
-                    next_pc = imm
-                elif kind == _JALR:
-                    target = (regs[rs1] + imm) & ~1
-                    if rd:
-                        regs[rd] = next_pc
-                    next_pc = target & WORD_MASK
-                elif kind == _CONST:
-                    if rd:
-                        regs[rd] = imm & WORD_MASK
-                else:
+                        # a block that does not end the event runs whole
+                        block, size = translation.capped(pc, budget)
+                        budget -= size
+                pc, t, latency, energy, exit_ = block(
+                    regs, bus, scheduler, t, horizon, sequence, energy, visits
+                )
+                visits[exit_] = seen(exit_, 0) + 1
+                if exit_.halts:
                     self.halted = True
-                instructions += 1
-                cycles += latency
-                energy += joules
-                try:
-                    per_category[category] += 1
-                except KeyError:
-                    per_category[category] = 1
-                pc = next_pc
-                if kind == _HALT:
+                    pending = latency
                     break
-                if issue + latency >= horizon:
-                    scheduler.current_cycle = issue
+                if scheduler.sequence != sequence:
+                    horizon = scheduler.horizon()
+                    sequence = scheduler.sequence
+                if t + latency >= horizon:
+                    pending = latency
+                    scheduler.current_cycle = t
                     scheduler.schedule(latency, self._execute_next, label=f"{self.name}-exec")
                     break
-                issue += latency
-        except (CPUError, MemoryAccessError) as exc:
+                t += latency
+        except _BlockFault as fault:
+            pc, t, energy = fault.pc, fault.issue, fault.energy
+            if fault.executed is not None:
+                visits[fault.executed] = seen(fault.executed, 0) + 1
+            cause = fault.__cause__
+            if not isinstance(cause, MemoryAccessError):
+                raise cause from None
             # Architectural faults halt the core; the SoC records the cause.
+            self.halted = True
+            self.fault_cause = str(cause)
+        except CPUError as exc:
             self.halted = True
             self.fault_cause = str(exc)
         finally:
             self.pc = pc
-            stats.instructions, stats.cycles, stats.energy_j = instructions, cycles, energy
-            scheduler.current_cycle = issue
+            self._commit(visits, t + pending - start, energy)
+            scheduler.current_cycle = t
+
+    def _commit(self, visits: Dict[_Exit, int], cycles: int, energy: float) -> None:
+        """Fold one event's block exits, cycles and energy into the statistics."""
+        stats = self.stats
+        per_category = stats.per_category
+        instructions = loads = stores = taken = base_cycles = 0
+        # first visits come in program order, so new categories are added
+        # in the order they first executed
+        for exit_, n in visits.items():
+            instructions += n * exit_.instructions
+            loads += n * exit_.loads
+            stores += n * exit_.stores
+            taken += n * exit_.taken
+            base_cycles += n * exit_.base_cycles
+            for category, count in exit_.per_category:
+                per_category[category] = per_category.get(category, 0) + n * count
+        stats.instructions += instructions
+        stats.cycles += cycles
+        stats.loads += loads
+        stats.stores += stores
+        stats.branches_taken += taken
+        stats.stall_cycles += cycles - base_cycles
+        stats.energy_j = energy
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -265,7 +265,7 @@ def run_fault_campaign(
             result.outcomes.append("crash")
             result.specs.append(spec)
             continue
-        if getattr(soc.cpu, "fault_cause", None):
+        if soc.cpu.fault_cause:
             outcome = "crash"
         elif not soc.cpu.halted or report.cycles >= soc.max_cycles:
             outcome = "hang"

@@ -1,13 +1,16 @@
-"""Bitwise oracle of the RISC-V interpreter's simulated results.
+"""Bitwise oracle of the RISC-V core's simulated results.
 
-Every expected value below is a literal captured from the one-event-per-
-instruction interpreter that the predecoded, run-ahead one replaced.  A
-run-ahead interpreter may execute many instructions inside one scheduler
-event, but it must not move a single simulated cycle, joule, register or
-program counter: the CPU statistics (energy as ``repr`` of the float sum),
-the architectural state, the lifetime cycle each run returns and the SoC
-energy breakdown all stay identical, on fresh and reused SoCs, with bus
-arbitration on, under the watchdog, and under fault injection.
+Every expected value below is a literal captured from an earlier
+per-instruction model: the one-event-per-instruction interpreter, or the
+predecoded interpreter that replaced it and matched it on every case they
+share.  The block-translating, run-ahead core may execute many instructions
+inside one generated function and one scheduler event, but it must not
+move a single simulated cycle, joule, register or program counter: the
+CPU statistics (energy as ``repr`` of the float sum, ``per_category`` in
+insertion order), the architectural state, the lifetime cycle each run
+returns and the SoC energy breakdown all stay identical, on fresh and
+reused SoCs, with bus arbitration on, under the watchdog, under an
+instruction cap, and under fault injection.
 """
 
 import numpy as np
@@ -55,7 +58,7 @@ def _snapshot(soc: PhotonicSoC, end_cycle: int, result=None) -> dict:
         "pc": cpu.pc,
         "registers": {i: value for i, value in enumerate(cpu.registers) if value},
         "halted": cpu.halted,
-        "fault_cause": getattr(cpu, "fault_cause", None),
+        "fault_cause": cpu.fault_cause,
         "end_cycle": int(end_cycle),
         "energy_breakdown": {
             name: repr(value) for name, value in soc._energy_breakdown().items()

@@ -206,7 +206,7 @@ class TestCPUExecution:
     def test_bad_memory_access_halts_with_fault(self):
         cpu, _ = run_source("li a0, 0x7fffff00\nlw t0, 0(a0)\nhalt")
         assert cpu.halted
-        assert getattr(cpu, "fault_cause", None)
+        assert cpu.fault_cause
 
     def test_runtime_seconds(self):
         cpu, _ = run_source("halt")

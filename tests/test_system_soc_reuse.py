@@ -53,3 +53,16 @@ class TestRelativeWatchdog:
         end = soc.run_program("addi x1, x0, 1\necall", max_cycles=first.cycles)
         assert soc.cpu.halted
         assert end > first.cycles
+
+
+class TestFaultCause:
+    def test_a_new_program_clears_the_previous_fault(self):
+        soc = PhotonicSoC()
+        soc.run_program("li t0, 3\nlw t1, 0(t0)\nhalt")
+        assert soc.cpu.fault_cause == "misaligned word access at 0x3"
+        soc.run_program("li t0, 4\nhalt")
+        assert soc.cpu.halted
+        assert soc.cpu.fault_cause is None
+
+    def test_a_fresh_cpu_has_no_fault(self):
+        assert PhotonicSoC().cpu.fault_cause is None
