@@ -209,21 +209,17 @@ def _reg(index: Optional[int]) -> int:
     return 0 if index is None else operator.index(index)
 
 
-def _float_literal(value) -> str:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"instruction energy must be finite, got {value!r}")
-    return repr(value)
-
-
 def _literal_tables(
     latencies: Dict[str, int], energies: Dict[str, float]
 ) -> Tuple[Dict[str, int], Dict[str, str]]:
     """Latencies as ints and energies as float literals (rejects anything else)."""
-    return (
-        {category: operator.index(value) for category, value in latencies.items()},
-        {category: _float_literal(value) for category, value in energies.items()},
-    )
+    literals = {}
+    for category, value in energies.items():
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{category} energy must be finite, got {value!r}")
+        literals[category] = repr(value)
+    return {category: operator.index(value) for category, value in latencies.items()}, literals
 
 
 #: a translated block without a loop: ``(function, instruction count)``

@@ -24,7 +24,13 @@ from repro.system.faults import (
     FaultSpec,
     run_fault_campaign,
 )
-from repro.system.programs import dot_product_program, gemm_program, vector_add_program
+from repro.system.mmr import STATUS_OFFSET
+from repro.system.programs import (
+    accelerator_offload_program,
+    dot_product_program,
+    gemm_program,
+    vector_add_program,
+)
 from repro.system.soc import PhotonicSoC
 
 A_ADDR, B_ADDR, C_ADDR = 0x1000, 0x4000, 0x8000
@@ -1072,3 +1078,82 @@ def test_only_an_irq_offload_leaves_an_interrupt_pending(use_interrupt):
     assert soc.cpu.interrupt_pending is use_interrupt
     soc.run_program("halt")
     assert soc.cpu.interrupt_pending is False
+
+
+def _ticked_snapshot(build, ticks=0):
+    """Run ``build(soc)``'s program on a fresh SoC, with a no-op event per cycle below ``ticks``."""
+    soc = _soc_with_pe()
+    source = build(soc)
+    for cycle in range(ticks):
+        soc.scheduler.schedule_at(cycle, lambda: None, label="tick")
+    snapshot = _snapshot(soc, soc.run_program(source))
+    return snapshot, soc.scheduler.events_processed
+
+
+def _gemm_source(soc):
+    weights, inputs = _operands()
+    soc.write_matrix(A_ADDR, weights)
+    soc.write_matrix(B_ADDR, inputs)
+    return gemm_program(A_ADDR, B_ADDR, C_ADDR, *weights.shape, inputs.shape[1])
+
+
+def _unrolled_poll_source(soc):
+    """Start an offload, then sum 150 STATUS reads in one straight-line block.
+
+    The START store schedules the accelerator's events mid-block, so the
+    block must re-read the horizon to let them run between its reads.
+    """
+    source = accelerator_offload_program(soc.accelerators[0].mmr_base, A_ADDR, B_ADDR, C_ADDR,
+                                         4, 5, 3)
+    soc.write_matrix(A_ADDR, _operands()[0])
+    soc.write_matrix(B_ADDR, _operands()[1])
+    reads = [f"lw t1, {STATUS_OFFSET}(s0)\nadd t3, t3, t1" for _ in range(150)]
+    return source[:source.index("wait:")] + "\n".join(reads) + "\nhalt"
+
+
+TICKED_PROGRAMS = {
+    "every_opcode": lambda soc: every_opcode_program(),
+    "gemm": _gemm_source,
+    "spin_then_halt": lambda soc: "li t0, 300\nloop:\naddi t0, t0, -1\nbnez t0, loop\nhalt",
+    "misaligned_lw": lambda soc: FAULTING_PROGRAMS["misaligned_lw"],
+}
+
+
+@pytest.mark.parametrize("name", list(TICKED_PROGRAMS))
+def test_an_event_at_every_cycle_moves_no_simulated_figure(name):
+    """Stopping after every instruction is the one-event-per-instruction model."""
+    build = TICKED_PROGRAMS[name]
+    alone, alone_events = _ticked_snapshot(build)
+    ticked, ticked_events = _ticked_snapshot(build, alone["end_cycle"])
+    assert ticked == alone
+    # every tick ran, and the core stopped after every instruction but the
+    # last ones, which issue after the final tick
+    assert ticked_events - alone["end_cycle"] >= alone["instructions"] - 1
+
+
+#: captured from the predecoded per-instruction interpreter: 97 reads saw
+#: BUSY (1) and 53 saw DONE (2)
+UNROLLED_POLL = {
+    "instructions": 318,
+    "cycles": 792,
+    "loads": 150,
+    "stores": 8,
+    "branches_taken": 0,
+    "stall_cycles": 474,
+    "energy_j": "2.3770000000000037e-09",
+    "per_category": [("alu", 159), ("store", 8), ("load", 150), ("system", 1)],
+    "pc": 1272,
+    "registers": {5: 1, 6: 2, 8: 1073741824, 28: 247},
+    "halted": True,
+    "fault_cause": None,
+    "end_cycle": 791,
+    "energy_breakdown": {"cpu": "2.3770000000000037e-09", "main_memory": "9.399999999999999e-10",
+                         "bus": "2.05e-10", "photonic0": "3.8491e-10"},
+}
+
+
+def test_a_device_started_mid_block_runs_between_its_instructions():
+    snapshot, events = _ticked_snapshot(_unrolled_poll_source)
+    assert snapshot == UNROLLED_POLL
+    # fetch, DMA-in, compute, DMA-out and the core resuming after each
+    assert events == 6
