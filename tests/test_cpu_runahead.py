@@ -11,6 +11,11 @@ insertion order), the architectural state, the lifetime cycle each run
 returns and the SoC energy breakdown all stay identical, on fresh and
 reused SoCs, with bus arbitration on, under the watchdog, under an
 instruction cap, and under fault injection.
+
+The bus and main-memory counters (``transfers``, ``memory_reads``,
+``memory_writes`` and the arbitration counters) and the arbitrated
+memory-loop case were captured later, from the block-translating core
+whose every load and store called the bus.
 """
 
 import numpy as np
@@ -66,6 +71,11 @@ def _snapshot(soc: PhotonicSoC, end_cycle: int, result=None) -> dict:
         "halted": cpu.halted,
         "fault_cause": cpu.fault_cause,
         "end_cycle": int(end_cycle),
+        "transfers": soc.bus.transfers,
+        "memory_reads": soc.main_memory.stats.reads,
+        "memory_writes": soc.main_memory.stats.writes,
+        "contention_cycles": soc.bus.contention_cycles,
+        "contention_events": soc.bus.contention_events,
         "energy_breakdown": {
             name: repr(value) for name, value in soc._energy_breakdown().items()
         },
@@ -99,9 +109,42 @@ def case_arbitration():
     soc = _soc_with_pe()
     soc.bus.arbitration_penalty = 3
     weights, inputs = _operands()
-    snapshot = _report_snapshot(soc, soc.run_offloaded_gemm(weights, inputs))
-    snapshot["contention_cycles"] = soc.bus.contention_cycles
-    snapshot["contention_events"] = soc.bus.contention_events
+    return _report_snapshot(soc, soc.run_offloaded_gemm(weights, inputs))
+
+
+#: where the arbitrated loop stores ``A[i] + B[i]``, clear of the offload's operands
+SUM_ADDR = 0xC000
+
+
+def case_arbitrated_memory_loop():
+    """Main-memory loads and stores while the offload's DMA streams hold the bus."""
+    soc = _soc_with_pe()
+    soc.bus.arbitration_penalty = 3
+    weights, inputs = _operands()
+    soc.write_matrix(A_ADDR, weights)
+    soc.write_matrix(B_ADDR, inputs)
+    source = accelerator_offload_program(soc.accelerators[0].mmr_base, A_ADDR, B_ADDR, C_ADDR,
+                                         *weights.shape, inputs.shape[1])
+    wait = source.index("wait:")
+    loop = f"""
+        li   a0, {A_ADDR}
+        li   a1, {B_ADDR}
+        li   a2, {SUM_ADDR}
+        li   a3, {inputs.size}
+    sum:
+        lw   t4, 0(a0)
+        lw   t5, 0(a1)
+        add  t4, t4, t5
+        sw   t4, 0(a2)
+        addi a0, a0, 4
+        addi a1, a1, 4
+        addi a2, a2, 4
+        addi a3, a3, -1
+        bnez a3, sum
+    """
+    end = soc.run_program(source[:wait] + loop + source[wait:])
+    snapshot = _snapshot(soc, end, soc.read_matrix(C_ADDR, weights.shape[0], inputs.shape[1]))
+    snapshot["sums"] = soc.read_matrix(SUM_ADDR, 1, inputs.size).tolist()
     return snapshot
 
 
@@ -307,6 +350,7 @@ def case_transient_fault_sweep():
 CASES = {
     "reused_soc": case_reused_soc,
     "arbitration": case_arbitration,
+    "arbitrated_memory_loop": case_arbitrated_memory_loop,
     "vector_add": case_vector_add,
     "dot_product": case_dot_product,
     "watchdog_mid_gemm": case_watchdog_mid_gemm,
@@ -368,6 +412,8 @@ EXPECTED = {
             "halted": True,
             "fault_cause": None,
             "end_cycle": 5685,
+            "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+            "contention_cycles": 0, "contention_events": 0,
             "energy_breakdown": {"cpu": "7.712999999999958e-09", "main_memory": "2.64e-09",
                                  "bus": "1.32e-10", "photonic0": "0.0"},
             "result": [[56, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
@@ -387,6 +433,8 @@ EXPECTED = {
             "halted": True,
             "fault_cause": None,
             "end_cycle": 5998,
+            "transfers": 226, "memory_reads": 155, "memory_writes": 24,
+            "contention_cycles": 0, "contention_events": 0,
             "energy_breakdown": {"cpu": "8.679999999999985e-10",
                                  "main_memory": "3.5799999999999996e-09", "bus": "2.26e-10",
                                  "photonic0": "3.8491e-10"},
@@ -407,6 +455,8 @@ EXPECTED = {
             "halted": True,
             "fault_cause": None,
             "end_cycle": 6436,
+            "transfers": 283, "memory_reads": 190, "memory_writes": 36,
+            "contention_cycles": 0, "contention_events": 0,
             "energy_breakdown": {"cpu": "1.327000000000001e-09", "main_memory": "4.52e-09",
                                  "bus": "2.83e-10", "photonic0": "5.3366e-10"},
             "result": [[56, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
@@ -427,6 +477,8 @@ EXPECTED = {
             "halted": True,
             "fault_cause": None,
             "end_cycle": 12121,
+            "transfers": 415, "memory_reads": 310, "memory_writes": 48,
+            "contention_cycles": 0, "contention_events": 0,
             "energy_breakdown": {"cpu": "7.712999999999958e-09",
                                  "main_memory": "7.159999999999999e-09", "bus": "4.15e-10",
                                  "photonic0": "5.3366e-10"},
@@ -447,6 +499,7 @@ EXPECTED = {
         "halted": True,
         "fault_cause": None,
         "end_cycle": 317,
+        "transfers": 83, "memory_reads": 35, "memory_writes": 12,
         "energy_breakdown": {"cpu": "6.589999999999992e-10",
                              "main_memory": "9.399999999999999e-10", "bus": "8.3e-11",
                              "photonic0": "3.8491e-10"},
@@ -470,6 +523,8 @@ EXPECTED = {
         "halted": True,
         "fault_cause": None,
         "end_cycle": 1291,
+        "transfers": 36, "memory_reads": 24, "memory_writes": 12,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "8.469999999999985e-10", "main_memory": "7.2e-10",
                              "bus": "3.6e-11"},
         "result": [[-9, -5, -1, 3, 7, 11, 15, 19, 23, 27, 31, 35]],
@@ -490,6 +545,8 @@ EXPECTED = {
         "halted": True,
         "fault_cause": None,
         "end_cycle": 953,
+        "transfers": 25, "memory_reads": 24, "memory_writes": 1,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "8.619999999999985e-10",
                              "main_memory": "4.999999999999999e-10", "bus": "2.5e-11"},
         "result": [[504]],
@@ -511,6 +568,8 @@ EXPECTED = {
             "halted": False,
             "fault_cause": None,
             "end_cycle": 5000,
+            "transfers": 116, "memory_reads": 106, "memory_writes": 10,
+            "contention_cycles": 0, "contention_events": 0,
             "energy_breakdown": {"cpu": "6.811999999999955e-09", "main_memory": "2.32e-09",
                                  "bus": "1.16e-10", "photonic0": "0.0"},
         },
@@ -530,6 +589,8 @@ EXPECTED = {
             "halted": True,
             "fault_cause": None,
             "end_cycle": 5326,
+            "transfers": 134, "memory_reads": 118, "memory_writes": 16,
+            "contention_cycles": 0, "contention_events": 0,
             "energy_breakdown": {"cpu": "4.3899999999999983e-10", "main_memory": "2.68e-09",
                                  "bus": "1.34e-10", "photonic0": "0.0"},
             "result": [[0, 2, 4, 6, 8, 10]],
@@ -549,6 +610,8 @@ EXPECTED = {
         "halted": False,
         "fault_cause": None,
         "end_cycle": 777,
+        "transfers": 0, "memory_reads": 0, "memory_writes": 0,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "3.5009999999999808e-09", "main_memory": "0.0", "bus": "0.0"},
     },
     "max_instructions": {
@@ -567,6 +630,8 @@ EXPECTED = {
         "halted": True,
         "fault_cause": None,
         "end_cycle": 1334,
+        "transfers": 31, "memory_reads": 29, "memory_writes": 2,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "1.8180000000000047e-09",
                              "main_memory": "6.199999999999999e-10",
                              "bus": "3.0999999999999996e-11"},
@@ -588,6 +653,8 @@ EXPECTED = {
             "halted": True,
             "fault_cause": None,
             "end_cycle": 5685,
+            "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+            "contention_cycles": 0, "contention_events": 0,
             "energy_breakdown": {"cpu": "7.712999999999958e-09", "main_memory": "2.64e-09",
                                  "bus": "1.32e-10"},
             "result": [[56, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
@@ -608,11 +675,38 @@ EXPECTED = {
             "halted": True,
             "fault_cause": None,
             "end_cycle": 5685,
+            "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+            "contention_cycles": 0, "contention_events": 0,
             "energy_breakdown": {"cpu": "7.712999999999958e-09", "main_memory": "2.64e-09",
                                  "bus": "1.32e-10"},
             "result": [[56, -4, -4], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
         },
     ],
+}
+
+# captured from the block-translating core whose loads and stores all called
+# the bus: 7 main-memory accesses of the loop paid a 3-cycle arbitration delay
+EXPECTED["arbitrated_memory_loop"] = {
+    "instructions": 160,
+    "cycles": 1662,
+    "loads": 31,
+    "stores": 23,
+    "branches_taken": 14,
+    "stall_cycles": 1488,
+    "energy_j": "1.050999999999999e-09",
+    "per_category": [("alu", 89), ("store", 23), ("load", 31), ("branch", 16), ("system", 1)],
+    "pc": 136,
+    "registers": {5: 1, 6: 2, 7: 2, 8: 1073741824, 10: 4156, 11: 16444, 12: 49212, 29: 5,
+                  30: 5},
+    "halted": True,
+    "fault_cause": None,
+    "end_cycle": 1661,
+    "transfers": 101, "memory_reads": 65, "memory_writes": 27,
+    "contention_cycles": 21, "contention_events": 7,
+    "energy_breakdown": {"cpu": "1.050999999999999e-09", "main_memory": "1.8399999999999998e-09",
+                         "bus": "1.01e-10", "photonic0": "3.8491e-10"},
+    "result": [[56, -4, -20], [-39, -18, -62], [12, 21, -20], [89, -58, -2]],
+    "sums": [[13, -1, 0, 3, 5, 1, 14, -6, -8, -3, -3, 7, 7, 0, 5]],
 }
 
 # the every-opcode, faulting-program and fault-sweep cases, captured from the
@@ -638,6 +732,8 @@ EXPECTED["every_opcode"] = {
     "halted": True,
     "fault_cause": None,
     "end_cycle": 1829,
+    "transfers": 51, "memory_reads": 3, "memory_writes": 48,
+    "contention_cycles": 0, "contention_events": 0,
     "energy_breakdown": {
         "cpu": "1.1680000000000016e-09",
         "main_memory": "1.02e-09",
@@ -668,6 +764,8 @@ EXPECTED["faulting_programs"] = {
         "halted": True,
         "fault_cause": "misaligned word access at 0x3",
         "end_cycle": 2,
+        "transfers": 0, "memory_reads": 0, "memory_writes": 0,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "1e-11", "main_memory": "0.0", "bus": "0.0"},
     },
     "unmapped_sw": {
@@ -684,6 +782,8 @@ EXPECTED["faulting_programs"] = {
         "halted": True,
         "fault_cause": "bus decode error: no target at 0x7ffffff0",
         "end_cycle": 2,
+        "transfers": 0, "memory_reads": 0, "memory_writes": 0,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "1e-11", "main_memory": "0.0", "bus": "0.0"},
     },
     "runs_off_end": {
@@ -700,6 +800,8 @@ EXPECTED["faulting_programs"] = {
         "halted": True,
         "fault_cause": "pc 0x8 outside program",
         "end_cycle": 2,
+        "transfers": 0, "memory_reads": 0, "memory_writes": 0,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "1e-11", "main_memory": "0.0", "bus": "0.0"},
     },
     "jalr_to_misaligned_pc": {
@@ -716,6 +818,8 @@ EXPECTED["faulting_programs"] = {
         "halted": True,
         "fault_cause": "pc 0x6 outside program",
         "end_cycle": 3,
+        "transfers": 0, "memory_reads": 0, "memory_writes": 0,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "1.4e-11", "main_memory": "0.0", "bus": "0.0"},
     },
     "branch_past_end": {
@@ -732,6 +836,8 @@ EXPECTED["faulting_programs"] = {
         "halted": True,
         "fault_cause": "pc 0x44 outside program",
         "end_cycle": 3,
+        "transfers": 0, "memory_reads": 0, "memory_writes": 0,
+        "contention_cycles": 0, "contention_events": 0,
         "energy_breakdown": {"cpu": "9e-12", "main_memory": "0.0", "bus": "0.0"},
     },
 }
@@ -765,6 +871,8 @@ EXPECTED["transient_fault_sweep"] = {
                 "halted": True,
                 "fault_cause": None,
                 "end_cycle": 5685,
+                "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+                "contention_cycles": 0, "contention_events": 0,
                 "energy_breakdown": {
                     "cpu": "7.712999999999958e-09",
                     "main_memory": "2.64e-09",
@@ -795,6 +903,8 @@ EXPECTED["transient_fault_sweep"] = {
                 "halted": True,
                 "fault_cause": None,
                 "end_cycle": 5685,
+                "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+                "contention_cycles": 0, "contention_events": 0,
                 "energy_breakdown": {
                     "cpu": "7.712999999999958e-09",
                     "main_memory": "2.64e-09",
@@ -819,6 +929,8 @@ EXPECTED["transient_fault_sweep"] = {
                 "halted": True,
                 "fault_cause": "misaligned word access at 0x1002",
                 "end_cycle": 19,
+                "transfers": 0, "memory_reads": 0, "memory_writes": 0,
+                "contention_cycles": 0, "contention_events": 0,
                 "energy_breakdown": {
                     "cpu": "9.199999999999999e-11",
                     "main_memory": "0.0",
@@ -849,6 +961,8 @@ EXPECTED["transient_fault_sweep"] = {
                 "halted": True,
                 "fault_cause": None,
                 "end_cycle": 5685,
+                "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+                "contention_cycles": 0, "contention_events": 0,
                 "energy_breakdown": {
                     "cpu": "7.712999999999958e-09",
                     "main_memory": "2.64e-09",
@@ -873,6 +987,8 @@ EXPECTED["transient_fault_sweep"] = {
                 "halted": True,
                 "fault_cause": "misaligned word access at 0x4002",
                 "end_cycle": 58,
+                "transfers": 1, "memory_reads": 1, "memory_writes": 0,
+                "contention_cycles": 0, "contention_events": 0,
                 "energy_breakdown": {
                     "cpu": "1.3200000000000004e-10",
                     "main_memory": "2e-11",
@@ -905,6 +1021,8 @@ EXPECTED["transient_fault_sweep"] = {
                 "halted": True,
                 "fault_cause": None,
                 "end_cycle": 5685,
+                "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+                "contention_cycles": 0, "contention_events": 0,
                 "energy_breakdown": {
                     "cpu": "7.712999999999958e-09",
                     "main_memory": "2.64e-09",
@@ -940,6 +1058,8 @@ EXPECTED["transient_fault_sweep"] = {
                 "halted": True,
                 "fault_cause": None,
                 "end_cycle": 5685,
+                "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+                "contention_cycles": 0, "contention_events": 0,
                 "energy_breakdown": {
                     "cpu": "7.712999999999958e-09",
                     "main_memory": "2.64e-09",
@@ -970,6 +1090,8 @@ EXPECTED["transient_fault_sweep"] = {
                 "halted": True,
                 "fault_cause": None,
                 "end_cycle": 5685,
+                "transfers": 132, "memory_reads": 120, "memory_writes": 12,
+                "contention_cycles": 0, "contention_events": 0,
                 "energy_breakdown": {
                     "cpu": "7.712999999999958e-09",
                     "main_memory": "2.64e-09",
@@ -1147,6 +1269,8 @@ UNROLLED_POLL = {
     "halted": True,
     "fault_cause": None,
     "end_cycle": 791,
+    "transfers": 205, "memory_reads": 35, "memory_writes": 12,
+    "contention_cycles": 0, "contention_events": 0,
     "energy_breakdown": {"cpu": "2.3770000000000037e-09", "main_memory": "9.399999999999999e-10",
                          "bus": "2.05e-10", "photonic0": "3.8491e-10"},
 }
