@@ -13,7 +13,10 @@ Address decode bisects a sorted list of mapping bases, so it costs
 O(log n) in the number of mappings.  A host driver programs an
 accelerator descriptor with one block access to its contiguous MMR data
 registers (:meth:`SystemBus.write_words`), accounted exactly like the
-word writes it replaces.
+word writes it replaces.  The host CPU inlines its aligned word accesses
+to main memory through :meth:`SystemBus.main_memory_window` and counts
+for each what :meth:`SystemBus.read_word`/:meth:`SystemBus.write_word`
+would.
 """
 
 from __future__ import annotations
@@ -120,6 +123,36 @@ class SystemBus:
     def mappings(self) -> List[BusMapping]:
         """The current address map (sorted by base address)."""
         return list(self._map)
+
+    def main_memory_window(self) -> Optional[tuple]:
+        """What a word access to main memory resolves to, for a caller that inlines it.
+
+        Returns ``(base, size, words, stats, read latency, write latency)``
+        for the lowest mapping whose target is exactly a :class:`MainMemory`
+        (a subclass may override its accesses), or ``None`` when there is
+        none or when arbitration is on (every access then pays the
+        round-robin delay here).  An aligned word at ``base + offset`` with
+        ``0 <= offset < size`` is ``words[offset >> 2]``; reading or
+        writing it through :meth:`read_word`/:meth:`write_word` adds one
+        to ``stats.reads``/``stats.writes`` and to :attr:`transfers`, and
+        costs the latency given here, traversal included.  Every other
+        access must still come here.  The window holds until the address
+        map, the latencies or the arbitration setting change.
+        """
+        if self.arbitration_penalty:
+            return None
+        for mapping in self._map:
+            memory = mapping.target
+            if type(memory) is MainMemory:
+                return (
+                    mapping.base,
+                    min(mapping.size, memory.size_bytes),
+                    memory._words,
+                    memory.stats,
+                    self.traversal_latency + memory.read_latency,
+                    self.traversal_latency + memory.write_latency,
+                )
+        return None
 
     # ------------------------------------------------------------------ #
     # arbitration (opt-in)

@@ -9,16 +9,37 @@ offload, cheap enough to run fault-injection campaigns with thousands of
 simulated executions.
 
 The core executes *translated basic blocks*.  The first time it enters a
-pc it generates one Python function for the straight-line run of
-instructions from there up to and including the next branch, ``jal``,
+block leader (pc 0, a branch or ``jal`` target, or the pc after a branch,
+jump or halt) it generates one Python function for the straight-line run
+of instructions from there up to and including the next branch, ``jal``,
 ``jalr`` or halt.  Register indices, immediates, latencies and energies
-are literals in that function, and loads and stores call the bus inline.
-A block whose terminator is a ``j`` or a branch back to its own entry, or
-a branch whose not-taken run ends in one (a ``for`` loop's head), keeps
-looping inside the same call.  Translations are cached per assembled
-:class:`Program` and latency/energy table in a bounded LRU
-(:data:`TRANSLATION_CACHE_SIZE`), so a program that runs again, on this
-core or another, is not translated again.
+are literals in that function.  A block whose terminator is a ``j`` or a
+branch back to its own entry, or a branch whose not-taken run ends in one
+(a ``for`` loop's head), keeps looping inside the same call.  An event
+that stops the core inside a block resumes at a pc that is no leader;
+from there the core runs one-instruction blocks up to the next leader, so
+translation stays linear in the program however often it is stopped.
+Translations are cached per assembled :class:`Program` and latency/energy
+table in a bounded LRU (:data:`TRANSLATION_CACHE_SIZE`), so a program
+that runs again, on this core or another, is not translated again.
+
+Loads and stores reach main memory directly.  Once per CPU event the core
+asks the bus for its main-memory window
+(:meth:`~repro.system.bus.SystemBus.main_memory_window`): the base and
+size of the lowest mapping whose target is exactly a
+:class:`~repro.system.memory.MainMemory`, that memory's words and
+counters, and its read and write latencies with the bus traversal.  An
+aligned access inside the window indexes the words and counts exactly
+what the bus would count: one memory read or write, one bus transfer and
+the same latency.  It schedules nothing and reads no clock, so it skips
+the ``current_cycle`` store and the horizon re-read.  Every other access
+(register blocks, scratchpads, a misaligned or out-of-range address, a
+``MainMemory`` subclass) calls ``bus.read_word``/``write_word`` and
+faults with the same message and state as ever.  There is no window
+while bus arbitration is on, so every access then pays its round-robin
+delay through the bus.  The window is read again at every event: the
+address map, the latencies and the arbitration setting may change
+between events, never inside one.
 
 The CPU shares the :class:`repro.system.event.EventScheduler` with the DMA
 engines, accelerators, interrupt controller and fault injectors, but it
@@ -239,6 +260,23 @@ def _straight_run(instructions, index: int, limit: Optional[int] = None) -> List
     return run
 
 
+def _leaders(instructions) -> frozenset:
+    """Byte addresses where control flow starts a block.
+
+    pc 0, every branch and ``jal`` target, and every pc after a branch,
+    jump or halt (where a call returns and a not-taken branch falls
+    through).  An event that stops the core elsewhere resumes inside a
+    block.
+    """
+    leaders = {0}
+    for index, instruction in enumerate(instructions):
+        if instruction.op in BRANCH_OPS or instruction.op == "jal":
+            leaders.add(4 * index + instruction.imm)
+        if instruction.op in _TERMINATORS:
+            leaders.add(4 * index + 4)
+    return frozenset(leaders)
+
+
 def _jumps_to(instructions, index: int, entry: int) -> bool:
     """Whether instruction ``index`` is a ``j`` or a branch to byte address ``entry``."""
     instruction = instructions[index]
@@ -281,9 +319,10 @@ def _translate_block(
     The block runs to the next branch, ``jal``, ``jalr`` or halt, to the
     end of the program, or to ``limit`` instructions; with ``loop`` it may
     also loop back to ``pc`` (:func:`_plan`).  The function is
-    ``block(regs, bus, scheduler, t, horizon, sequence, energy, visits)``
-    with ``t`` the first instruction's issue cycle; ``energies`` are float
-    literals (:func:`_literal_tables`).  It returns ``(next pc, issue
+    ``block(regs, bus, scheduler, t, horizon, sequence, energy, visits, window)``
+    with ``t`` the first instruction's issue cycle and ``window`` the bus's
+    main-memory window (:data:`_NO_WINDOW` when it has none); ``energies``
+    are float literals (:func:`_literal_tables`).  It returns ``(next pc, issue
     cycle of its last instruction, that instruction's latency, energy,
     exit)``, and returns early, after any instruction, whose next issue
     cycle reaches ``horizon``.  Each pass of a loop that goes round is
@@ -307,7 +346,9 @@ def _translate_block(
         )
         return exit_name
 
-    lines = [f"def {name}(regs, bus, scheduler, t, horizon, sequence, energy, visits):"]
+    lines = [f"def {name}(regs, bus, scheduler, t, horizon, sequence, energy, visits, window):"]
+    if any(instructions[index].op in ("lw", "sw") for index in path):
+        lines.append("    mbase, msize, words, mstats, read_latency, write_latency = window")
     pad = "    "
     if loops:
         lines.append("    while True:")
@@ -379,29 +420,41 @@ def _translate_block(
             break
         cost = str(latency)
         if op in ("lw", "sw"):
-            address = f"({a} + {imm}) & 0xFFFFFFFF" if imm else a
+            emit(f"address = ({a} + {imm}) & 0xFFFFFFFF" if imm else f"address = {a}",
+                 "offset = address - mbase",
+                 # main memory: exactly what the bus counts, without its decode
+                 "if 0 <= offset < msize and not offset & 3:")
             if op == "lw":
                 counts["loads"] += 1
-                access = (f"value, access = bus.read_word({address})" if rd
-                          else f"access = bus.read_word({address})[1]")
+                if rd:
+                    emit(f"    regs[{rd}] = words.item(offset >> 2)")
+                emit("    mstats.reads += 1", "    bus.transfers += 1",
+                     f"    latency = {latency} + read_latency")
+                access = ("value, access = bus.read_word(address)" if rd
+                          else "access = bus.read_word(address)[1]")
             else:
                 counts["stores"] += 1
-                access = f"access = bus.write_word({address}, {b})"
-            # The bus may start a device, so it sees the issue cycle.  Any
-            # exception leaves with the state before this instruction: the
-            # core halts on a MemoryAccessError and re-raises anything else.
-            emit("scheduler.current_cycle = t",
-                 "try:",
-                 f"    {access}",
-                 "except Exception as exc:",
-                 f"    raise _BlockFault({here}, t, energy, {faulted}) from exc")
+                emit(f"    words[offset >> 2] = {b} & 0xFFFFFFFF",
+                     "    mstats.writes += 1", "    bus.transfers += 1",
+                     f"    latency = {latency} + write_latency")
+                access = f"access = bus.write_word(address, {b})"
+            # Anywhere else the bus may start a device, so it sees the issue
+            # cycle.  Any exception leaves with the state before this
+            # instruction: the core halts on a MemoryAccessError and
+            # re-raises anything else.
+            emit("else:",
+                 "    scheduler.current_cycle = t",
+                 "    try:",
+                 f"        {access}",
+                 "    except Exception as exc:",
+                 f"        raise _BlockFault({here}, t, energy, {faulted}) from exc")
             if op == "lw" and rd:
-                emit(f"regs[{rd}] = int(value) & 0xFFFFFFFF")
+                emit(f"    regs[{rd}] = int(value) & 0xFFFFFFFF")
             # an access that scheduled an event (a device start) moves the horizon
-            emit("if scheduler.sequence != sequence:",
-                 "    horizon = scheduler.horizon()",
-                 "    sequence = scheduler.sequence",
-                 f"latency = {latency} + access")
+            emit("    if scheduler.sequence != sequence:",
+                 "        horizon = scheduler.horizon()",
+                 "        sequence = scheduler.sequence",
+                 f"    latency = {latency} + access")
             cost = "latency"
         elif op == "lui":
             if rd:
@@ -432,14 +485,22 @@ def _translate_block(
 
 
 class _Translation:
-    """The translated blocks of one program under one latency/energy table."""
+    """The translated blocks of one program under one latency/energy table.
 
-    __slots__ = ("program", "latencies", "energies", "blocks", "_straight")
+    A block starts at a leader (:func:`_leaders`).  At any other pc, where
+    an event stopped the core inside a block, the core runs one-instruction
+    blocks up to the next leader, so a straight run that is stopped after
+    every instruction costs one translated instruction per pc, not a tail
+    block per resume pc.
+    """
+
+    __slots__ = ("program", "latencies", "energies", "leaders", "blocks", "_straight")
 
     def __init__(self, program: Program, latencies: Dict[str, int], energies: Dict[str, float]):
         #: held so that ``id(program)`` in the cache key stays this program's
         self.program = program
         self.latencies, self.energies = _literal_tables(latencies, energies)
+        self.leaders = _leaders(program.instructions)
         #: entry pc -> block function
         self.blocks: Dict[int, Callable] = {}
         #: ``(entry pc, instruction limit or None)`` -> block without a loop
@@ -447,27 +508,33 @@ class _Translation:
 
     def translate(self, pc: int) -> Callable:
         """Translate the block at ``pc`` and add it to :attr:`blocks`."""
-        block, _ = _translate_block(self.program, pc, self.latencies, self.energies)
+        if pc in self.leaders:
+            block, _ = _translate_block(self.program, pc, self.latencies, self.energies)
+        else:
+            block, _ = self._unlooped(pc, 1)
         self.blocks[pc] = block
         return block
 
     def capped(self, pc: int, budget: int) -> _Block:
         """The block at ``pc`` without its loop, cut to ``budget`` instructions."""
-        entry = self._straight.get((pc, None))
-        if entry is None:
-            entry = self._straight[pc, None] = _translate_block(
-                self.program, pc, self.latencies, self.energies, loop=False
-            )
+        entry = self._unlooped(pc, None if pc in self.leaders else 1)
         if entry[1] > budget:
-            entry = self._straight.get((pc, budget))
-            if entry is None:
-                entry = self._straight[pc, budget] = _translate_block(
-                    self.program, pc, self.latencies, self.energies, loop=False, limit=budget
-                )
+            entry = self._unlooped(pc, budget)
+        return entry
+
+    def _unlooped(self, pc: int, limit: Optional[int]) -> _Block:
+        entry = self._straight.get((pc, limit))
+        if entry is None:
+            entry = self._straight[pc, limit] = _translate_block(
+                self.program, pc, self.latencies, self.energies, loop=False, limit=limit
+            )
         return entry
 
 
 _TRANSLATIONS: "OrderedDict[tuple, _Translation]" = OrderedDict()
+
+#: the window of a bus without one: every address falls outside it
+_NO_WINDOW = (0, 0, None, None, 0, 0)
 
 
 def _translation_for(
@@ -590,6 +657,7 @@ class RiscvCPU:
         sequence = scheduler.sequence
         visits: Dict[_Exit, int] = {}
         seen = visits.get
+        window = bus.main_memory_window() or _NO_WINDOW
         try:
             while True:
                 block = blocks.get(pc)
@@ -604,7 +672,7 @@ class RiscvCPU:
                         block, size = translation.capped(pc, budget)
                         budget -= size
                 pc, t, latency, energy, exit_ = block(
-                    regs, bus, scheduler, t, horizon, sequence, energy, visits
+                    regs, bus, scheduler, t, horizon, sequence, energy, visits, window
                 )
                 visits[exit_] = seen(exit_, 0) + 1
                 if exit_.halts:

@@ -1238,6 +1238,7 @@ TICKED_PROGRAMS = {
     "gemm": _gemm_source,
     "spin_then_halt": lambda soc: "li t0, 300\nloop:\naddi t0, t0, -1\nbnez t0, loop\nhalt",
     "misaligned_lw": lambda soc: FAULTING_PROGRAMS["misaligned_lw"],
+    "unrolled_poll": _unrolled_poll_source,
 }
 
 

@@ -1,9 +1,10 @@
-"""The RISC-V core's basic-block translation and its cache.
+"""The RISC-V core's basic-block translation, its cache and its main-memory path.
 
 Blocks are translated on first entry and cached per assembled program and
 latency/energy table, in a bounded LRU shared by every core of the
-process.  The simulated results themselves are pinned by
-``test_cpu_runahead.py``.
+process.  Loads and stores inside the bus's main-memory window skip the
+bus; every other access goes through it.  The simulated results
+themselves are pinned by ``test_cpu_runahead.py``.
 """
 
 import pytest
@@ -13,7 +14,8 @@ from repro.system.assembler import assemble
 from repro.system.bus import SystemBus
 from repro.system.cpu import RiscvCPU
 from repro.system.event import EventScheduler
-from repro.system.memory import MainMemory
+from repro.system.memory import MainMemory, Scratchpad
+from repro.system.mmr import MemoryMappedRegisters
 from repro.system.programs import vector_add_program
 
 MEMORY_BYTES = 1 << 16
@@ -104,17 +106,17 @@ def test_generated_blocks_are_named_after_their_entry_pc(translations):
     assert names[4].co_name == "block_0x4"
 
 
-def test_a_non_architectural_error_propagates_after_the_state_is_kept(monkeypatch):
+class _FailingRegisters(MemoryMappedRegisters):
+    """An MMR block whose reads fail with an error that is not architectural."""
+
+    def read_word(self, offset):
+        raise RuntimeError("device failure")
+
+
+def test_a_non_architectural_error_propagates_after_the_state_is_kept():
     cpu = _cpu()
-    read_word = cpu.bus.read_word
-
-    def failing(address, initiator=None):
-        if address == 0x40:
-            raise RuntimeError("device failure")
-        return read_word(address, initiator)
-
-    monkeypatch.setattr(cpu.bus, "read_word", failing)
-    cpu.load_program(assemble("li t0, 0x40\naddi t1, t1, 1\nlw t2, 0(t0)\nhalt"))
+    cpu.bus.attach(MEMORY_BYTES, 16, _FailingRegisters(), "failing")
+    cpu.load_program(assemble(f"li t0, {MEMORY_BYTES}\naddi t1, t1, 1\nlw t2, 0(t0)\nhalt"))
     cpu.start()
     with pytest.raises(RuntimeError, match="device failure"):
         cpu.scheduler.run()
@@ -149,3 +151,115 @@ def test_a_counted_loop_runs_inside_one_block_call(translations):
     assert cpu.stats.instructions == 1 + 2 * 1000 + 1
     assert cpu.stats.branches_taken == 999
     assert cpu.stats.per_category == {"alu": 1001, "branch": 1000, "system": 1}
+
+
+def test_a_run_stopped_after_every_instruction_translates_linearly(translations, monkeypatch):
+    sizes = []
+    translate = cpu_module._translate_block
+
+    def sizing(*args, **kwargs):
+        block = translate(*args, **kwargs)
+        sizes.append(block[1])
+        return block
+
+    monkeypatch.setattr(cpu_module, "_translate_block", sizing)
+    body = [f"lw t{1 + i % 2}, {4 * (i % 8)}(t0)\naddi t3, t3, 1" for i in range(100)]
+    program = assemble("li t0, 0x100\n" + "\n".join(body) + "\nhalt")
+    alone = _run(_cpu(), program).stats
+    cpu = _cpu()
+    # a no-op event at every cycle stops the core after every instruction
+    for cycle in range(alone.cycles):
+        cpu.scheduler.schedule_at(cycle, lambda: None, label="tick")
+    assert _run(cpu, program).stats == alone
+    # the block at pc 0 once, then one single-instruction block per resume pc
+    assert len(program.instructions) < sum(sizes) <= 2 * len(program.instructions)
+    assert translations.count(0) == 1
+
+
+# ---------------------------------------------------------------------- #
+# the main-memory window
+# ---------------------------------------------------------------------- #
+class _TrackedMemory(MainMemory):
+    """Main memory that counts its own word reads."""
+
+    def read_word(self, address):
+        self.tracked = getattr(self, "tracked", 0) + 1
+        return super().read_word(address)
+
+
+def _bus_calls(monkeypatch, bus) -> list:
+    """Record every ``read_word``/``write_word`` call that reaches ``bus``."""
+    calls = []
+    for name in ("read_word", "write_word"):
+        method = getattr(bus, name)
+
+        def counted(address, *args, method=method, name=name):
+            calls.append((name, address))
+            return method(address, *args)
+
+        monkeypatch.setattr(bus, name, counted)
+    return calls
+
+
+def test_main_memory_accesses_inside_the_window_skip_the_bus(monkeypatch):
+    cpu = _cpu()
+    calls = _bus_calls(monkeypatch, cpu.bus)
+    memory = cpu.bus.find(0).target
+    memory.load_words(0x100, range(5))
+    memory.load_words(0x200, range(10, 15))
+    _run(cpu, assemble(vector_add_program(0x100, 0x200, 0x300, 5)))
+    assert calls == []
+    assert memory.dump_words(0x300, 5) == [10, 12, 14, 16, 18]
+    # counted as the bus would have counted them
+    assert (memory.stats.reads, memory.stats.writes) == (cpu.stats.loads, cpu.stats.stores)
+    assert cpu.bus.transfers == cpu.stats.loads + cpu.stats.stores == 15
+
+
+@pytest.mark.parametrize("address, cause", [
+    # the mapping is larger than the memory behind it
+    (0x1000, "address 0x1000 out of range"),
+    (0x2000, "bus decode error: no target at 0x2000"),
+    (0x102, "misaligned word access at 0x102"),
+])
+@pytest.mark.parametrize("op", ["lw", "sw"])
+def test_an_access_outside_the_window_goes_through_the_bus(monkeypatch, address, cause, op):
+    scheduler = EventScheduler()
+    bus = SystemBus()
+    bus.attach(0, 0x2000, MainMemory(0x1000), "mem")
+    cpu = RiscvCPU(scheduler, bus)
+    calls = _bus_calls(monkeypatch, bus)
+    access = "lw t1, 0(t0)" if op == "lw" else "sw t1, 0(t0)"
+    _run(cpu, assemble(f"li t0, {address}\nlw t2, 0x40(zero)\n{access}\nhalt"))
+    name = "read_word" if op == "lw" else "write_word"
+    assert calls == [(name, address)]
+    assert cpu.halted and cpu.fault_cause == cause
+    assert (cpu.pc, cpu.stats.instructions, bus.transfers) == (8, 2, 1)
+
+
+def test_a_main_memory_subclass_goes_through_the_bus(monkeypatch):
+    scheduler = EventScheduler()
+    bus = SystemBus()
+    memory = _TrackedMemory(MEMORY_BYTES)
+    bus.attach(0, MEMORY_BYTES, memory, "mem")
+    bus.attach(MEMORY_BYTES, 0x1000, Scratchpad(0x1000), "spm")
+    calls = _bus_calls(monkeypatch, bus)
+    cpu = _run(RiscvCPU(scheduler, bus),
+               assemble(f"li t0, {MEMORY_BYTES}\nlw t1, 0(zero)\nsw t1, 0(t0)\nlw t2, 0(t0)\nhalt"))
+    assert bus.main_memory_window() is None
+    assert calls == [("read_word", 0), ("write_word", MEMORY_BYTES),
+                     ("read_word", MEMORY_BYTES)]
+    assert memory.tracked == 1 and cpu.fault_cause is None
+
+
+def test_with_arbitration_on_every_access_goes_through_the_bus(monkeypatch):
+    cpu = _cpu()
+    cpu.bus.arbitration_penalty = 1
+    assert cpu.bus.main_memory_window() is None
+    calls = _bus_calls(monkeypatch, cpu.bus)
+    _run(cpu, assemble(vector_add_program(0x100, 0x200, 0x300, 5)))
+    assert len(calls) == cpu.stats.loads + cpu.stats.stores == 15
+    # the window is read again at the next event
+    cpu.bus.arbitration_penalty = 0
+    calls.clear()
+    _run(cpu, assemble(vector_add_program(0x100, 0x200, 0x300, 5)))
+    assert calls == []
