@@ -153,7 +153,10 @@ def test_a_counted_loop_runs_inside_one_block_call(translations):
     assert cpu.stats.per_category == {"alu": 1001, "branch": 1000, "system": 1}
 
 
-def test_a_run_stopped_after_every_instruction_translates_linearly(translations, monkeypatch):
+@pytest.mark.parametrize("max_instructions", [None, 1000])
+def test_a_run_stopped_after_every_instruction_translates_linearly(
+    translations, monkeypatch, max_instructions
+):
     sizes = []
     translate = cpu_module._translate_block
 
@@ -165,12 +168,19 @@ def test_a_run_stopped_after_every_instruction_translates_linearly(translations,
     monkeypatch.setattr(cpu_module, "_translate_block", sizing)
     body = [f"lw t{1 + i % 2}, {4 * (i % 8)}(t0)\naddi t3, t3, 1" for i in range(100)]
     program = assemble("li t0, 0x100\n" + "\n".join(body) + "\nhalt")
-    alone = _run(_cpu(), program).stats
-    cpu = _cpu()
-    # a no-op event at every cycle stops the core after every instruction
-    for cycle in range(alone.cycles):
-        cpu.scheduler.schedule_at(cycle, lambda: None, label="tick")
-    assert _run(cpu, program).stats == alone
+
+    def run(ticks):
+        cpu = _cpu()
+        # a no-op event at every cycle stops the core after every instruction
+        for cycle in range(ticks):
+            cpu.scheduler.schedule_at(cycle, lambda: None, label="tick")
+        cpu.load_program(program, max_instructions=max_instructions)
+        cpu.start()
+        cpu.scheduler.run()
+        return cpu.stats
+
+    alone = run(0)
+    assert run(alone.cycles) == alone
     # the block at pc 0 once, then one single-instruction block per resume pc
     assert len(program.instructions) < sum(sizes) <= 2 * len(program.instructions)
     assert translations.count(0) == 1
@@ -182,8 +192,10 @@ def test_a_run_stopped_after_every_instruction_translates_linearly(translations,
 class _TrackedMemory(MainMemory):
     """Main memory that counts its own word reads."""
 
+    tracked = 0
+
     def read_word(self, address):
-        self.tracked = getattr(self, "tracked", 0) + 1
+        self.tracked += 1
         return super().read_word(address)
 
 
