@@ -1,27 +1,35 @@
-"""Dynamic micro-batching: coalesce queued requests into one engine call.
+"""Dynamic micro-batching: coalesce queued requests into per-model engine calls.
 
 The batcher is the serving layer's throughput lever: the photonic datapath
 (and the vectorized NumPy hot paths underneath it) amortise per-call cost
-over the batch dimension, so executing 32 queued requests as one
-``apply_batch`` / ``backend.matmul`` costs barely more than executing one.
-The policy is the classic dynamic one: take the first waiting request, then
-keep coalescing until either ``max_batch`` requests are in hand or
-``max_wait_s`` has elapsed since the batch opened.  Whatever is already
-queued is always drained greedily — even with ``max_wait_s = 0`` a saturated
-queue serves in full batches.
+over the batch dimension, so executing 32 queued requests of one model as
+one ``apply_batch`` / ``backend.matmul`` costs barely more than executing
+one.
 
-Requests are grouped by model key inside a batch (one engine call per
-model), preserving arrival order.  Cancelled futures are skipped; requests
-whose deadline has passed are completed with
-:class:`~repro.serving.errors.DeadlineExceededError` at dispatch time
-instead of wasting engine time.
+A pull groups requests by model key, in arrival order within each group,
+and runs each group as one engine call.  ``max_batch`` bounds the columns
+of each call, not the pull: with k models interleaved one pull may fuse up
+to ``k * max_batch`` requests.  The policy is the classic dynamic one: take
+the first waiting request, then drain whatever is queued until the queue is
+empty, the shutdown sentinel arrives, every group holds ``max_batch``, or
+the next request's group already does.  That request is held over: it still
+counts as queued (:attr:`MicroBatcher.held`) and opens the next pull.  One
+model's traffic is never held over: its pulls stop at ``max_batch`` without
+reading further, exactly as when the bound applied to the whole pull.  With
+``max_wait_s > 0`` a pull whose groups are all below ``max_batch`` then
+waits for stragglers until the window elapses or the first group fills.
+Even with ``max_wait_s = 0`` a saturated queue serves in full calls.
+
+Cancelled futures are skipped; requests whose deadline has passed are
+completed with :class:`~repro.serving.errors.DeadlineExceededError` at
+dispatch time instead of wasting engine time.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,22 +91,28 @@ class MicroBatcher:
     Attributes:
         engine: the :class:`~repro.serving.engine.InferenceEngine` executing
             fused batches.
-        max_batch: upper bound on requests fused into one call (1 disables
-            batching — the serial baseline).
-        max_wait_s: how long an open batch waits for stragglers; 0 serves
-            whatever is queued immediately.
+        max_batch: upper bound on requests fused into one per-model engine
+            call (1 disables batching — the serial baseline).  A pull stops
+            once every model group holds ``max_batch``, or at the first
+            request whose group already does; that request is held over to
+            open the next pull.
+        max_wait_s: how long a pull whose groups are all below ``max_batch``
+            waits for stragglers; the window closes early when the first
+            group fills.  0 serves whatever is queued immediately.
+        held: the request held over from the last pull, or ``None``.  It
+            is still queued: replica depth, admission and abort count it.
         on_result: optional callback ``(request, latency_s, batch_size,
             outcome)`` with outcome ``"ok" | "expired" | "cancelled" |
             "error"`` — the telemetry hook.
-        on_pull: optional callback ``(1)`` fired the moment a request is
-            taken off the queue — in-flight load accounting must include
-            requests held in an open batching window.
-        on_batch: optional callback ``(n_dispatched)`` fired when a fused
-            batch is dispatched (batch-size telemetry).
+        on_pull: optional callback ``(1)`` fired the moment a request joins
+            a pull — in-flight load accounting must include requests held
+            in an open batching window.
+        on_batch: optional callback ``(n_columns)`` fired once per
+            successful engine call with that call's width, after expired
+            and cancelled requests were dropped (batch-size telemetry).
         tracer: optional :class:`~repro.obs.trace.Tracer`; when set, each
-            fuse event records a ``batch`` span linking every traced
-            request it coalesced, plus an ``engine`` span per model-key
-            engine call.
+            pull records a ``batch`` span linking every traced request it
+            coalesced, plus an ``engine`` span per model-key engine call.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry` for
             batch-size / latency instruments.
 
@@ -123,6 +137,7 @@ class MicroBatcher:
         self.engine = engine
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_s)
+        self.held: Optional[InferenceRequest] = None
         self.on_result = on_result
         self.on_pull = on_pull
         self.on_batch = on_batch
@@ -130,15 +145,18 @@ class MicroBatcher:
         self.metrics = metrics
         self.stats = BatcherStats()
 
-    def _take(self, batch: list, item: InferenceRequest) -> None:
-        batch.append(item)
+    def _take(self, groups: Dict[str, List[InferenceRequest]], item: InferenceRequest) -> bool:
+        """Add ``item`` to its model group; True when that group is now full."""
+        group = groups.setdefault(item.model_key, [])
+        group.append(item)
         if self.on_pull is not None:
             self.on_pull(1)
+        return len(group) >= self.max_batch
 
     def expected_columns(self) -> int:
         """Batch width a compiled plan should be optimised for.
 
-        The observed mean fused-batch size once traffic has been served,
+        The observed mean engine-call width once traffic has been served,
         else the configured ``max_batch`` bound — this is what the model
         compiler's batch-aware sharding decisions consume (see
         :func:`repro.compiler.partition.expected_batch_width`).
@@ -156,51 +174,75 @@ class MicroBatcher:
         """
         self._now = loop_time()
         while True:
-            item = await queue.get()
-            if item is SHUTDOWN:
-                return
-            batch: List[InferenceRequest] = []
-            self._take(batch, item)
+            item, self.held = self.held, None
+            if item is None:
+                item = await queue.get()
+                if item is SHUTDOWN:
+                    return
+            groups: Dict[str, List[InferenceRequest]] = {}
+            self._take(groups, item)
             try:
-                stop = self._coalesce_nowait(queue, batch)
-                if not stop and len(batch) < self.max_batch and self.max_wait_s > 0:
-                    stop = await self._coalesce_wait(queue, batch)
+                stop = self._coalesce_nowait(queue, groups)
+                if (
+                    self.max_wait_s > 0
+                    and not stop
+                    and all(len(group) < self.max_batch for group in groups.values())
+                ):
+                    stop = await self._coalesce_wait(queue, groups)
             except asyncio.CancelledError:
-                self._fail_batch(batch)
+                self._fail_batch(groups)
                 raise
-            if self.on_batch is not None:
-                self.on_batch(len(batch))
-            self._execute(batch)
+            self._execute(groups)
             if stop:
                 return
 
-    def _fail_batch(self, batch: List[InferenceRequest]) -> None:
+    def _fail_batch(self, groups: Dict[str, List[InferenceRequest]]) -> None:
         """Resolve a pulled-but-unserved batch on abort (typed error)."""
         now = self._now()
-        for request in batch:
-            if not request.future.done():
-                request.future.set_exception(
-                    ServerClosedError("server aborted before serving this request")
-                )
-            self.stats.cancelled += 1
-            self._notify(request, now, len(batch), "cancelled")
+        for group in groups.values():
+            for request in group:
+                if not request.future.done():
+                    request.future.set_exception(
+                        ServerClosedError("server aborted before serving this request")
+                    )
+                self.stats.cancelled += 1
+                self._notify(request, now, len(group), "cancelled")
 
-    def _coalesce_nowait(self, queue: asyncio.Queue, batch: list) -> bool:
-        """Drain already-queued requests; True when SHUTDOWN was seen."""
-        while len(batch) < self.max_batch:
+    def _coalesce_nowait(
+        self, queue: asyncio.Queue, groups: Dict[str, List[InferenceRequest]]
+    ) -> bool:
+        """Drain already-queued requests; True when SHUTDOWN was seen.
+
+        Stops once every group holds ``max_batch``, or at the first request
+        whose group already does; that request is held over in :attr:`held`.
+        """
+        max_batch = self.max_batch
+        full = sum(len(group) >= max_batch for group in groups.values())
+        while full < len(groups):
             try:
                 item = queue.get_nowait()
             except asyncio.QueueEmpty:
                 return False
             if item is SHUTDOWN:
                 return True
-            self._take(batch, item)
+            group = groups.get(item.model_key)
+            if group is not None and len(group) >= max_batch:
+                self.held = item
+                return False
+            if self._take(groups, item):
+                full += 1
         return False
 
-    async def _coalesce_wait(self, queue: asyncio.Queue, batch: list) -> bool:
-        """Wait up to ``max_wait_s`` for stragglers; True on SHUTDOWN."""
+    async def _coalesce_wait(
+        self, queue: asyncio.Queue, groups: Dict[str, List[InferenceRequest]]
+    ) -> bool:
+        """Wait up to ``max_wait_s`` for stragglers; True on SHUTDOWN.
+
+        Called only while every group is below ``max_batch``, so no
+        straggler is held over: the window closes when one fills its group.
+        """
         deadline = self._now() + self.max_wait_s
-        while len(batch) < self.max_batch:
+        while True:
             remaining = deadline - self._now()
             if remaining <= 0:
                 return False
@@ -210,48 +252,58 @@ class MicroBatcher:
                 return False
             if item is SHUTDOWN:
                 return True
-            self._take(batch, item)
-        return False
+            if self._take(groups, item):
+                return False
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _execute(self, batch: List[InferenceRequest]) -> None:
-        """Fuse a batch into per-model engine calls and resolve futures."""
+    def _execute(self, groups: Dict[str, List[InferenceRequest]]) -> None:
+        """Run each model group as one engine call and resolve its futures."""
         now = self._now()
-        if self.metrics:
-            self.metrics.histogram("batcher.batch_size").observe(len(batch))
-        groups: "Dict[str, List[InferenceRequest]]" = {}
-        for request in batch:
-            if request.future.cancelled():
-                self.stats.cancelled += 1
-                self._notify(request, now, len(batch), "cancelled")
-                continue
-            if request.deadline_at is not None and now > request.deadline_at:
-                waited = now - request.submitted_at
-                request.future.set_exception(
-                    DeadlineExceededError(
-                        waited_s=waited,
-                        deadline_s=request.deadline_at - request.submitted_at,
+        calls: List[Tuple[str, List[InferenceRequest]]] = []
+        for model_key, group in groups.items():
+            live: List[InferenceRequest] = []
+            for request in group:
+                if request.future.cancelled():
+                    self.stats.cancelled += 1
+                    self._notify(request, now, len(group), "cancelled")
+                    continue
+                if request.deadline_at is not None and now > request.deadline_at:
+                    waited = now - request.submitted_at
+                    request.future.set_exception(
+                        DeadlineExceededError(
+                            waited_s=waited,
+                            deadline_s=request.deadline_at - request.submitted_at,
+                        )
                     )
-                )
-                self.stats.expired += 1
-                self._notify(request, now, len(batch), "expired")
-                continue
-            groups.setdefault(request.model_key, []).append(request)
+                    self.stats.expired += 1
+                    self._notify(request, now, len(group), "expired")
+                    continue
+                live.append(request)
+            if live:
+                calls.append((model_key, live))
 
         batch_span = None
         if self.tracer:
-            traced = [request.trace for request in batch if request.trace is not None]
+            traced = [
+                request.trace
+                for group in groups.values()
+                for request in group
+                if request.trace is not None
+            ]
             if traced:
                 batch_span = self.tracer.start_span(
                     "batch",
                     trace_id=traced[0].trace_id,
                     links=tuple(ctx.span_id for ctx in traced),
                     track="batcher",
-                    attrs={"batch_size": len(batch), "groups": len(groups)},
+                    attrs={
+                        "batch_size": sum(len(group) for group in groups.values()),
+                        "groups": len(calls),
+                    },
                 )
-        for model_key, requests in groups.items():
+        for model_key, requests in calls:
             engine_span = None
             if batch_span is not None:
                 engine_span = self.tracer.start_span(
@@ -288,6 +340,10 @@ class MicroBatcher:
                 if not request.future.done():
                     request.future.set_result(outputs[:, index])
                 self._notify(request, done, len(requests), "ok")
+            if self.metrics:
+                self.metrics.histogram("batcher.batch_size").observe(len(requests))
+            if self.on_batch is not None:
+                self.on_batch(len(requests))
         if batch_span is not None:
             self.tracer.end_span(batch_span)
 

@@ -87,8 +87,8 @@ class Replica:
     # ------------------------------------------------------------------ #
     @property
     def depth(self) -> int:
-        """Requests waiting in the queue."""
-        return self.queue.qsize()
+        """Requests waiting in the queue, including one held over by the batcher."""
+        return self.queue.qsize() + (self.batcher.held is not None)
 
     @property
     def load(self) -> int:
@@ -134,7 +134,7 @@ class Replica:
         self._observers.append(observer)
 
     def add_batch_observer(self, observer: Callable[[str, int], None]) -> None:
-        """Subscribe to dispatched batch sizes ``(replica_name, n)``."""
+        """Subscribe to engine-call widths ``(replica_name, n)``, one per call."""
         self._batch_observers.append(observer)
 
     # ------------------------------------------------------------------ #
@@ -160,7 +160,10 @@ class Replica:
         self._task = None
 
     async def abort(self) -> None:
-        """Cancel the batcher immediately and fail everything still queued."""
+        """Cancel the batcher immediately and fail everything still queued.
+
+        A request the batcher held over counts as queued and fails too.
+        """
         if self._task is not None:
             self._task.cancel()
             try:
@@ -168,11 +171,11 @@ class Replica:
             except asyncio.CancelledError:
                 pass
             self._task = None
-        while True:
-            try:
-                item = self.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
+        pending = [] if self.batcher.held is None else [self.batcher.held]
+        self.batcher.held = None
+        while not self.queue.empty():
+            pending.append(self.queue.get_nowait())
+        for item in pending:
             if item is not SHUTDOWN and not item.future.done():
                 item.future.set_exception(
                     ServerClosedError("server aborted before serving this request")

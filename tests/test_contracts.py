@@ -81,26 +81,38 @@ class TestOneCallPerMicroBatch:
         assert engine.stats.columns == 1 + 4 + 32
 
     def test_served_requests_fuse_to_one_call_per_batch(self):
-        backend = CountingBackend()
-        engine = GemmEngine(backend=backend, weights=np.ones((3, 4)))
+        # one default model, then 4 models interleaved request by request
+        for n_models, n_requests, max_batch in ((1, 10, 32), (4, 32, 8)):
+            backend = CountingBackend()
+            engine = GemmEngine(backend=backend, weights=np.ones((3, 4)))
+            models = [None] if n_models == 1 else [
+                np.full((3, 4), float(model)) for model in range(n_models)
+            ]
+            widths = []
 
-        async def drive():
-            server = InferenceServer([Replica("r0", engine)])
-            async with server:
-                await asyncio.gather(
-                    *(server.submit(np.ones(4)) for _ in range(10))
-                )
-            return server
+            async def drive():
+                replica = Replica("r0", engine, max_batch=max_batch)
+                replica.add_batch_observer(lambda name, n_columns: widths.append(n_columns))
+                server = InferenceServer([replica])
+                async with server:
+                    await asyncio.gather(
+                        *(
+                            server.submit(np.ones(4), weights=models[index % n_models])
+                            for index in range(n_requests)
+                        )
+                    )
+                return server
 
-        server = run_async(drive())
-        fused_batches = sum(
-            slice_.batches for slice_ in server.telemetry.replicas.values()
-        )
-        # however the batcher grouped them, every fused batch was exactly
-        # one backend call — and all 10 requests were served
-        assert backend.calls == fused_batches
-        assert engine.stats.columns == 10
-        assert fused_batches < 10  # at least some fusing happened
+            server = run_async(drive())
+            fused_batches = sum(
+                slice_.batches for slice_ in server.telemetry.replicas.values()
+            )
+            # however the batcher grouped them, every fused batch was exactly
+            # one backend call — and every request was served
+            assert backend.calls == fused_batches == len(widths)
+            assert sum(widths) == engine.stats.columns == n_requests
+            assert max(widths) <= max_batch
+            assert fused_batches < n_requests  # at least some fusing happened
 
     def test_snn_runs_one_network_step_per_batch(self):
         network = PhotonicSNN(12, 5, inhibition=0.3, rng=5)

@@ -15,6 +15,7 @@ from repro.serving import (
     InferenceEngine,
     InferenceRequest,
     InferenceServer,
+    MicroBatcher,
     MLPEngine,
     Replica,
     ReplicaScheduler,
@@ -28,6 +29,7 @@ from repro.serving import (
     run_open_loop,
     weight_hash,
 )
+from repro.serving.batching import SHUTDOWN
 from repro.serving.engine import DEFAULT_MODEL_KEY
 from repro.serving.errors import ServingError
 from repro.system import PhotonicSoC
@@ -384,6 +386,215 @@ class TestBatching:
         # after traffic: the observed mean fused batch (8 requests, 1 batch)
         assert replica.batcher.expected_columns() == 8
         assert replica.expected_columns() == 8
+
+
+# --------------------------------------------------------------------- #
+# per-model micro-batches, driven at the MicroBatcher level
+# --------------------------------------------------------------------- #
+MODEL_WEIGHTS = [float(model + 1) * np.eye(3) for model in range(4)]
+MODEL_KEYS = [weight_hash(weights) for weights in MODEL_WEIGHTS]
+
+
+class RecordingEngine(GemmEngine):
+    """Ideal-digital engine recording every call as ``(model, request ids)``.
+
+    A request's id rides in its input column, so the record shows which
+    requests each call fused and in what order.  ``on_call`` runs at the
+    start of every call.
+    """
+
+    def __init__(self, on_call=None):
+        super().__init__(backend="ideal-digital")
+        self.calls = []
+        self.on_call = on_call
+
+    def run_batch(self, weights, inputs, key=None):
+        self.calls.append((MODEL_KEYS.index(key), [int(value) for value in inputs[0]]))
+        if self.on_call is not None:
+            self.on_call()
+        return super().run_batch(weights, inputs, key=key)
+
+
+def make_request(request_id, model=0):
+    """A request with id ``request_id`` against ``MODEL_WEIGHTS[model]``."""
+    loop = asyncio.get_running_loop()
+    return InferenceRequest(
+        inputs=np.full(3, float(request_id)),
+        model_key=MODEL_KEYS[model],
+        future=loop.create_future(),
+        submitted_at=loop.time(),
+        weights=MODEL_WEIGHTS[model],
+        request_id=request_id,
+    )
+
+
+async def serve_prefilled(batcher, queue, requests):
+    """Queue ``requests`` and the shutdown sentinel, then serve them all."""
+    for request in requests:
+        queue.put_nowait(request)
+    queue.put_nowait(SHUTDOWN)
+    await asyncio.wait_for(batcher.serve(queue), timeout=10.0)
+
+
+class TestPerModelMicroBatches:
+    def test_interleaved_models_fill_each_call_to_max_batch(self):
+        async def scenario():
+            engine = RecordingEngine()
+            requests = [make_request(index, index % 4) for index in range(32)]
+            await serve_prefilled(MicroBatcher(engine, max_batch=8), asyncio.Queue(), requests)
+            return engine, requests
+
+        engine, requests = run_async(scenario())
+        # one call of 8 per model; a bound on the whole pull gave 16 calls of 2
+        assert [(model, len(ids)) for model, ids in engine.calls] == [
+            (model, 8) for model in range(4)
+        ]
+        for request in requests:
+            model = MODEL_KEYS.index(request.model_key)
+            assert np.array_equal(
+                request.future.result(), np.full(3, (model + 1.0) * request.request_id)
+            )
+
+    def test_per_model_arrival_order_is_kept_across_held_over_pulls(self):
+        models = np.random.default_rng(4).integers(0, 4, size=40)
+
+        async def scenario():
+            engine = RecordingEngine()
+            requests = [make_request(index, int(model)) for index, model in enumerate(models)]
+            await serve_prefilled(MicroBatcher(engine, max_batch=4), asyncio.Queue(), requests)
+            return engine
+
+        engine = run_async(scenario())
+        assert all(len(ids) <= 4 for _, ids in engine.calls)
+        for model in range(4):
+            served = [index for called, ids in engine.calls if called == model for index in ids]
+            assert served == [index for index, m in enumerate(models) if m == model]
+
+    @pytest.mark.parametrize(
+        "n_requests, max_batch, expected",
+        [
+            # (call widths, replica depth during each call), captured when
+            # max_batch bounded the whole pull; request 3 is cancelled and
+            # request 10 has expired before dispatch
+            (21, 8, ([7, 7, 5], [14, 6, 0])),
+            (16, 8, ([7, 7], [9, 1])),
+            (5, 1, ([1, 1, 1, 1], [5, 4, 3, 1])),
+        ],
+    )
+    def test_single_model_batches_are_unchanged(self, n_requests, max_batch, expected):
+        async def scenario():
+            depths = []
+            engine = RecordingEngine(on_call=lambda: depths.append(replica.depth))
+            replica = Replica("r0", engine, max_batch=max_batch, max_queue_depth=64)
+            scheduler = ReplicaScheduler([replica])
+            requests = [make_request(index) for index in range(n_requests)]
+            requests[3].future.cancel()
+            if n_requests > 10:
+                requests[10].deadline_at = requests[10].submitted_at - 1.0
+            for request in requests:
+                scheduler.submit(request)
+            await serve_prefilled(replica.batcher, replica.queue, [])
+            return engine, depths
+
+        engine, depths = run_async(scenario())
+        assert ([len(ids) for _, ids in engine.calls], depths) == expected
+
+    def test_straggler_window_closes_at_the_first_full_group(self):
+        async def scenario():
+            engine = RecordingEngine()
+            batcher = MicroBatcher(engine, max_batch=2, max_wait_s=30.0)
+            queue = asyncio.Queue()
+            queue.put_nowait(make_request(0, 0))
+            queue.put_nowait(make_request(1, 1))
+            task = asyncio.get_running_loop().create_task(batcher.serve(queue))
+            await asyncio.sleep(0)  # the batcher drained both and opened its window
+            # a new model joins the open window; the second model-0 request
+            # fills its group and closes it; the last model-1 request opens
+            # the next pull, which the sentinel ends
+            for request in (make_request(2, 2), make_request(3, 0), make_request(4, 1)):
+                queue.put_nowait(request)
+            queue.put_nowait(SHUTDOWN)
+            started = asyncio.get_running_loop().time()
+            await asyncio.wait_for(task, timeout=10.0)
+            return engine, asyncio.get_running_loop().time() - started
+
+        engine, elapsed = run_async(scenario())
+        assert engine.calls == [(0, [0, 3]), (1, [1]), (2, [2]), (1, [4])]
+        assert elapsed < 5.0  # nowhere near the 30 s window
+
+    def test_held_over_request_counts_as_queued_and_abort_fails_it(self):
+        """A batcher that stops holding a request over must not strand it."""
+
+        def failing_observer(replica_name, n_columns):
+            raise RuntimeError("telemetry sink failed")
+
+        async def scenario():
+            engine = RecordingEngine()
+            replica = Replica("r0", engine, max_batch=2)
+            replica.add_batch_observer(failing_observer)
+            scheduler = ReplicaScheduler([replica])
+            # requests 1 and 2 fill model 0's call while model 1's is still
+            # open, so request 3 finds its group full and is held over
+            requests = [make_request(index, model) for index, model in enumerate([1, 0, 0, 0, 1])]
+            for request in requests:
+                scheduler.submit(request)
+            with pytest.raises(RuntimeError, match="telemetry sink failed"):
+                await replica.batcher.serve(replica.queue)
+            held, depth = replica.batcher.held, replica.depth
+            await replica.abort()
+            return requests, held, depth, replica
+
+        requests, held, depth, replica = run_async(scenario())
+        assert held is requests[3]
+        assert depth == 2  # the held-over request and request 4 are queued
+        for request in requests[3:]:
+            assert isinstance(request.future.exception(), ServerClosedError)
+        assert replica.depth == 0 and replica.batcher.held is None
+
+    @pytest.mark.parametrize(
+        "models, expected_calls, expected_depths, expected_rejected",
+        [
+            # one model, captured when max_batch bounded the whole pull
+            ([0, 0, 0, 0], [(0, [0, 1]), (0, [2, 3]), (0, [4, 5])], [2, 4], [6, 7]),
+            # request 3 is held over: depth 1, so only three more fit
+            (
+                [1, 0, 0, 0],
+                [(1, [0]), (0, [1, 2]), (0, [3, 4]), (0, [5, 6])],
+                [1, 4],
+                [7],
+            ),
+        ],
+    )
+    def test_held_over_request_counts_toward_backpressure(
+        self, models, expected_calls, expected_depths, expected_rejected
+    ):
+        async def scenario():
+            rejected, depths = [], []
+
+            def admit_during_first_call():
+                if depths:
+                    return
+                depths.append(replica.depth)
+                for index in range(4, 8):
+                    try:
+                        scheduler.submit(make_request(index))
+                    except BackpressureError:
+                        rejected.append(index)
+                depths.append(replica.depth)
+                replica.queue.put_nowait(SHUTDOWN)
+
+            engine = RecordingEngine(on_call=admit_during_first_call)
+            replica = Replica("r0", engine, max_batch=2, max_queue_depth=4)
+            scheduler = ReplicaScheduler([replica])
+            for index, model in enumerate(models):
+                scheduler.submit(make_request(index, model))
+            await asyncio.wait_for(replica.batcher.serve(replica.queue), timeout=10.0)
+            return engine, depths, rejected
+
+        engine, depths, rejected = run_async(scenario())
+        assert engine.calls == expected_calls
+        assert depths == expected_depths
+        assert rejected == expected_rejected
 
 
 # --------------------------------------------------------------------- #
