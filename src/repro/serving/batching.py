@@ -20,6 +20,16 @@ reading further, exactly as when the bound applied to the whole pull.  With
 waits for stragglers until the window elapses or the first group fills.
 Even with ``max_wait_s = 0`` a saturated queue serves in full calls.
 
+Model keys are computed here, when a request joins a pull, not at
+admission: a request without weights gets
+:data:`~repro.serving.engine.DEFAULT_MODEL_KEY`, any other the
+:func:`~repro.serving.engine.weight_hash` of its weights.  The hash is
+memoized by ``id(weights)`` for one pull only (ids are unique only while
+the pull's requests hold their arrays), so clients resending one array
+cost one hash per pull, while equal content in distinct arrays still
+hashes equal and fuses.  A held-over request keeps the key it has.  A
+request whose weights cannot be hashed fails on its own.
+
 Cancelled futures are skipped; requests whose deadline has passed are
 completed with :class:`~repro.serving.errors.DeadlineExceededError` at
 dispatch time instead of wasting engine time.
@@ -33,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.serving.engine import InferenceEngine
+from repro.serving.engine import DEFAULT_MODEL_KEY, InferenceEngine, weight_hash
 from repro.serving.errors import DeadlineExceededError, ServerClosedError
 from repro.serving.timebase import loop_time
 
@@ -47,12 +57,13 @@ class InferenceRequest:
 
     Attributes:
         inputs: the ``(n_in,)`` input vector.
-        weights: explicit model weights, or ``None`` for the replica
-            engine's bound default model.
-        model_key: weight-hash grouping key (requests sharing it may be
-            fused into one engine call).
         future: resolved with the ``(n_out,)`` output column.
         submitted_at: loop ``time()`` at admission.
+        weights: explicit model weights, or ``None`` for the replica
+            engine's bound default model.
+        model_key: grouping key (requests sharing it may be fused into one
+            engine call); ``None`` until the batcher keys the request when
+            it joins a pull.
         deadline_at: absolute loop-time deadline, or ``None``.
         request_id: monotonically increasing id assigned by the server.
         trace: the request span (:class:`~repro.obs.trace.Span`) or wire
@@ -60,10 +71,10 @@ class InferenceRequest:
     """
 
     inputs: np.ndarray
-    model_key: str
     future: asyncio.Future
     submitted_at: float
     weights: Optional[np.ndarray] = None
+    model_key: Optional[str] = None
     deadline_at: Optional[float] = None
     request_id: int = 0
     trace: Optional[object] = None
@@ -78,6 +89,7 @@ class BatcherStats:
     expired: int = 0
     cancelled: int = 0
     failed: int = 0
+    observer_errors: int = 0
 
     @property
     def mean_batch(self) -> float:
@@ -103,13 +115,15 @@ class MicroBatcher:
             is still queued: replica depth, admission and abort count it.
         on_result: optional callback ``(request, latency_s, batch_size,
             outcome)`` with outcome ``"ok" | "expired" | "cancelled" |
-            "error"`` — the telemetry hook.
+            "error"`` — the telemetry hook.  An exception it raises is
+            counted in ``stats.observer_errors`` and serving goes on.
         on_pull: optional callback ``(1)`` fired the moment a request joins
             a pull — in-flight load accounting must include requests held
             in an open batching window.
         on_batch: optional callback ``(n_columns)`` fired once per
             successful engine call with that call's width, after expired
             and cancelled requests were dropped (batch-size telemetry).
+            Its exceptions are counted like ``on_result``'s.
         tracer: optional :class:`~repro.obs.trace.Tracer`; when set, each
             pull records a ``batch`` span linking every traced request it
             coalesced, plus an ``engine`` span per model-key engine call.
@@ -145,9 +159,40 @@ class MicroBatcher:
         self.metrics = metrics
         self.stats = BatcherStats()
 
-    def _take(self, groups: Dict[str, List[InferenceRequest]], item: InferenceRequest) -> bool:
-        """Add ``item`` to its model group; True when that group is now full."""
-        group = groups.setdefault(item.model_key, [])
+    def _key(self, item: InferenceRequest, keys: Dict[int, str]) -> Optional[str]:
+        """The model key of ``item``; ``None`` when its weights cannot be hashed.
+
+        ``keys`` memoizes :func:`weight_hash` by ``id(weights)`` and lives
+        for one pull only.  A request whose hash raises is pulled and failed
+        with that exception on its own; the pull goes on without it.
+        """
+        key = item.model_key
+        if key is None:
+            weights = item.weights
+            if weights is None:
+                key = DEFAULT_MODEL_KEY
+            else:
+                key = keys.get(id(weights))
+                if key is None:
+                    try:
+                        key = weight_hash(weights)
+                    except Exception as exc:  # noqa: BLE001 - forwarded to the caller
+                        if self.on_pull is not None:
+                            self.on_pull(1)
+                        if not item.future.done():
+                            item.future.set_exception(exc)
+                        self.stats.failed += 1
+                        self._notify(item, self._now(), 1, "error")
+                        return None
+                    keys[id(weights)] = key
+            item.model_key = key
+        return key
+
+    def _take(
+        self, groups: Dict[str, List[InferenceRequest]], key: str, item: InferenceRequest
+    ) -> bool:
+        """Add ``item`` to the group of ``key``; True when that group is now full."""
+        group = groups.setdefault(key, [])
         group.append(item)
         if self.on_pull is not None:
             self.on_pull(1)
@@ -179,16 +224,21 @@ class MicroBatcher:
                 item = await queue.get()
                 if item is SHUTDOWN:
                     return
+            # one pull's hash memo: never kept across pulls (see _key)
+            keys: Dict[int, str] = {}
+            key = self._key(item, keys)
+            if key is None:
+                continue
             groups: Dict[str, List[InferenceRequest]] = {}
-            self._take(groups, item)
+            self._take(groups, key, item)
             try:
-                stop = self._coalesce_nowait(queue, groups)
+                stop = self._coalesce_nowait(queue, groups, keys)
                 if (
                     self.max_wait_s > 0
                     and not stop
                     and all(len(group) < self.max_batch for group in groups.values())
                 ):
-                    stop = await self._coalesce_wait(queue, groups)
+                    stop = await self._coalesce_wait(queue, groups, keys)
             except asyncio.CancelledError:
                 self._fail_batch(groups)
                 raise
@@ -209,7 +259,10 @@ class MicroBatcher:
                 self._notify(request, now, len(group), "cancelled")
 
     def _coalesce_nowait(
-        self, queue: asyncio.Queue, groups: Dict[str, List[InferenceRequest]]
+        self,
+        queue: asyncio.Queue,
+        groups: Dict[str, List[InferenceRequest]],
+        keys: Dict[int, str],
     ) -> bool:
         """Drain already-queued requests; True when SHUTDOWN was seen.
 
@@ -225,16 +278,22 @@ class MicroBatcher:
                 return False
             if item is SHUTDOWN:
                 return True
-            group = groups.get(item.model_key)
+            key = self._key(item, keys)
+            if key is None:
+                continue
+            group = groups.get(key)
             if group is not None and len(group) >= max_batch:
                 self.held = item
                 return False
-            if self._take(groups, item):
+            if self._take(groups, key, item):
                 full += 1
         return False
 
     async def _coalesce_wait(
-        self, queue: asyncio.Queue, groups: Dict[str, List[InferenceRequest]]
+        self,
+        queue: asyncio.Queue,
+        groups: Dict[str, List[InferenceRequest]],
+        keys: Dict[int, str],
     ) -> bool:
         """Wait up to ``max_wait_s`` for stragglers; True on SHUTDOWN.
 
@@ -252,7 +311,8 @@ class MicroBatcher:
                 return False
             if item is SHUTDOWN:
                 return True
-            if self._take(groups, item):
+            key = self._key(item, keys)
+            if key is not None and self._take(groups, key, item):
                 return False
 
     # ------------------------------------------------------------------ #
@@ -343,7 +403,10 @@ class MicroBatcher:
             if self.metrics:
                 self.metrics.histogram("batcher.batch_size").observe(len(requests))
             if self.on_batch is not None:
-                self.on_batch(len(requests))
+                try:
+                    self.on_batch(len(requests))
+                except Exception:  # noqa: BLE001 - an observer must not stop serving
+                    self.stats.observer_errors += 1
         if batch_span is not None:
             self.tracer.end_span(batch_span)
 
@@ -357,4 +420,7 @@ class MicroBatcher:
                     now - request.submitted_at
                 )
         if self.on_result is not None:
-            self.on_result(request, now - request.submitted_at, batch_size, outcome)
+            try:
+                self.on_result(request, now - request.submitted_at, batch_size, outcome)
+            except Exception:  # noqa: BLE001 - an observer must not stop serving
+                self.stats.observer_errors += 1

@@ -126,9 +126,9 @@ class InferenceEngine:
 
         A cache hit skips the expensive lowering (mesh reprogramming for the
         analog paths) and only refreshes the entry's LRU position.  Callers
-        that already hold the content hash (the server computes it at
-        admission) pass it as ``key`` so cache hits skip re-hashing the
-        weights too.
+        that already hold the content hash (the micro-batcher computes it
+        when a request joins a pull) pass it as ``key`` so cache hits skip
+        re-hashing the weights too.
         """
         if key is None:
             key = self.model_key(weights)

@@ -50,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.engine import DEFAULT_MODEL_KEY, weight_hash
 from repro.serving.errors import (
     BackpressureError,
     DeadlineExceededError,
@@ -72,8 +71,8 @@ class FabricRequest:
     Attributes:
         request_id: gateway-assigned id (matches the worker's echo).
         inputs: the ``(n_in,)`` input column.
-        weights: explicit model weights or ``None`` (worker default model).
-        model_key: weight-hash grouping key for worker-side batching.
+        weights: explicit model weights or ``None`` (worker default model);
+            the worker's batcher keys the request by them.
         future: resolved with the output column or a typed error.
         submitted_at: gateway loop ``time()`` at admission.
         deadline_at: absolute gateway loop-time deadline, or ``None``.
@@ -85,7 +84,6 @@ class FabricRequest:
 
     request_id: int
     inputs: np.ndarray
-    model_key: str
     future: asyncio.Future
     submitted_at: float
     weights: Optional[np.ndarray] = None
@@ -480,12 +478,10 @@ class FabricGateway:
                 worker="*", detail="every worker process has exited"
             )
         now = self._now()
-        model_key = DEFAULT_MODEL_KEY if weights is None else weight_hash(weights)
         request = FabricRequest(
             request_id=self._next_request_id,
             inputs=inputs,
             weights=weights,
-            model_key=model_key,
             future=asyncio.get_running_loop().create_future(),
             submitted_at=now,
             deadline_at=now + deadline_s if deadline_s is not None else None,
@@ -504,7 +500,7 @@ class FabricGateway:
                 "request",
                 parent=parent,
                 track="request",
-                attrs={"request_id": request.request_id, "model_key": model_key},
+                attrs={"request_id": request.request_id},
             )
             request.trace = span
         try:
@@ -582,7 +578,6 @@ class FabricGateway:
                     request.request_id,
                     request.inputs,
                     request.weights,
-                    request.model_key,
                     remaining,
                     wire.pack_trace(request.trace),
                 )

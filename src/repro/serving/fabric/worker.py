@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from repro.serving.batching import InferenceRequest
-from repro.serving.engine import DEFAULT_MODEL_KEY
 from repro.serving.errors import BackpressureError, ServerClosedError
 from repro.serving.fabric.engines import resolve_factory
 from repro.serving.fabric.wire import encode_exception, unpack_trace
@@ -255,7 +254,7 @@ class WorkerReplica:
     # ------------------------------------------------------------------ #
     def _handle_submit(self, message, received_at: float) -> None:
         # every row of a frame is admitted under the frame's receive stamp
-        for request_id, inputs, weights, model_key, deadline_s, trace_ctx in message[1]:
+        for request_id, inputs, weights, deadline_s, trace_ctx in message[1]:
             if self.replica.depth >= self.spec.max_queue_depth:
                 # worker-side admission: the typed rejection crosses the pipe
                 self._send_error(
@@ -272,7 +271,6 @@ class WorkerReplica:
             request = InferenceRequest(
                 inputs=np.asarray(inputs),
                 weights=weights,
-                model_key=model_key if model_key is not None else DEFAULT_MODEL_KEY,
                 future=self._loop.create_future(),
                 submitted_at=received_at,
                 # the gateway ships the *remaining* budget (loop times do not

@@ -163,23 +163,27 @@ class Replica:
         """Cancel the batcher immediately and fail everything still queued.
 
         A request the batcher held over counts as queued and fails too.
+        When the batcher task had already ended with an exception, every
+        queued request is failed first and the exception is re-raised.
         """
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        pending = [] if self.batcher.held is None else [self.batcher.held]
-        self.batcher.held = None
-        while not self.queue.empty():
-            pending.append(self.queue.get_nowait())
-        for item in pending:
-            if item is not SHUTDOWN and not item.future.done():
-                item.future.set_exception(
-                    ServerClosedError("server aborted before serving this request")
-                )
+        task, self._task = self._task, None
+        try:
+            if task is not None:
+                task.cancel()
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
+        finally:
+            pending = [] if self.batcher.held is None else [self.batcher.held]
+            self.batcher.held = None
+            while not self.queue.empty():
+                pending.append(self.queue.get_nowait())
+            for item in pending:
+                if item is not SHUTDOWN and not item.future.done():
+                    item.future.set_exception(
+                        ServerClosedError("server aborted before serving this request")
+                    )
 
     @property
     def running(self) -> bool:

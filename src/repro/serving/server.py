@@ -23,7 +23,9 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from repro.serving.batching import InferenceRequest
-from repro.serving.engine import DEFAULT_MODEL_KEY, weight_hash
+# not called here (the batcher keys requests); kept importable because
+# perfbench's traced serve_inproc run wraps ``server.weight_hash``
+from repro.serving.engine import weight_hash  # noqa: F401
 from repro.serving.errors import BackpressureError, ServerClosedError
 from repro.serving.scheduler import Replica, ReplicaScheduler
 from repro.serving.telemetry import ServingTelemetry
@@ -182,13 +184,10 @@ class InferenceServer:
                 f"a request carries one (n_in,) input column, got shape {inputs.shape}"
             )
         now = self._now()
-        # the key only needs to group identical weights within a batcher;
-        # every engine resolves the default key against its bound model
-        model_key = DEFAULT_MODEL_KEY if weights is None else weight_hash(weights)
+        # the batcher computes the model key when the request joins a pull
         request = InferenceRequest(
             inputs=inputs,
             weights=weights,
-            model_key=model_key,
             future=asyncio.get_running_loop().create_future(),
             submitted_at=now,
             deadline_at=now + deadline_s if deadline_s is not None else None,
@@ -200,7 +199,7 @@ class InferenceServer:
             span = self.tracer.start_span(
                 "request",
                 track="request",
-                attrs={"request_id": request.request_id, "model_key": model_key},
+                attrs={"request_id": request.request_id},
             )
             request.trace = span
         try:

@@ -415,15 +415,17 @@ class RecordingEngine(GemmEngine):
         return super().run_batch(weights, inputs, key=key)
 
 
-def make_request(request_id, model=0):
-    """A request with id ``request_id`` against ``MODEL_WEIGHTS[model]``."""
+def make_request(request_id, model=0, weights=None):
+    """An unkeyed request with id ``request_id`` against ``MODEL_WEIGHTS[model]``.
+
+    ``weights`` overrides the model's array (e.g. an equal copy of it).
+    """
     loop = asyncio.get_running_loop()
     return InferenceRequest(
         inputs=np.full(3, float(request_id)),
-        model_key=MODEL_KEYS[model],
         future=loop.create_future(),
         submitted_at=loop.time(),
-        weights=MODEL_WEIGHTS[model],
+        weights=MODEL_WEIGHTS[model] if weights is None else weights,
         request_id=request_id,
     )
 
@@ -522,26 +524,130 @@ class TestPerModelMicroBatches:
         assert engine.calls == [(0, [0, 3]), (1, [1]), (2, [2]), (1, [4])]
         assert elapsed < 5.0  # nowhere near the 30 s window
 
-    def test_held_over_request_counts_as_queued_and_abort_fails_it(self):
-        """A batcher that stops holding a request over must not strand it."""
+    def test_each_weights_array_is_hashed_once_per_pull(self, monkeypatch):
+        hashed = []
 
-        def failing_observer(replica_name, n_columns):
-            raise RuntimeError("telemetry sink failed")
+        def counting_hash(weights):
+            hashed.append(id(weights))
+            return weight_hash(weights)
+
+        monkeypatch.setattr("repro.serving.batching.weight_hash", counting_hash)
 
         async def scenario():
             engine = RecordingEngine()
-            replica = Replica("r0", engine, max_batch=2)
-            replica.add_batch_observer(failing_observer)
+            requests = [make_request(index, index % 4) for index in range(64)]
+            await serve_prefilled(MicroBatcher(engine, max_batch=32), asyncio.Queue(), requests)
+            return engine, requests
+
+        engine, requests = run_async(scenario())
+        # one pull of 64 requests over 4 arrays: 4 hashes, 4 calls of 16
+        assert len(hashed) == 4
+        assert [(model, len(ids)) for model, ids in engine.calls] == [
+            (model, 16) for model in range(4)
+        ]
+        assert [request.model_key for request in requests] == [
+            MODEL_KEYS[index % 4] for index in range(64)
+        ]
+
+    def test_equal_weights_in_distinct_arrays_fuse(self):
+        async def scenario():
+            engine = RecordingEngine()
+            copy = MODEL_WEIGHTS[0].copy()
+            requests = [make_request(0), make_request(1, weights=copy), make_request(2)]
+            await serve_prefilled(MicroBatcher(engine, max_batch=8), asyncio.Queue(), requests)
+            return engine, requests
+
+        engine, requests = run_async(scenario())
+        assert engine.calls == [(0, [0, 1, 2])]
+        for request in requests:
+            assert np.array_equal(request.future.result(), np.full(3, float(request.request_id)))
+
+    def test_unhashable_weights_fail_only_their_own_request(self):
+        ragged = [[1.0, 2.0], [3.0]]  # np.ascontiguousarray raises on it
+
+        async def scenario():
+            engine = GemmEngine(backend="ideal-digital")
+            outcomes = []
+            replica = Replica("r0", engine, max_batch=8)
+            replica.add_observer(
+                lambda _name, request, _latency, _size, outcome: outcomes.append(
+                    (request.request_id, outcome)
+                )
+            )
+            async with InferenceServer([replica]) as server:
+                futures = [
+                    server.submit_nowait(np.ones(3), weights=MODEL_WEIGHTS[0]),
+                    server.submit_nowait(np.ones(2), weights=ragged),
+                    server.submit_nowait(np.ones(3), weights=MODEL_WEIGHTS[1]),
+                ]
+                results = await asyncio.wait_for(
+                    asyncio.gather(*futures, return_exceptions=True), 10.0
+                )
+                later = await asyncio.wait_for(
+                    server.submit(np.ones(3), weights=MODEL_WEIGHTS[2]), 10.0
+                )
+                load = replica.load
+                stats = server.stats()
+            return results, later, load, outcomes, stats, replica.batcher.stats
+
+        results, later, load, outcomes, stats, batcher_stats = run_async(scenario())
+        assert isinstance(results[1], ValueError)
+        assert np.array_equal(results[0], np.ones(3))
+        assert np.array_equal(results[2], np.full(3, 2.0))
+        assert np.array_equal(later, np.full(3, 3.0))
+        assert load == 0
+        assert sorted(outcomes) == [(0, "ok"), (1, "error"), (2, "ok"), (3, "ok")]
+        assert stats["replicas"]["r0"]["failed"] == 1
+        assert batcher_stats.failed == 1 and batcher_stats.batches == 3
+
+    def test_raising_observers_are_counted_and_serving_goes_on(self):
+        def failing_batch_observer(replica_name, n_columns):
+            raise RuntimeError("telemetry sink failed")
+
+        def failing_result_observer(replica_name, request, latency_s, batch_size, outcome):
+            if request.request_id == 2:
+                raise RuntimeError("result sink failed")
+
+        async def scenario():
+            replica = Replica("r0", RecordingEngine(), max_batch=2)
+            replica.add_batch_observer(failing_batch_observer)
+            replica.add_observer(failing_result_observer)
+            requests = [make_request(index) for index in range(5)]
+            for request in requests:
+                replica.queue.put_nowait(request)
+            replica.start()
+            await asyncio.wait_for(asyncio.gather(*(r.future for r in requests)), 10.0)
+            load = replica.load
+            await replica.stop()
+            return requests, load, replica.batcher.stats
+
+        requests, load, stats = run_async(scenario())
+        for request in requests:
+            assert np.array_equal(request.future.result(), np.full(3, float(request.request_id)))
+        assert load == 0
+        # three engine calls (2, 2, 1), one failing result observer call
+        assert stats.batches == 3 and stats.observer_errors == 4
+
+    def test_held_over_request_counts_as_queued_and_abort_fails_it(self):
+        """A batcher task that ends holding a request over must not strand it."""
+
+        def crash(groups):
+            raise RuntimeError("batcher fault")
+
+        async def scenario():
+            replica = Replica("r0", RecordingEngine(), max_batch=2)
+            replica.batcher._execute = crash
             scheduler = ReplicaScheduler([replica])
             # requests 1 and 2 fill model 0's call while model 1's is still
             # open, so request 3 finds its group full and is held over
             requests = [make_request(index, model) for index, model in enumerate([1, 0, 0, 0, 1])]
             for request in requests:
                 scheduler.submit(request)
-            with pytest.raises(RuntimeError, match="telemetry sink failed"):
-                await replica.batcher.serve(replica.queue)
+            replica.start()
+            await asyncio.wait([replica._task], timeout=10.0)
             held, depth = replica.batcher.held, replica.depth
-            await replica.abort()
+            with pytest.raises(RuntimeError, match="batcher fault"):
+                await replica.abort()
             return requests, held, depth, replica
 
         requests, held, depth, replica = run_async(scenario())
@@ -549,7 +655,7 @@ class TestPerModelMicroBatches:
         assert depth == 2  # the held-over request and request 4 are queued
         for request in requests[3:]:
             assert isinstance(request.future.exception(), ServerClosedError)
-        assert replica.depth == 0 and replica.batcher.held is None
+        assert replica.depth == 0 and replica.batcher.held is None and not replica.running
 
     @pytest.mark.parametrize(
         "models, expected_calls, expected_depths, expected_rejected",

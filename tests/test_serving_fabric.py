@@ -23,7 +23,6 @@ from repro.serving import (
     WorkerSpec,
     make_worker_specs,
 )
-from repro.serving.engine import weight_hash
 from repro.serving.errors import ProtocolError, ServingError
 from repro.serving.fabric import engines, wire
 from repro.serving.fabric.worker import WorkerReplica
@@ -96,7 +95,7 @@ class _InProcessPipe:
 
 def submit_frame(*rows):
     """A gateway submit frame; each row is ``(request_id, inputs, weights,
-    model_key, remaining_s, trace)``."""
+    remaining_s, trace)``."""
     return ("submit", list(rows))
 
 
@@ -523,13 +522,13 @@ class TestCrossProcessErrors:
             pipe = _InProcessPipe()
             worker = WorkerReplica(pipe, spec)
             serving = asyncio.ensure_future(worker.serve())
-            pipe.deliver(submit_frame((1, np.ones(4), None, None, None, None)))
+            pipe.deliver(submit_frame((1, np.ones(4), None, None, None)))
 
             entered = []
 
             def submit_while_blocked():
                 entered.append(backend.entered.wait(10))
-                pipe.deliver(submit_frame((2, np.ones(4), None, None, 0.005, None)))
+                pipe.deliver(submit_frame((2, np.ones(4), None, 0.005, None)))
 
             pusher = threading.Thread(target=submit_while_blocked)
             pusher.start()
@@ -564,7 +563,7 @@ class TestCrossProcessErrors:
             )
             serving = asyncio.ensure_future(worker.serve())
             before = asyncio.get_running_loop().time()
-            pipe.deliver(submit_frame((1, np.ones(4), None, None, 10.0, None)))
+            pipe.deliver(submit_frame((1, np.ones(4), None, 10.0, None)))
             replies = await pipe.replies(1)
             pipe.deliver(("shutdown", True))
             await asyncio.wait_for(serving, 10)
@@ -724,7 +723,7 @@ class TestBatchedWire:
             serving = asyncio.ensure_future(worker.serve())
             inputs = integer_columns(8)
             pipe.deliver(
-                submit_frame(*[(i, inputs[i], None, None, None, None) for i in range(8)])
+                submit_frame(*[(i, inputs[i], None, None, None) for i in range(8)])
             )
             await pipe.replies(8)
             pipe.deliver(("shutdown", True))
@@ -754,14 +753,7 @@ class TestBatchedWire:
             wide, narrow = demo_weights(3, 4), demo_weights(2, 4) + 1.0
             inputs = integer_columns(6)
             models = [wide if i % 2 == 0 else narrow for i in range(6)]
-            pipe.deliver(
-                submit_frame(
-                    *[
-                        (i, inputs[i], models[i], weight_hash(models[i]), None, None)
-                        for i in range(6)
-                    ]
-                )
-            )
+            pipe.deliver(submit_frame(*[(i, inputs[i], models[i], None, None) for i in range(6)]))
             await pipe.replies(6)
             pipe.deliver(("shutdown", True))
             await asyncio.wait_for(serving, 10)
@@ -787,9 +779,9 @@ class TestBatchedWire:
             inputs = integer_columns(5)
             pipe.deliver(
                 submit_frame(
-                    (0, inputs[0], None, None, -1.0, None),  # expired on arrival
-                    *[(i, inputs[i], None, None, None, None) for i in (1, 2, 3)],
-                    (4, inputs[4], None, None, None, None),  # over max_queue_depth
+                    (0, inputs[0], None, -1.0, None),  # expired on arrival
+                    *[(i, inputs[i], None, None, None) for i in (1, 2, 3)],
+                    (4, inputs[4], None, None, None),  # over max_queue_depth
                 )
             )
             by_id = await pipe.replies(5)
@@ -861,7 +853,7 @@ class TestBatchedWire:
             serving = asyncio.ensure_future(worker.serve())
             inputs = integer_columns(8)
             pipe.deliver(
-                submit_frame(*[(i, inputs[i], None, None, None, None) for i in range(8)])
+                submit_frame(*[(i, inputs[i], None, None, None) for i in range(8)])
             )
             pipe.deliver(("shutdown", True))
             await asyncio.wait_for(serving, 10)
