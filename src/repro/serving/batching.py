@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.serving.engine import DEFAULT_MODEL_KEY, InferenceEngine, weight_hash
-from repro.serving.errors import DeadlineExceededError, ServerClosedError
+from repro.serving.errors import DeadlineExceededError, ServerClosedError, ServingError
 from repro.serving.timebase import loop_time
 
 #: queue sentinel that tells a batcher to exit its serve loop.
@@ -61,22 +61,30 @@ class InferenceRequest:
         submitted_at: loop ``time()`` at admission.
         weights: explicit model weights, or ``None`` for the replica
             engine's bound default model.
+        deadline_at: absolute loop-time deadline, or ``None``.
+        request_id: monotonically increasing id assigned by the server; it
+            also orders requests of one priority first-in, first-out.
+        priority: larger is more urgent; a gateway reorders its *queued*
+            work by it.
+        tenant: quota-accounting key, or ``None`` for unmetered traffic.
         model_key: grouping key (requests sharing it may be fused into one
             engine call); ``None`` until the batcher keys the request when
             it joins a pull.
-        deadline_at: absolute loop-time deadline, or ``None``.
-        request_id: monotonically increasing id assigned by the server.
         trace: the request span (:class:`~repro.obs.trace.Span`) or wire
             context, ``None`` when tracing is off.
+
+    Admission builds it positionally, in this field order.
     """
 
     inputs: np.ndarray
     future: asyncio.Future
     submitted_at: float
     weights: Optional[np.ndarray] = None
-    model_key: Optional[str] = None
     deadline_at: Optional[float] = None
     request_id: int = 0
+    priority: int = 0
+    tenant: Optional[str] = None
+    model_key: Optional[str] = None
     trace: Optional[object] = None
 
 
@@ -377,9 +385,14 @@ class MicroBatcher:
                 # stacking stays inside the guard: a single mismatched-length
                 # request must fail its batch, not kill the batcher task
                 columns = np.stack([request.inputs for request in requests], axis=1)
-                outputs = self.engine.run_batch(
-                    requests[0].weights, columns, key=model_key
+                outputs = np.asarray(
+                    self.engine.run_batch(requests[0].weights, columns, key=model_key)
                 )
+                if outputs.ndim != 2 or outputs.shape[1] != len(requests):
+                    raise ServingError(
+                        f"engine {self.engine.name!r} answered {len(requests)} "
+                        f"columns with an array of shape {outputs.shape}"
+                    )
             except Exception as exc:  # noqa: BLE001 - forwarded to the callers
                 done = self._now()
                 for request in requests:
@@ -395,7 +408,6 @@ class MicroBatcher:
             done = self._now()
             self.stats.batches += 1
             self.stats.requests += len(requests)
-            outputs = np.asarray(outputs)
             for index, request in enumerate(requests):
                 if not request.future.done():
                     request.future.set_result(outputs[:, index])

@@ -20,7 +20,7 @@ from repro.serving.fabric.engines import (
     make_soc_gemm_engine,
     resolve_factory,
 )
-from repro.serving.fabric.gateway import FabricGateway, FabricRequest, WorkerHandle
+from repro.serving.fabric.gateway import FabricGateway, WorkerHandle
 from repro.serving.fabric.wire import (
     decode_exception,
     encode_exception,
@@ -37,7 +37,6 @@ __all__ = [
     "ComputeHeavyBackend",
     "FabricClient",
     "FabricGateway",
-    "FabricRequest",
     "WorkerHandle",
     "WorkerReplica",
     "WorkerSpec",

@@ -31,12 +31,14 @@ What the process boundary adds over :class:`InferenceServer`:
 * **Graceful drain.**  ``shutdown(drain=True)`` stops admission, serves
   the backlog, then stops every worker and joins its process.
 
-The gateway's local surface mirrors ``InferenceServer`` (``submit`` /
-``submit_nowait`` / ``stats`` / ``drain`` / async context manager), so the
-:mod:`repro.serving.loadgen` drivers run unchanged against either.  The
-remote surface — length-prefixed JSON/binary frames over a local TCP
-socket — is served by :meth:`start_server` and spoken by
-:class:`~repro.serving.fabric.client.FabricClient`.
+The gateway *is* an :class:`~repro.serving.server.InferenceServer` whose
+replicas are worker handles: admission (closed and shape checks, request
+ids, deadline stamps, the request span, routing, admit/reject telemetry),
+``submit``, ``drain``, ``running`` and the async context manager are the
+server's, so the :mod:`repro.serving.loadgen` drivers run unchanged
+against either.  The remote surface — length-prefixed JSON/binary frames
+over a local TCP socket — is served by :meth:`FabricGateway.start_server`
+and spoken by :class:`~repro.serving.fabric.client.FabricClient`.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ import asyncio
 import contextlib
 import heapq
 import multiprocessing
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.serving.batching import InferenceRequest
 from repro.serving.errors import (
     BackpressureError,
     DeadlineExceededError,
@@ -59,39 +61,9 @@ from repro.serving.errors import (
 )
 from repro.serving.fabric import wire
 from repro.serving.fabric.worker import WorkerSpec, worker_main
-from repro.serving.scheduler import LATENCY_EWMA_ALPHA, ReplicaScheduler
+from repro.serving.scheduler import latency_ewma
+from repro.serving.server import InferenceServer
 from repro.serving.telemetry import ServingTelemetry
-from repro.serving.timebase import loop_time
-
-
-@dataclass
-class FabricRequest:
-    """One gateway-side request: routing metadata around the client future.
-
-    Attributes:
-        request_id: gateway-assigned id (matches the worker's echo).
-        inputs: the ``(n_in,)`` input column.
-        weights: explicit model weights or ``None`` (worker default model);
-            the worker's batcher keys the request by them.
-        future: resolved with the output column or a typed error.
-        submitted_at: gateway loop ``time()`` at admission.
-        deadline_at: absolute gateway loop-time deadline, or ``None``.
-        priority: larger is more urgent; reorders *queued* work only.
-        tenant: quota-accounting key, or ``None`` for unmetered traffic.
-        seq: admission sequence number (FIFO tie-break within a priority).
-        trace: the gateway-side request span, or ``None`` (tracing off).
-    """
-
-    request_id: int
-    inputs: np.ndarray
-    future: asyncio.Future
-    submitted_at: float
-    weights: Optional[np.ndarray] = None
-    deadline_at: Optional[float] = None
-    priority: int = 0
-    tenant: Optional[str] = None
-    seq: int = 0
-    trace: Optional[object] = None
 
 
 class _HandleQueue:
@@ -100,7 +72,7 @@ class _HandleQueue:
     def __init__(self, handle: "WorkerHandle"):
         self._handle = handle
 
-    def put_nowait(self, request: FabricRequest) -> None:
+    def put_nowait(self, request: InferenceRequest) -> None:
         self._handle.enqueue(request)
 
     def qsize(self) -> int:
@@ -151,9 +123,9 @@ class WorkerHandle:
         self.worker_stats: Optional[Dict] = None
         self.queue = _HandleQueue(self)
         self.engine = _HandleEngine(self)
-        self.inflight_requests: Dict[int, FabricRequest] = {}
+        self.inflight_requests: Dict[int, InferenceRequest] = {}
         self._outbox: List[tuple] = []
-        self._pending: List[Tuple[int, int, FabricRequest]] = []
+        self._pending: List[Tuple[int, int, InferenceRequest]] = []
         self._bye = asyncio.Event()
         self._ready = asyncio.Event()
         self._dispatch: Optional[Callable[["WorkerHandle"], None]] = None
@@ -179,32 +151,27 @@ class WorkerHandle:
         """Admission bound; 0 once the worker is dead (never routed to)."""
         return self.max_pending if self.alive else 0
 
-    def enqueue(self, request: FabricRequest) -> None:
-        """Admit one routed request into the priority heap and dispatch."""
-        heapq.heappush(self._pending, (-request.priority, request.seq, request))
+    def enqueue(self, request: InferenceRequest) -> None:
+        """Admit one routed request into the priority heap and dispatch.
+
+        Request ids rise with admission, so they break priority ties
+        first-in, first-out.
+        """
+        heapq.heappush(self._pending, (-request.priority, request.request_id, request))
         if self._dispatch is not None:
             self._dispatch(self)
 
-    def pop_pending(self) -> Optional[FabricRequest]:
+    def pop_pending(self) -> Optional[InferenceRequest]:
         """Highest-priority queued request (FIFO within a priority)."""
         if not self._pending:
             return None
         return heapq.heappop(self._pending)[2]
 
-    def drain_pending(self) -> List[FabricRequest]:
+    def drain_pending(self) -> List[InferenceRequest]:
         """Remove and return every queued (undispatched) request."""
         drained = [entry[2] for entry in self._pending]
         self._pending.clear()
         return drained
-
-    def observe_latency(self, latency_s: float) -> None:
-        """Fold one completed-request latency into the routing EWMA."""
-        previous = self.ewma_latency_s
-        self.ewma_latency_s = (
-            latency_s
-            if previous is None
-            else LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -213,11 +180,15 @@ class WorkerHandle:
         )
 
 
-class FabricGateway:
+class FabricGateway(InferenceServer):
     """Front door of the multi-process serving fabric.
 
+    An :class:`~repro.serving.server.InferenceServer` whose replicas are
+    :class:`WorkerHandle` proxies of spawned worker processes.
+
     Attributes:
-        scheduler: the reused routing/admission layer over worker handles.
+        handles: the worker handles, in spec order.
+        scheduler: the routing/admission layer over the worker handles.
         telemetry: end-to-end metrics sink (gateway loop time).
         tenant_quotas: per-tenant outstanding-request bounds.
         default_tenant_quota: bound for tenants not listed explicitly
@@ -244,28 +215,26 @@ class FabricGateway:
     ):
         if not specs:
             raise ValueError("gateway needs at least one worker spec")
-        self.tracer = tracer
         if tracer:
             # tracing gateways need tracing workers, or the cross-process
             # half of every trace would silently be missing
             for spec in specs:
                 spec.tracing = True
         self.handles = [WorkerHandle(spec, max_pending, max_inflight) for spec in specs]
-        self.scheduler = ReplicaScheduler(self.handles, policy=policy, cost_fn=cost_fn)
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
+        super().__init__(
+            self.handles, policy=policy, telemetry=telemetry, cost_fn=cost_fn,
+            tracer=tracer,
+        )
         self.tenant_quotas = dict(tenant_quotas or {})
         self.default_tenant_quota = default_tenant_quota
         self._tenant_outstanding: Dict[str, int] = {}
         self._spawn = multiprocessing.get_context("spawn")
-        self._by_name = {handle.name: handle for handle in self.handles}
-        self._started = False
-        self._closed = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._next_request_id = 0
-        self._next_seq = 0
-        for handle in self.handles:
-            handle._dispatch = self._pump
+
+    def _attach(self, handle: WorkerHandle) -> None:
+        """Routing a request onto ``handle`` pumps its pipe."""
+        handle._dispatch = self._pump
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -281,7 +250,6 @@ class FabricGateway:
         workers.
         """
         self._loop = asyncio.get_running_loop()
-        self._now = loop_time()
         spawned = []
         for handle in self.handles:
             if handle.process is not None and handle.alive:
@@ -303,10 +271,7 @@ class FabricGateway:
             handle._ready = asyncio.Event()
             self._start_reader(handle)
             spawned.append(handle)
-        if not self._started:
-            self.telemetry.start()
-        self._started = True
-        self._closed = False
+        self._open()
         for handle in spawned:
             try:
                 await asyncio.wait_for(
@@ -342,11 +307,6 @@ class FabricGateway:
             target=pump, name=f"gateway-{handle.name}-reader", daemon=True
         ).start()
 
-    async def drain(self) -> None:
-        """Wait until every admitted request has completed."""
-        while any(handle.load > 0 for handle in self.handles):
-            await asyncio.sleep(0.001)
-
     async def shutdown(self, drain: bool = True, join_timeout_s: float = 10.0) -> None:
         """Stop admission, optionally serve the backlog, stop the workers.
 
@@ -376,8 +336,7 @@ class FabricGateway:
         await asyncio.gather(
             *(self._reap(handle, join_timeout_s) for handle in self.handles)
         )
-        self._started = False
-        self.telemetry.stop()
+        self._stopped()
 
     async def _reap(self, handle: WorkerHandle, join_timeout_s: float) -> None:
         if handle.process is None:
@@ -398,33 +357,14 @@ class FabricGateway:
             handle.conn.close()
             handle.conn = None
 
-    async def __aenter__(self) -> "FabricGateway":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.shutdown(drain=exc_type is None)
-
-    @property
-    def running(self) -> bool:
-        """True while the gateway accepts new requests."""
-        return self._started and not self._closed
-
     def kill_worker(self, name: str) -> None:
         """Fault injection: SIGKILL one worker process (crash-path testing)."""
-        handle = self._handle_named(name)
+        handle = self.scheduler.replica_named(name)
         if handle.process is not None:
             handle.process.kill()
 
-    def _handle_named(self, name: str) -> WorkerHandle:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown worker {name!r} (pool: {sorted(self._by_name)})"
-            ) from None
-
     # ------------------------------------------------------------------ #
-    # admission
+    # admission: the server's, behind the gateway's own checks
     # ------------------------------------------------------------------ #
     def submit_nowait(
         self,
@@ -438,107 +378,51 @@ class FabricGateway:
     ) -> asyncio.Future:
         """Admit one request; returns the future resolving to the output column.
 
-        Raises :class:`~repro.serving.errors.ServerClosedError` when the
-        gateway is not accepting requests,
+        Besides the server's errors, raises
         :class:`~repro.serving.errors.BackpressureError` when the tenant is
-        at quota or every eligible worker queue is full, and
-        :class:`~repro.serving.errors.WorkerCrashedError` when the pinned
-        worker (or the whole pool) is dead.  ``replica`` pins to one named
-        worker (no failover), matching the in-process server's surface.
-
-        ``trace`` optionally parents the gateway span on an upstream
-        context (a :class:`~repro.obs.trace.TraceContext` or its wire
-        dictionary, as shipped in a socket client's submit header);
-        ignored when the gateway has no tracer.
+        at quota and :class:`~repro.serving.errors.WorkerCrashedError` when
+        the pinned worker (or the whole pool) is dead.  ``replica`` pins to
+        one named worker (no failover); ``priority`` reorders work queued
+        at the gateway.  ``trace`` may also be the wire dictionary of a
+        :class:`~repro.obs.trace.TraceContext`, as shipped in a socket
+        client's submit header.
         """
-        if not self.running:
-            raise ServerClosedError(
-                "gateway is not accepting requests (call start(), and submit "
-                "before shutdown())"
-            )
-        inputs = np.asarray(inputs)
-        if inputs.ndim != 1:
-            raise ValueError(
-                f"a request carries one (n_in,) input column, got shape {inputs.shape}"
-            )
-        if tenant is not None:
-            quota = self.tenant_quotas.get(tenant, self.default_tenant_quota)
-            outstanding = self._tenant_outstanding.get(tenant, 0)
-            if quota is not None and outstanding >= int(quota):
-                self.telemetry.on_reject()
-                raise BackpressureError(
-                    replica=f"tenant:{tenant}", depth=outstanding, limit=int(quota)
+        if self.running:  # a closed gateway is refused by the shared path
+            if tenant is not None:
+                quota = self.tenant_quotas.get(tenant, self.default_tenant_quota)
+                outstanding = self._tenant_outstanding.get(tenant, 0)
+                if quota is not None and outstanding >= int(quota):
+                    self._rejected()
+                    raise BackpressureError(
+                        replica=f"tenant:{tenant}", depth=outstanding, limit=int(quota)
+                    )
+            if replica is not None and not self.scheduler.replica_named(replica).alive:
+                raise WorkerCrashedError(
+                    worker=replica, detail="pinned worker is no longer alive"
                 )
-        if replica is not None and not self._handle_named(replica).alive:
-            raise WorkerCrashedError(
-                worker=replica, detail="pinned worker is no longer alive"
-            )
-        if not any(handle.alive for handle in self.handles):
-            raise WorkerCrashedError(
-                worker="*", detail="every worker process has exited"
-            )
-        now = self._now()
-        request = FabricRequest(
-            request_id=self._next_request_id,
-            inputs=inputs,
-            weights=weights,
-            future=asyncio.get_running_loop().create_future(),
-            submitted_at=now,
-            deadline_at=now + deadline_s if deadline_s is not None else None,
-            priority=int(priority),
-            tenant=tenant,
-            seq=self._next_seq,
-        )
-        self._next_request_id += 1
-        self._next_seq += 1
-        span = None
-        if self.tracer:
-            # the span must exist before routing: enqueueing synchronously
-            # pumps the pipe, and the submit tuple carries the span context
-            parent = wire.unpack_trace(trace) if isinstance(trace, dict) else trace
-            span = self.tracer.start_span(
-                "request",
-                parent=parent,
-                track="request",
-                attrs={"request_id": request.request_id},
-            )
-            request.trace = span
-        try:
-            routed = self.scheduler.submit(request, replica_name=replica)
-        except BackpressureError:
-            self.telemetry.on_reject()
-            if span is not None:
-                self.tracer.end_span(span, attrs={"outcome": "rejected"})
-            raise
-        if span is not None:
-            span.attrs["worker"] = routed.name
-            tracer = self.tracer
-            request.future.add_done_callback(lambda _future: tracer.end_span(span))
+            # a plain loop: an any() generator costs more than the rest of
+            # these checks together on every admission
+            for handle in self.handles:
+                if handle.alive:
+                    break
+            else:
+                raise WorkerCrashedError(
+                    worker="*", detail="every worker process has exited"
+                )
+        if self.tracer and isinstance(trace, dict):
+            trace = wire.unpack_trace(trace)
         if tenant is not None:
-            self._tenant_outstanding[tenant] = (
-                self._tenant_outstanding.get(tenant, 0) + 1
+            # counted before routing: enqueueing pumps at once, and a request
+            # already past its deadline finishes (and releases it) right there
+            self._tenant_outstanding[tenant] = self._tenant_outstanding.get(tenant, 0) + 1
+        try:
+            return super().submit_nowait(
+                inputs, weights, deadline_s, replica, priority, tenant, trace
             )
-        self.telemetry.on_admit(routed.name, self.scheduler.total_load())
-        return request.future
-
-    async def submit(
-        self,
-        inputs: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-        deadline_s: Optional[float] = None,
-        replica: Optional[str] = None,
-        priority: int = 0,
-        tenant: Optional[str] = None,
-    ) -> np.ndarray:
-        """Admit one request and await its output column."""
-        return await self.submit_nowait(
-            inputs,
-            weights=weights,
-            deadline_s=deadline_s,
-            replica=replica,
-            priority=priority,
-            tenant=tenant,
-        )
+        except Exception:
+            if tenant is not None:
+                self._release_tenant(tenant)
+            raise
 
     # ------------------------------------------------------------------ #
     # dispatch and completion
@@ -597,7 +481,7 @@ class FabricGateway:
     def _finish(
         self,
         handle: WorkerHandle,
-        request: FabricRequest,
+        request: InferenceRequest,
         outcome: str,
         result: Optional[np.ndarray] = None,
         error: Optional[Exception] = None,
@@ -611,14 +495,18 @@ class FabricGateway:
             else:
                 request.future.set_exception(error)
         if request.tenant is not None:
-            left = self._tenant_outstanding.get(request.tenant, 0) - 1
-            if left > 0:
-                self._tenant_outstanding[request.tenant] = left
-            else:
-                self._tenant_outstanding.pop(request.tenant, None)
+            self._release_tenant(request.tenant)
         if outcome == "ok":
-            handle.observe_latency(latency_s)
+            handle.ewma_latency_s = latency_ewma(handle.ewma_latency_s, latency_s)
         self.telemetry.on_result(handle.name, latency_s, batch_size, outcome)
+
+    def _release_tenant(self, tenant: str) -> None:
+        """Return one outstanding request of ``tenant`` to its quota."""
+        left = self._tenant_outstanding.get(tenant, 0) - 1
+        if left > 0:
+            self._tenant_outstanding[tenant] = left
+        else:
+            self._tenant_outstanding.pop(tenant, None)
 
     def _on_message(self, handle: WorkerHandle, message) -> None:
         kind = message[0]

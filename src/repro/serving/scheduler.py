@@ -38,6 +38,13 @@ POLICIES = ("round-robin", "least-loaded", "latency-aware", "cost-based")
 LATENCY_EWMA_ALPHA = 0.2
 
 
+def latency_ewma(previous: Optional[float], latency_s: float) -> float:
+    """Fold one completed-request latency into a routing estimate."""
+    if previous is None:
+        return latency_s
+    return LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
+
+
 class Replica:
     """One serving replica: engine + bounded queue + micro-batcher.
 
@@ -109,12 +116,7 @@ class Replica:
     ) -> None:
         self.inflight = max(0, self.inflight - 1)
         if outcome == "ok":
-            previous = self.ewma_latency_s
-            self.ewma_latency_s = (
-                latency_s
-                if previous is None
-                else LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
-            )
+            self.ewma_latency_s = latency_ewma(self.ewma_latency_s, latency_s)
         for observer in self._observers:
             observer(self.name, request, latency_s, batch_size, outcome)
 

@@ -139,11 +139,9 @@ class TestBatching:
             replica = Replica("r0", engine, max_batch=16, max_wait_s=0.0)
             server = InferenceServer([replica])
             columns = [rng.normal(size=4) for _ in range(8)]
-            # enqueue everything before the batcher task first runs
-            futures = []
-            server._started = True  # queue before starting the loop task
-            futures = [server.submit_nowait(column) for column in columns]
+            # start() never yields: everything queues before the batcher runs
             await server.start()
+            futures = [server.submit_nowait(column) for column in columns]
             outputs = await asyncio.gather(*futures)
             await server.shutdown()
             return engine, columns, outputs
@@ -178,12 +176,11 @@ class TestBatching:
             engine = GemmEngine(backend="ideal-digital")
             replica = Replica("r0", engine, max_batch=16, max_wait_s=0.0)
             server = InferenceServer([replica])
-            server._started = True
+            await server.start()
             x1, x2 = rng.normal(size=3), rng.normal(size=3)
             f1 = server.submit_nowait(x1, weights=w1)
             f2 = server.submit_nowait(x2, weights=w2)
             f3 = server.submit_nowait(x1, weights=w1)
-            await server.start()
             r1, r2, r3 = await asyncio.gather(f1, f2, f3)
             await server.shutdown()
             return engine, (x1, x2), (r1, r2, r3)
@@ -296,9 +293,8 @@ class TestBatching:
             engine = GemmEngine(backend="ideal-digital", weights=weights)
             replica = Replica("r0", engine, max_batch=2)
             server = InferenceServer([replica])
-            server._started = True  # queue without a consumer
-            futures = [server.submit_nowait(rng.normal(size=3)) for _ in range(4)]
             await server.start()
+            futures = [server.submit_nowait(rng.normal(size=3)) for _ in range(4)]
             await server.shutdown(drain=False)
             return await asyncio.gather(*futures, return_exceptions=True)
 
@@ -320,10 +316,9 @@ class TestBatching:
             engine = GemmEngine(backend="ideal-digital", weights=weights)
             replica = Replica("r0", engine, max_batch=8)
             server = InferenceServer([replica])
-            server._started = True
+            await server.start()
             good_a = server.submit_nowait(rng.normal(size=4))
             bad = server.submit_nowait(rng.normal(size=3))  # fused with good_a
-            await server.start()
             results = await asyncio.gather(good_a, bad, return_exceptions=True)
             # the batcher task survives and keeps serving
             follow_up = await server.submit(rng.normal(size=4))
@@ -351,6 +346,30 @@ class TestBatching:
         with pytest.raises(ServingError):
             engine.run_batch(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), key="k")
 
+    def test_wrongly_shaped_engine_reply_fails_its_requests_typed(self, rng):
+        """A reply that is not (n_out, n_requests) fails its call, not the batcher."""
+
+        class RavelEngine(GemmEngine):
+            def run_batch(self, weights, inputs, key=None):
+                return super().run_batch(weights, inputs, key=key).ravel()
+
+        async def scenario():
+            engine = RavelEngine(backend="ideal-digital", weights=rng.normal(size=(3, 3)))
+            replica = Replica("r0", engine, max_batch=4)
+            server = InferenceServer([replica])
+            await server.start()
+            futures = [server.submit_nowait(rng.normal(size=3)) for _ in range(3)]
+            results = await asyncio.gather(*futures, return_exceptions=True)
+            load, running = replica.load, replica.running
+            await server.shutdown(drain=True)
+            return results, load, running
+
+        results, load, running = run_async(scenario())
+        assert len(results) == 3
+        assert all(isinstance(result, ServingError) for result in results)
+        assert load == 0
+        assert running
+
     def test_engine_failure_propagates_to_callers(self, rng):
         async def scenario():
             engine = GemmEngine(backend="ideal-digital", weights=rng.normal(size=(3, 3)))
@@ -373,11 +392,10 @@ class TestBatching:
             # before any traffic: the configured fusing bound
             assert replica.expected_columns() == 16
             server = InferenceServer([replica])
-            server._started = True  # queue before starting the loop task
+            await server.start()
             futures = [
                 server.submit_nowait(rng.normal(size=4)) for _ in range(8)
             ]
-            await server.start()
             await asyncio.gather(*futures)
             await server.shutdown()
             return replica
@@ -762,7 +780,7 @@ class TestScheduling:
                 max_queue_depth=2,
             )
             server = InferenceServer([replica])
-            server._started = True  # admit without a consumer running
+            await server.start()  # the batcher runs at the first await
             server.submit_nowait(rng.normal(size=3))
             server.submit_nowait(rng.normal(size=3))
             with pytest.raises(BackpressureError) as excinfo:
@@ -772,7 +790,6 @@ class TestScheduling:
             assert excinfo.value.limit == 2
             assert server.telemetry.rejected == 1
             # drain so the queued futures do not leak into the loop teardown
-            await server.start()
             await server.shutdown()
 
         run_async(scenario())
@@ -829,11 +846,10 @@ class TestLifecycle:
             engine = GemmEngine(backend="ideal-digital", weights=weights)
             replica = Replica("r0", engine, max_batch=4)
             server = InferenceServer([replica])
-            server._started = True
-            expired = server.submit_nowait(rng.normal(size=3), deadline_s=0.0)
-            healthy = server.submit_nowait(rng.normal(size=3))
-            await asyncio.sleep(0.005)  # let the deadline pass before dispatch
             await server.start()
+            # already past at admission: expires at dispatch, whatever the clock
+            expired = server.submit_nowait(rng.normal(size=3), deadline_s=-1.0)
+            healthy = server.submit_nowait(rng.normal(size=3))
             with pytest.raises(DeadlineExceededError):
                 await expired
             result = await healthy
@@ -852,11 +868,10 @@ class TestLifecycle:
             engine = GemmEngine(backend="ideal-digital", weights=weights)
             replica = Replica("r0", engine, max_batch=4)
             server = InferenceServer([replica])
-            server._started = True
+            await server.start()
             cancelled = server.submit_nowait(rng.normal(size=3))
             kept = server.submit_nowait(rng.normal(size=3))
             cancelled.cancel()
-            await server.start()
             result = await kept
             await server.shutdown()
             return engine, replica, result
@@ -873,9 +888,8 @@ class TestLifecycle:
             engine = GemmEngine(backend="ideal-digital", weights=weights)
             replica = Replica("r0", engine, max_batch=2, max_queue_depth=64)
             server = InferenceServer([replica])
-            server._started = True
-            futures = [server.submit_nowait(rng.normal(size=3)) for _ in range(10)]
             await server.start()
+            futures = [server.submit_nowait(rng.normal(size=3)) for _ in range(10)]
             await server.shutdown(drain=True)
             assert all(future.done() for future in futures)
             return await asyncio.gather(*futures)

@@ -316,6 +316,49 @@ class TestGatewayAdmission:
 
 
 # --------------------------------------------------------------------- #
+# the admission contract both front ends share
+# --------------------------------------------------------------------- #
+FRONT_ENDS = ["inproc", "gateway"]
+
+
+def make_front_end(kind):
+    """An unstarted front end over one ideal-digital model of 4 inputs."""
+    if kind == "inproc":
+        engine = GemmEngine(backend="ideal-digital", weights=demo_weights())
+        return InferenceServer([Replica("r0", engine)])
+    return FabricGateway(make_worker_specs(1, GEMM, engine_kwargs={"weights": demo_weights()}))
+
+
+class TestAdmissionContract:
+    @pytest.mark.parametrize("kind", FRONT_ENDS)
+    def test_submit_outside_start_and_shutdown_is_server_closed(self, kind):
+        async def check():
+            front_end = make_front_end(kind)
+            with pytest.raises(ServerClosedError):
+                front_end.submit_nowait(np.ones(4))
+            await front_end.start()
+            await front_end.shutdown()
+            with pytest.raises(ServerClosedError):
+                front_end.submit_nowait(np.ones(4))
+
+        run_async(check())
+
+    @pytest.mark.parametrize("kind", FRONT_ENDS)
+    def test_two_dimensional_input_is_refused_before_admission(self, kind):
+        async def check():
+            async with make_front_end(kind) as front_end:
+                with pytest.raises(ValueError, match="one \\(n_in,\\) input column"):
+                    front_end.submit_nowait(np.ones((4, 2)))
+                counts = (front_end.telemetry.submitted, front_end.telemetry.rejected)
+                output = await front_end.submit(np.ones(4))
+            return counts, output
+
+        counts, output = run_async(check())
+        assert counts == (0, 0)
+        assert np.array_equal(output, demo_weights() @ np.ones(4))
+
+
+# --------------------------------------------------------------------- #
 # end-to-end across real worker processes
 # --------------------------------------------------------------------- #
 class TestFabricEndToEnd:
@@ -470,6 +513,23 @@ class TestTenantQuotas:
                 await first
 
         run_async(check())
+
+
+    def test_request_expiring_at_admission_releases_its_quota(self):
+        async def check():
+            specs = make_worker_specs(1, GEMM, engine_kwargs={"weights": demo_weights()})
+            async with FabricGateway(specs, tenant_quotas={"dave": 1}) as gateway:
+                # past its deadline already: the dispatch in the admission
+                # call itself fails it
+                with pytest.raises(DeadlineExceededError):
+                    await gateway.submit(np.ones(4), tenant="dave", deadline_s=-1.0)
+                outstanding = gateway.stats()["fabric"]["tenant_outstanding"]
+                output = await gateway.submit(np.ones(4), tenant="dave")
+            return outstanding, output
+
+        outstanding, output = run_async(check())
+        assert outstanding == {}
+        assert np.array_equal(output, demo_weights() @ np.ones(4))
 
 
 class TestCrossProcessErrors:
