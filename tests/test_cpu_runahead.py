@@ -15,7 +15,10 @@ instruction cap, and under fault injection.
 The bus and main-memory counters (``transfers``, ``memory_reads``,
 ``memory_writes`` and the arbitration counters) and the arbitrated
 memory-loop case were captured later, from the block-translating core
-whose every load and store called the bus.
+whose every load and store called the bus.  The loop-pass cases at the end
+(a register written between passes, a fault mid-pass, a device started
+mid-pass) were captured from the block-translating core that checked the
+horizon after every instruction.
 """
 
 import numpy as np
@@ -29,7 +32,7 @@ from repro.system.faults import (
     FaultSpec,
     run_fault_campaign,
 )
-from repro.system.mmr import STATUS_OFFSET
+from repro.system.mmr import CTRL_OFFSET, CTRL_START, DATA_OFFSET, STATUS_OFFSET
 from repro.system.programs import (
     accelerator_offload_program,
     dot_product_program,
@@ -1233,12 +1236,92 @@ def _unrolled_poll_source(soc):
     return source[:source.index("wait:")] + "\n".join(reads) + "\nhalt"
 
 
+#: 40 passes of one loop block; each pass loads a main-memory word and adds
+#: it and s2 into s1
+REGISTER_WRITE_LOOP = """
+    li   a0, 0x100
+    li   s2, 1
+    li   t0, 40
+loop:
+    lw   t1, 0(a0)
+    add  s1, s1, t1
+    add  s1, s1, s2
+    addi t0, t0, -1
+    bnez t0, loop
+    halt
+"""
+
+#: every cycle of the loop's third and fourth passes
+REGISTER_WRITE_CYCLES = range(79, 155)
+
+
+def _register_write_groups():
+    """Flip bit 4 of s2 at each cycle; group the cycles by the snapshot they produce."""
+    groups = []
+    for cycle in REGISTER_WRITE_CYCLES:
+        soc = PhotonicSoC()
+        soc.main_memory.write_word(0x100, 7)
+        FaultInjector(soc, FaultSpec("cpu_register", "transient", 18, 4, cycle)).arm()
+        snapshot = _snapshot(soc, soc.run_program(REGISTER_WRITE_LOOP))
+        for cycles, seen in groups:
+            if seen == snapshot:
+                cycles.append(cycle)
+                break
+        else:
+            groups.append(([cycle], snapshot))
+    return groups
+
+
+#: the second pass faults on a misaligned load after its first two writes
+FAULT_MID_PASS = """
+    li   a0, 0x100
+loop:
+    addi s1, s1, 1
+    slli s2, s1, 3
+    lw   t1, 0(a0)
+    add  s3, s3, t1
+    addi a0, a0, 2
+    j    loop
+"""
+
+#: STATUS polls per pass of the loop in :func:`_mmr_store_mid_pass_source`
+POLLS_PER_PASS = 120
+
+
+def _mmr_store_mid_pass_source(soc):
+    """Poll STATUS in a two-pass loop whose first pass starts the offload mid-pass.
+
+    Each pass polls once, stores t0 to CTRL (START on the first pass, 0 on
+    the second), then sums ``POLLS_PER_PASS`` more STATUS reads into t3.
+    The offload finishes inside the first pass, so the core must stop
+    after the START store to let the device's events run between its
+    reads.
+    """
+    weights, inputs = _operands()
+    soc.write_matrix(A_ADDR, weights)
+    soc.write_matrix(B_ADDR, inputs)
+    config = [A_ADDR, B_ADDR, C_ADDR, *weights.shape, inputs.shape[1], 0]
+    poll = f"lw t1, {STATUS_OFFSET}(s0)\nadd t3, t3, t1"
+    return "\n".join([
+        f"li s0, {soc.accelerators[0].mmr_base}",
+        *[f"li t0, {value}\nsw t0, {DATA_OFFSET + 4 * index}(s0)"
+          for index, value in enumerate(config)],
+        f"li t0, {CTRL_START}", "li a0, 2",
+        "loop:", poll, f"sw t0, {CTRL_OFFSET}(s0)", "li t0, 0",
+        *[poll] * POLLS_PER_PASS,
+        "addi a0, a0, -1", "bnez a0, loop", "halt",
+    ])
+
+
 TICKED_PROGRAMS = {
     "every_opcode": lambda soc: every_opcode_program(),
     "gemm": _gemm_source,
     "spin_then_halt": lambda soc: "li t0, 300\nloop:\naddi t0, t0, -1\nbnez t0, loop\nhalt",
     "misaligned_lw": lambda soc: FAULTING_PROGRAMS["misaligned_lw"],
     "unrolled_poll": _unrolled_poll_source,
+    "register_write_loop": lambda soc: REGISTER_WRITE_LOOP,
+    "fault_mid_pass": lambda soc: FAULT_MID_PASS,
+    "mmr_store_mid_pass": _mmr_store_mid_pass_source,
 }
 
 
@@ -1282,3 +1365,77 @@ def test_a_device_started_mid_block_runs_between_its_instructions():
     assert snapshot == UNROLLED_POLL
     # fetch, DMA-in, compute, DMA-out and the core resuming after each
     assert events == 6
+
+
+
+# ---------------------------------------------------------------------- #
+# state that crosses the passes of a translated loop
+# ---------------------------------------------------------------------- #
+#: captured from the block-translating core that checked the horizon after
+#: every instruction: a flip of s2 reaches the first pass whose
+#: ``add s1, s1, s2`` issues at or after the injection cycle (a tie goes to
+#: the injection), so only s1 (x9) tells the groups apart
+REGISTER_WRITE_RUN = {
+    "instructions": 204, "cycles": 1523, "loads": 40, "stores": 0, "branches_taken": 39,
+    "stall_cycles": 1280, "energy_j": "1.177e-09",
+    "per_category": [("alu", 123), ("load", 40), ("branch", 40), ("system", 1)],
+    "pc": 36, "halted": True, "fault_cause": None, "end_cycle": 1522,
+    "transfers": 40, "memory_reads": 40, "memory_writes": 1,
+    "contention_cycles": 0, "contention_events": 0,
+    "energy_breakdown": {"cpu": "1.177e-09", "main_memory": "8.2e-10", "bus": "4e-11"},
+}
+REGISTER_WRITE_GROUPS = [(range(79, 114), 928), (range(114, 152), 912), (range(152, 155), 896)]
+
+
+def test_a_register_written_between_passes_is_read_by_the_next_pass():
+    expected = [
+        (list(cycles), dict(REGISTER_WRITE_RUN, registers={6: 7, 9: s1, 10: 256, 18: 17}))
+        for cycles, s1 in REGISTER_WRITE_GROUPS
+    ]
+    assert _register_write_groups() == expected
+
+
+#: captured from the block-translating core that checked the horizon after
+#: every instruction
+FAULT_MID_PASS_RUN = {
+    "instructions": 9, "cycles": 41, "loads": 1, "stores": 0, "branches_taken": 0,
+    "stall_cycles": 32, "energy_j": "4.9000000000000005e-11",
+    "per_category": [("alu", 7), ("load", 1), ("jump", 1)],
+    "pc": 12,
+    # the second pass's s1 and s2, the first pass's t1 and s3
+    "registers": {6: 7, 9: 2, 10: 258, 18: 16, 19: 7},
+    "halted": True, "fault_cause": "misaligned word access at 0x102", "end_cycle": 41,
+    "transfers": 1, "memory_reads": 1, "memory_writes": 1,
+    "contention_cycles": 0, "contention_events": 0,
+    "energy_breakdown": {"cpu": "4.9000000000000005e-11", "main_memory": "4e-11",
+                         "bus": "1e-12"},
+}
+
+
+def test_a_fault_mid_pass_keeps_the_earlier_writes_of_that_pass():
+    soc = PhotonicSoC()
+    soc.main_memory.write_word(0x100, 7)
+    assert _snapshot(soc, soc.run_program(FAULT_MID_PASS)) == FAULT_MID_PASS_RUN
+
+
+#: captured from the block-translating core that checked the horizon after
+#: every instruction: after the first poll (IDLE), 52 reads saw BUSY (1) and
+#: 189 saw DONE (2)
+MMR_STORE_MID_PASS_RUN = {
+    "instructions": 510, "cycles": 1264, "loads": 242, "stores": 9, "branches_taken": 1,
+    "stall_cycles": 753, "energy_j": "3.800000000000007e-09",
+    "per_category": [("alu", 256), ("store", 9), ("load", 242), ("branch", 2), ("system", 1)],
+    "pc": 1056, "registers": {6: 2, 8: 1073741824, 28: 430},
+    "halted": True, "fault_cause": None, "end_cycle": 1263,
+    "transfers": 298, "memory_reads": 35, "memory_writes": 12,
+    "contention_cycles": 0, "contention_events": 0,
+    "energy_breakdown": {"cpu": "3.800000000000007e-09", "main_memory": "9.399999999999999e-10",
+                         "bus": "2.98e-10", "photonic0": "3.8491e-10"},
+}
+
+
+def test_a_device_started_mid_pass_runs_between_the_later_reads_of_that_pass():
+    snapshot, events = _ticked_snapshot(_mmr_store_mid_pass_source)
+    assert snapshot == MMR_STORE_MID_PASS_RUN
+    # fetch, DMA-in, compute, DMA-out and the core resuming after each
+    assert events == 7
