@@ -11,14 +11,17 @@ simulated executions.
 The core executes *translated basic blocks*.  The first time it enters a
 block leader (pc 0, a branch or ``jal`` target, or the pc after a branch,
 jump or halt) it generates one Python function for the straight-line run
-of instructions from there up to and including the next branch, ``jal``,
-``jalr`` or halt.  Register indices, immediates, latencies and energies
-are literals in that function.  A block whose terminator is a ``j`` or a
-branch back to its own entry, or a branch whose not-taken run ends in one
-(a ``for`` loop's head), keeps looping inside the same call.  An event
-that stops the core inside a block resumes at a pc that is no leader;
-from there the core runs one-instruction blocks up to the next leader, so
-translation stays linear in the program however often it is stopped.
+of instructions from there through the next branch, ``jal``, ``jalr`` or
+halt, or up to the next leader.  Register indices, immediates, latencies
+and energies are literals in that function, and the registers it uses
+are locals: loaded on entry, stored back to :attr:`RiscvCPU.registers`
+at every exit.  A block whose terminator is a ``j`` or a branch back to
+its own entry, or a branch whose not-taken run ends in one (a ``for``
+loop's head), keeps looping inside the same call; the body of such a
+``for`` loop is no leader.  An event that stops the core inside a block
+resumes at a pc that is no leader; from there the core runs
+one-instruction blocks up to the next leader, so translation stays
+within twice the program length however often the core is stopped.
 Translations are cached per assembled :class:`Program` and latency/energy
 table in a bounded LRU (:data:`TRANSLATION_CACHE_SIZE`), so a program
 that runs again, on this core or another, is not translated again.
@@ -47,16 +50,24 @@ does not spend one event per instruction.  A CPU event *runs ahead*: it
 calls block after block while the next issue cycle is strictly below the
 scheduler's :meth:`~repro.system.event.EventScheduler.horizon` (the
 earliest pending event, or the end of the current ``run()``), and
-schedules one event at the cycle where it stopped.  The same check
-follows every instruction inside a block, and a block re-reads the
-horizon whenever a load or store scheduled an event, so no other
-component acts between two instructions of one event: every cycle count,
+schedules one event at the cycle where it stopped.  Inside a block the
+horizon is checked once per *pass* (the block once through, or one round
+of its loop).  A pass runs only if its last instruction issues below the
+horizon when every load and store in it costs the window's latency; the
+loop's back edge checks the next pass the same way.  A pass that does not
+fit runs nothing, and the event goes on in one-instruction blocks, each
+followed by the dispatcher's check, until it stops.  A load or store
+outside the window moves the block's clock by its real latency, re-reads
+the horizon if it scheduled an event, and leaves the block after itself
+when the rest of the pass no longer fits.  So no other component acts
+between two instructions of one event: every cycle count,
 joule, register value and the interleaving with DMA transfers,
 accelerator completions, interrupts and injected faults are exactly those
 of one event per instruction.  On a tie the pending event runs first: it
 was scheduled earlier, so it holds the lower sequence number.
 
-A block adds its instructions' energies one literal at a time, in program
+A block adds each straight run of its instructions' energy literals in
+one expression, ``energy + a + b + ...``: left to right, in program
 order, so the float sum is the per-instruction one.  Every way out of a
 block is an exit that holds the block's static counts up to there
 (instructions, loads, stores, taken branch, base cycles and the
@@ -209,6 +220,12 @@ class _Exit:
         self.halts = halts
 
 
+#: what a block returns, having run nothing, when its pass does not fit
+#: before the horizon: the core then runs one-instruction blocks to the end
+#: of the event
+_DECLINED = _Exit(0, 0, 0, 0, 0, (), False)
+
+
 class _BlockFault(Exception):
     """A load or store raised inside a block (the cause is ``__cause__``).
 
@@ -233,14 +250,19 @@ def _reg(index: Optional[int]) -> int:
 def _literal_tables(
     latencies: Dict[str, int], energies: Dict[str, float]
 ) -> Tuple[Dict[str, int], Dict[str, str]]:
-    """Latencies as ints and energies as float literals (rejects anything else)."""
+    """Latencies as non-negative ints and energies as float literals (rejects anything else)."""
+    cycles = {category: operator.index(value) for category, value in latencies.items()}
+    for category, value in cycles.items():
+        # a pass's cost is its longest prefix only if no latency is negative
+        if value < 0:
+            raise ValueError(f"{category} latency must be non-negative, got {value}")
     literals = {}
     for category, value in energies.items():
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"{category} energy must be finite, got {value!r}")
         literals[category] = repr(value)
-    return {category: operator.index(value) for category, value in latencies.items()}, literals
+    return cycles, literals
 
 
 #: a translated block without a loop: ``(function, instruction count)``
@@ -249,12 +271,12 @@ _Block = Tuple[Callable, int]
 _TERMINATORS = BRANCH_OPS | {"jal", "jalr", "ecall", "ebreak"}
 
 
-def _straight_run(instructions, index: int, limit: Optional[int] = None) -> List[int]:
-    """Instruction indices from ``index`` up to and including the next terminator."""
+def _straight_run(instructions, index: int, leaders, limit: Optional[int] = None) -> List[int]:
+    """Instruction indices from ``index`` through the next terminator or up to the next leader."""
     run: List[int] = []
     while index < len(instructions) and len(run) != limit:
         run.append(index)
-        if instructions[index].op in _TERMINATORS:
+        if instructions[index].op in _TERMINATORS or 4 * index + 4 in leaders:
             break
         index += 1
     return run
@@ -265,16 +287,27 @@ def _leaders(instructions) -> frozenset:
 
     pc 0, every branch and ``jal`` target, and every pc after a branch,
     jump or halt (where a call returns and a not-taken branch falls
-    through).  An event that stops the core elsewhere resumes inside a
-    block.
+    through), but for the body of a ``for`` loop: the pc after its head's
+    branch is entered only inside the loop's block (:func:`_plan`), unless
+    it is a target too.  Every instruction thus belongs to the block of
+    one leader and at most one loop.  An event that stops the core
+    elsewhere resumes inside a block.
     """
-    leaders = {0}
+    targets = {0}
+    leaders = set()
     for index, instruction in enumerate(instructions):
         if instruction.op in BRANCH_OPS or instruction.op == "jal":
-            leaders.add(4 * index + instruction.imm)
+            targets.add(4 * index + instruction.imm)
         if instruction.op in _TERMINATORS:
             leaders.add(4 * index + 4)
-    return frozenset(leaders)
+    leaders |= targets
+    bodies = set()
+    for head in targets:
+        if head % 4 == 0 and 0 <= head < 4 * len(instructions):
+            path, _ = _plan(instructions, head, True, None, leaders)
+            bodies.update(4 * index + 4 for index in path[:-1]
+                          if instructions[index].op in BRANCH_OPS)
+    return frozenset(leaders - (bodies - targets))
 
 
 def _jumps_to(instructions, index: int, entry: int) -> bool:
@@ -285,30 +318,63 @@ def _jumps_to(instructions, index: int, entry: int) -> bool:
     return False
 
 
-def _plan(instructions, pc: int, loop: bool, limit: Optional[int]) -> Tuple[List[int], bool]:
+def _plan(
+    instructions, pc: int, loop: bool, limit: Optional[int], leaders
+) -> Tuple[List[int], bool]:
     """The instruction indices of the block at ``pc`` and whether they loop.
 
-    A block is the straight run from ``pc`` through its terminator (or
-    ``limit`` instructions).  With ``loop`` it runs again from ``pc``
-    inside the same call when that terminator is a ``j`` or branch back to
-    ``pc``, or when it is a branch whose not-taken run ends in one.
+    A block is the straight run from ``pc`` through its terminator, up to
+    the next leader, or ``limit`` instructions.  With ``loop`` it runs
+    again from ``pc`` inside the same call when that terminator is a ``j``
+    or branch back to ``pc``, or when it is a branch whose not-taken run
+    ends in one (a ``for`` loop's head and body).
     """
-    run = _straight_run(instructions, pc // 4, limit)
+    run = _straight_run(instructions, pc // 4, leaders, limit)
     if not loop:
         return run, False
     last = run[-1]
     if _jumps_to(instructions, last, pc):
         return run, True
     if instructions[last].op in BRANCH_OPS:
-        rest = _straight_run(instructions, last + 1)
+        rest = _straight_run(instructions, last + 1, leaders)
         if rest and _jumps_to(instructions, rest[-1], pc):
             return run + rest, True
     return run, False
 
 
+def _cycles(literal: int, reads: int, writes: int) -> str:
+    """Source of ``literal`` cycles plus ``reads`` window read and ``writes`` write latencies."""
+    terms = [str(literal)] if literal or not (reads or writes) else []
+    for count, name in ((reads, "read_latency"), (writes, "write_latency")):
+        if count:
+            terms.append(name if count == 1 else f"{count} * {name}")
+    return " + ".join(terms)
+
+
+def _result(instruction, here: int, imm: Optional[int], a: str, b: str) -> str:
+    """Source of an ALU/MUL/``lui``/``auipc`` result from operand sources ``a`` and ``b``."""
+    op = instruction.op
+    if op == "lui":
+        return str((imm << 12) & 0xFFFFFFFF)
+    if op == "auipc":
+        return str((here + (imm << 12)) & 0xFFFFFFFF)
+    base = _IMMEDIATE_BASE.get(op, op)
+    if instruction.rs2 is not None:
+        return _ALU_TEMPLATES[base].format(a=a, b=b)
+    if base == "slt":
+        return _SLTI_TEMPLATE.format(a=a, b=imm)
+    return _ALU_TEMPLATES[base].format(a=a, b=imm & 0xFFFFFFFF)
+
+
+#: energy literals added in one expression at most; a longer run is split
+#: so that the generated expression stays shallow
+_ENERGY_RUN = 32
+
+
 def _translate_block(
     program: Program,
     pc: int,
+    leaders: frozenset,
     latencies: Dict[str, int],
     energies: Dict[str, str],
     loop: bool = True,
@@ -316,169 +382,243 @@ def _translate_block(
 ) -> _Block:
     """Generate the function of the basic block that starts at ``pc``.
 
-    The block runs to the next branch, ``jal``, ``jalr`` or halt, to the
-    end of the program, or to ``limit`` instructions; with ``loop`` it may
-    also loop back to ``pc`` (:func:`_plan`).  The function is
+    The block runs through the next branch, ``jal``, ``jalr`` or halt, up
+    to the next of ``leaders`` (:func:`_leaders`), to the end of the
+    program, or to ``limit`` instructions; with ``loop`` it may also loop
+    back to ``pc`` (:func:`_plan`).  The function is
     ``block(regs, bus, scheduler, t, horizon, sequence, energy, visits, window)``
     with ``t`` the first instruction's issue cycle and ``window`` the bus's
     main-memory window (:data:`_NO_WINDOW` when it has none); ``energies``
     are float literals (:func:`_literal_tables`).  It returns ``(next pc, issue
     cycle of its last instruction, that instruction's latency, energy,
-    exit)``, and returns early, after any instruction, whose next issue
-    cycle reaches ``horizon``.  Each pass of a loop that goes round is
-    counted in ``visits`` as its exit.  The source holds only integer
+    exit)``.
+
+    A pass (the block once through, or one round of its loop) checks the
+    horizon once: it runs only if every instruction after its first issues
+    before ``horizon`` when each load and store costs the window's latency.
+    Otherwise the block returns :data:`_DECLINED` at entry, or its back
+    edge's exit before the next pass.  A load or store outside the window
+    goes through the bus, moves ``t`` by the difference and checks the rest
+    of the pass again; a rest that no longer fits returns after it.  The
+    registers the block uses are locals, stored back at every exit; energy
+    literals are added left to right, as many as run straight.  The passes
+    of a loop that went round are counted in ``visits`` as the back edge's
+    exit (``DONE``) when the block leaves.  The source holds only integer
     and float literals and fixed templates.
     """
     instructions = program.instructions
     if pc % 4 or not 0 <= pc < 4 * len(instructions):
         raise CPUError(f"pc {pc:#x} outside program")
-    path, loops = _plan(instructions, pc, loop, limit)
+    path, loops = _plan(instructions, pc, loop, limit, leaders)
+    steps = [instructions[index] for index in path]
     name = f"block_{pc:#x}"
-    namespace: Dict[str, object] = {"_div": _div, "_rem": _rem, "_BlockFault": _BlockFault}
+    namespace: Dict[str, object] = {
+        "_div": _div, "_rem": _rem, "_BlockFault": _BlockFault, "_DECLINED": _DECLINED,
+    }
     per_category: Dict[str, int] = {}
     counts = {"instructions": 0, "loads": 0, "stores": 0, "base_cycles": 0}
 
-    def exit_(taken: int = 0, halts: bool = False) -> str:
-        exit_name = f"X{len(namespace)}"
+    def exit_(taken: int = 0, halts: bool = False, label: Optional[str] = None) -> str:
+        exit_name = label or f"X{len(namespace)}"
         namespace[exit_name] = _Exit(
             counts["instructions"], counts["loads"], counts["stores"], taken,
             counts["base_cycles"] + taken, tuple(per_category.items()), halts,
         )
         return exit_name
 
-    lines = [f"def {name}(regs, bus, scheduler, t, horizon, sequence, energy, visits, window):"]
-    if any(instructions[index].op in ("lw", "sw") for index in path):
-        lines.append("    mbase, msize, words, mstats, read_latency, write_latency = window")
-    pad = "    "
+    # Registers in first-use order: those read before the block writes
+    # them are loaded at entry, and a loop loads every register it writes
+    # too, since its exits store them back from any pass.
+    loaded: List[int] = []
+    written: List[int] = []
+    for instruction in steps:
+        for source in (_reg(instruction.rs1), _reg(instruction.rs2)):
+            if source and source not in written and source not in loaded:
+                loaded.append(source)
+        target = _reg(instruction.rd)
+        if target and target not in written:
+            written.append(target)
     if loops:
-        lines.append("    while True:")
-        pad = "        "
+        loaded += [index for index in written if index not in loaded]
 
-    def emit(*code: str) -> None:
+    # the cycles from the pass's first issue to its last one, and (a loop)
+    # to the next pass's first issue, with every access in the window
+    before_last = [0, 0, 0]
+    for instruction in steps[:-1]:
+        before_last[0] += latencies[instruction.category]
+        before_last[1] += instruction.op == "lw"
+        before_last[2] += instruction.op == "sw"
+    fits = _cycles(*before_last)
+    back = latencies[steps[-1].category] + (steps[-1].op in BRANCH_OPS)
+    full, again = str(before_last[0] + back), str(2 * before_last[0] + back)
+
+    lines = [f"def {name}(regs, bus, scheduler, t, horizon, sequence, energy, visits, window):"]
+    if any(instruction.op in ("lw", "sw") for instruction in steps):
+        lines.append("    mbase, msize, words, mstats, read_latency, write_latency = window")
+        if not fits.isdigit():
+            lines.append(f"    fits = {fits}")
+            fits = "fits"
+            if loops:
+                lines += [f"    full = fits + {back}", "    again = full + fits"]
+                full, again = "full", "again"
+    if len(steps) > 1:
+        lines += [f"    if t + {fits} >= horizon:", f"        return {pc}, t, 0, energy, _DECLINED"]
+    lines += [f"    x{index} = regs[{index}]" for index in loaded]
+    if loops:
+        lines += ["    passes = 0", "    while True:"]
+    depth = 2 if loops else 1
+
+    def emit(*code: str, indent: int = 0) -> None:
+        pad = "    " * (depth + indent)
         lines.extend(pad + line for line in code)
 
-    def go_round(cost: int, taken: int) -> None:
-        # the loop's back edge: one more pass unless the horizon is reached
-        done = exit_(taken=taken)
-        emit(f"if t + {cost} >= horizon:",
-             f"    return {pc}, t, {cost}, energy, {done}",
-             f"t += {cost}",
-             f"visits[{done}] = visits.get({done}, 0) + 1")
+    # the energy literals added since the last ``energy = ...`` statement
+    pending: List[str] = []
 
-    for position, index in enumerate(path):
-        instruction = instructions[index]
+    def energy_sum() -> str:
+        return " + ".join(["energy", *pending])
+
+    def fold_energy() -> None:
+        emit(f"energy = {energy_sum()}")
+        pending.clear()
+
+    #: registers written so far, in a block without a loop
+    stored: List[int] = []
+
+    def leave(statement: str, indent: int = 0) -> None:
+        # an exit: registers back to the file, uncounted passes to ``visits``
+        code = [f"regs[{index}] = x{index}" for index in (written if loops else stored)]
+        if loops:
+            code += ["if passes:", "    visits[DONE] = visits.get(DONE, 0) + passes"]
+        emit(*code, statement, indent=indent)
+
+    def go_round(issue: str, latency: int, taken: int, indent: int = 0) -> None:
+        # the loop's back edge: one more pass if all of it fits
+        exit_(taken=taken, label="DONE")
+        emit(f"if t + {again} >= horizon:", indent=indent)
+        leave(f"return {pc}, {issue}, {latency}, energy, DONE", indent=indent + 1)
+        emit(f"t += {full}", "passes += 1", indent=indent)
+
+    def store(index: int) -> None:
+        if index and index not in stored:
+            stored.append(index)
+
+    # the cycles from the pass's first issue to this instruction's
+    prefix = [0, 0, 0]
+    for position, instruction in enumerate(steps):
         op, category = instruction.op, instruction.category
-        here, next_pc = 4 * index, 4 * index + 4
-        final = position == len(path) - 1
+        here, next_pc = 4 * path[position], 4 * path[position] + 4
+        final = position == len(steps) - 1
         rd, rs1, rs2 = _reg(instruction.rd), _reg(instruction.rs1), _reg(instruction.rs2)
         imm = None if instruction.imm is None else operator.index(instruction.imm)
-        a, b = f"regs[{rs1}]", f"regs[{rs2}]"
+        a, b = (f"x{index}" if index else "0" for index in (rs1, rs2))
         latency, joules = latencies[category], energies[category]
+        issue = f"t + {_cycles(*prefix)}" if any(prefix) else "t"
         # a faulting load or store leaves the state after the instructions before it
         faulted = exit_() if op in ("lw", "sw") and counts["instructions"] else "None"
+        before = energy_sum()
         counts["instructions"] += 1
         counts["base_cycles"] += latency
         per_category[category] = per_category.get(category, 0) + 1
+        pending.append(joules)
         emit(f"# {here:#x}: {op}")
         if op in BRANCH_OPS:
             target = here + imm
-            emit(f"energy += {joules}",
-                 f"if {_BRANCH_TEMPLATES[op].format(a=a, b=b)}:")
+            condition = _BRANCH_TEMPLATES[op].format(a=a, b=b)
             if loops and final:
-                pad += "    "
-                go_round(latency + 1, taken=1)
-                pad = pad[:-4]
-                emit("else:", f"    return {next_pc}, t, {latency}, energy, {exit_()}")
+                fold_energy()
+                emit(f"if {condition}:")
+                go_round(issue, latency + 1, taken=1, indent=1)
+                emit("else:")
+                leave(f"return {next_pc}, {issue}, {latency}, energy, {exit_()}", indent=1)
                 break
-            emit(f"    return {target}, t, {latency + 1}, energy, {exit_(taken=1)}")
+            emit(f"if {condition}:")
+            leave(f"return {target}, {issue}, {latency + 1}, {energy_sum()}, {exit_(taken=1)}",
+                  indent=1)
             if final:
-                emit(f"return {next_pc}, t, {latency}, energy, {exit_()}")
+                leave(f"return {next_pc}, {issue}, {latency}, {energy_sum()}, {exit_()}")
                 break
             # a branch inside a loop: the not-taken path stays in the block
-            emit(f"if t + {latency} >= horizon:",
-                 f"    return {next_pc}, t, {latency}, energy, {exit_()}",
-                 f"t += {latency}")
-            continue
-        if op == "jal":
+        elif op == "jal":
             if rd:
-                emit(f"regs[{rd}] = {next_pc}")
-            emit(f"energy += {joules}")
+                emit(f"x{rd} = {next_pc}")
+                store(rd)
             if loops:
-                go_round(latency, taken=0)
+                fold_energy()
+                go_round(issue, latency, taken=0)
             else:
-                emit(f"return {here + imm}, t, {latency}, energy, {exit_()}")
+                leave(f"return {here + imm}, {issue}, {latency}, {energy_sum()}, {exit_()}")
             break
-        if op == "jalr":
+        elif op == "jalr":
             emit(f"target = ({a} + {imm}) & 0xFFFFFFFE")
             if rd:
-                emit(f"regs[{rd}] = {next_pc}")
-            emit(f"energy += {joules}", f"return target, t, {latency}, energy, {exit_()}")
+                emit(f"x{rd} = {next_pc}")
+                store(rd)
+            leave(f"return target, {issue}, {latency}, {energy_sum()}, {exit_()}")
             break
-        if op in ("ecall", "ebreak"):
-            emit(f"energy += {joules}",
-                 f"return {next_pc}, t, {latency}, energy, {exit_(halts=True)}")
+        elif op in ("ecall", "ebreak"):
+            leave(f"return {next_pc}, {issue}, {latency}, {energy_sum()}, {exit_(halts=True)}")
             break
-        cost = str(latency)
-        if op in ("lw", "sw"):
+        elif op in ("lw", "sw"):
             emit(f"address = ({a} + {imm}) & 0xFFFFFFFF" if imm else f"address = {a}",
                  "offset = address - mbase",
                  # main memory: exactly what the bus counts, without its decode
                  "if 0 <= offset < msize and not offset & 3:")
             if op == "lw":
                 counts["loads"] += 1
+                prefix[1] += 1
+                window_latency = "read_latency"
                 if rd:
-                    emit(f"    regs[{rd}] = words.item(offset >> 2)")
-                emit("    mstats.reads += 1", "    bus.transfers += 1",
-                     f"    latency = {latency} + read_latency")
+                    emit(f"x{rd} = words.item(offset >> 2)", indent=1)
+                emit("mstats.reads += 1", "bus.transfers += 1", indent=1)
                 access = ("value, access = bus.read_word(address)" if rd
                           else "access = bus.read_word(address)[1]")
             else:
                 counts["stores"] += 1
-                emit(f"    words[offset >> 2] = {b} & 0xFFFFFFFF",
-                     "    mstats.writes += 1", "    bus.transfers += 1",
-                     f"    latency = {latency} + write_latency")
+                prefix[2] += 1
+                window_latency = "write_latency"
+                emit(f"words[offset >> 2] = {b} & 0xFFFFFFFF",
+                     "mstats.writes += 1", "bus.transfers += 1", indent=1)
                 access = f"access = bus.write_word(address, {b})"
+            if final:
+                emit(f"latency = {latency} + {window_latency}", indent=1)
             # Anywhere else the bus may start a device, so it sees the issue
             # cycle.  Any exception leaves with the state before this
             # instruction: the core halts on a MemoryAccessError and
             # re-raises anything else.
             emit("else:",
-                 "    scheduler.current_cycle = t",
+                 f"    issue = {issue}",
+                 "    scheduler.current_cycle = issue",
                  "    try:",
                  f"        {access}",
-                 "    except Exception as exc:",
-                 f"        raise _BlockFault({here}, t, energy, {faulted}) from exc")
+                 "    except Exception as exc:")
+            leave(f"raise _BlockFault({here}, issue, {before}, {faulted}) from exc", indent=2)
             if op == "lw" and rd:
-                emit(f"    regs[{rd}] = int(value) & 0xFFFFFFFF")
+                emit(f"x{rd} = int(value) & 0xFFFFFFFF", indent=1)
+                store(rd)
             # an access that scheduled an event (a device start) moves the horizon
-            emit("    if scheduler.sequence != sequence:",
-                 "        horizon = scheduler.horizon()",
-                 "        sequence = scheduler.sequence",
-                 f"    latency = {latency} + access")
-            cost = "latency"
-        elif op == "lui":
+            emit("if scheduler.sequence != sequence:",
+                 "    horizon = scheduler.horizon()",
+                 "    sequence = scheduler.sequence", indent=1)
+            if final:
+                emit(f"latency = {latency} + access", indent=1)
+                leave(f"return {next_pc}, {issue}, latency, {energy_sum()}, {exit_()}")
+                break
+            # the rest of the pass, from the cycle this access really took
+            emit(f"t += access - {window_latency}", f"if t + {fits} >= horizon:", indent=1)
+            leave(f"return {next_pc}, issue, {latency} + access, {energy_sum()}, {exit_()}",
+                  indent=2)
+        else:
             if rd:
-                emit(f"regs[{rd}] = {(imm << 12) & 0xFFFFFFFF}")
-        elif op == "auipc":
-            if rd:
-                emit(f"regs[{rd}] = {(here + (imm << 12)) & 0xFFFFFFFF}")
-        elif rd:
-            base = _IMMEDIATE_BASE.get(op, op)
-            if instruction.rs2 is not None:
-                template = _ALU_TEMPLATES[base]
-            elif base == "slt":
-                template, b = _SLTI_TEMPLATE, str(imm)
-            else:
-                template, b = _ALU_TEMPLATES[base], str(imm & 0xFFFFFFFF)
-            emit(f"regs[{rd}] = {template.format(a=a, b=b)}")
-        emit(f"energy += {joules}")
-        if final:
-            # the end of the program or of the instruction budget
-            emit(f"return {next_pc}, t, {cost}, energy, {exit_()}")
-            break
-        emit(f"if t + {cost} >= horizon:",
-             f"    return {next_pc}, t, {cost}, energy, {exit_()}",
-             f"t += {cost}")
+                emit(f"x{rd} = {_result(instruction, here, imm, a, b)}")
+                store(rd)
+            if final:
+                # the end of the program or of the instruction budget
+                leave(f"return {next_pc}, {issue}, {latency}, {energy_sum()}, {exit_()}")
+                break
+        prefix[0] += latency
+        if len(pending) == _ENERGY_RUN:
+            fold_energy()
     filename = f"<riscv block {pc:#x}>" if limit is None else f"<riscv block {pc:#x}:{limit}>"
     exec(compile("\n".join(lines) + "\n", filename, "exec"), namespace)
     return namespace[name], counts["instructions"]
@@ -494,7 +634,7 @@ class _Translation:
     block per resume pc.
     """
 
-    __slots__ = ("program", "latencies", "energies", "leaders", "blocks", "_straight")
+    __slots__ = ("program", "latencies", "energies", "leaders", "blocks", "steps", "_straight")
 
     def __init__(self, program: Program, latencies: Dict[str, int], energies: Dict[str, float]):
         #: held so that ``id(program)`` in the cache key stays this program's
@@ -503,21 +643,32 @@ class _Translation:
         self.leaders = _leaders(program.instructions)
         #: entry pc -> block function
         self.blocks: Dict[int, Callable] = {}
+        #: pc -> one-instruction block, run where a pass does not fit
+        self.steps: Dict[int, Callable] = {}
         #: ``(entry pc, instruction limit or None)`` -> block without a loop
         self._straight: Dict[Tuple[int, Optional[int]], _Block] = {}
 
     def translate(self, pc: int) -> Callable:
         """Translate the block at ``pc`` and add it to :attr:`blocks`."""
         if pc in self.leaders:
-            block, _ = _translate_block(self.program, pc, self.latencies, self.energies)
+            block, _ = _translate_block(
+                self.program, pc, self.leaders, self.latencies, self.energies
+            )
         else:
-            block, _ = self._unlooped(pc, 1)
+            block = self.step(pc)
         self.blocks[pc] = block
+        return block
+
+    def step(self, pc: int) -> Callable:
+        """The one-instruction block at ``pc``, added to :attr:`steps`."""
+        block = self.steps[pc] = self._unlooped(pc, 1)[0]
         return block
 
     def capped(self, pc: int, budget: int) -> _Block:
         """The block at ``pc`` without its loop, cut to ``budget`` instructions."""
-        entry = self._unlooped(pc, None if pc in self.leaders else 1)
+        if budget == 1 or pc not in self.leaders:
+            return self._unlooped(pc, 1)
+        entry = self._unlooped(pc, None)
         if entry[1] > budget:
             entry = self._unlooped(pc, budget)
         return entry
@@ -526,7 +677,8 @@ class _Translation:
         entry = self._straight.get((pc, limit))
         if entry is None:
             entry = self._straight[pc, limit] = _translate_block(
-                self.program, pc, self.latencies, self.energies, loop=False, limit=limit
+                self.program, pc, self.leaders, self.latencies, self.energies,
+                loop=False, limit=limit,
             )
         return entry
 
@@ -641,7 +793,7 @@ class RiscvCPU:
         bus = self.bus
         regs = self.registers
         translation = self._translation
-        blocks = translation.blocks
+        blocks, fetch = translation.blocks, translation.translate
         stats = self.stats
         budget = None
         if self._max_instructions is not None:
@@ -658,22 +810,32 @@ class RiscvCPU:
         visits: Dict[_Exit, int] = {}
         seen = visits.get
         window = bus.main_memory_window() or _NO_WINDOW
+        # a pass that does not fit before the horizon hands the rest of the
+        # event to one-instruction blocks
+        stepping = False
         try:
             while True:
                 block = blocks.get(pc)
                 if block is None:
                     if budget is None:
-                        block = translation.translate(pc)
+                        block = fetch(pc)
                     elif budget <= 0:
                         self.halted = True
                         break
                     else:
                         # a block that does not end the event runs whole
-                        block, size = translation.capped(pc, budget)
+                        block, size = translation.capped(pc, 1 if stepping else budget)
                         budget -= size
                 pc, t, latency, energy, exit_ = block(
                     regs, bus, scheduler, t, horizon, sequence, energy, visits, window
                 )
+                if exit_ is _DECLINED:
+                    stepping = True
+                    if budget is None:
+                        blocks, fetch = translation.steps, translation.step
+                    else:
+                        budget += size
+                    continue
                 visits[exit_] = seen(exit_, 0) + 1
                 if exit_.halts:
                     self.halted = True

@@ -17,6 +17,7 @@ from repro.system.event import EventScheduler
 from repro.system.memory import MainMemory, Scratchpad
 from repro.system.mmr import MemoryMappedRegisters
 from repro.system.programs import vector_add_program
+from test_cpu_runahead import TICKED_PROGRAMS, _soc_with_pe
 
 MEMORY_BYTES = 1 << 16
 
@@ -125,7 +126,8 @@ def test_a_non_architectural_error_propagates_after_the_state_is_kept():
 
 
 @pytest.mark.parametrize("tables", [{"latencies": {"alu": 1.5}},
-                                    {"energies": {"alu": float("inf")}}])
+                                    {"energies": {"alu": float("inf")}},
+                                    {"latencies": {"alu": -1}}])
 def test_tables_must_be_integer_latencies_and_finite_energies(tables):
     with pytest.raises((TypeError, ValueError)):
         _cpu(**tables).load_program(assemble("addi t0, t0, 1\nhalt"))
@@ -153,6 +155,12 @@ def test_a_counted_loop_runs_inside_one_block_call(translations):
     assert cpu.stats.per_category == {"alu": 1001, "branch": 1000, "system": 1}
 
 
+#: a straight run of main-memory loads: one block, stopped after every instruction
+STRAIGHT_LOADS = "li t0, 0x100\n" + "\n".join(
+    f"lw t{1 + i % 2}, {4 * (i % 8)}(t0)\naddi t3, t3, 1" for i in range(100)
+) + "\nhalt"
+
+
 @pytest.mark.parametrize("max_instructions", [None, 1000])
 def test_a_run_stopped_after_every_instruction_translates_linearly(
     translations, monkeypatch, max_instructions
@@ -166,24 +174,25 @@ def test_a_run_stopped_after_every_instruction_translates_linearly(
         return block
 
     monkeypatch.setattr(cpu_module, "_translate_block", sizing)
-    body = [f"lw t{1 + i % 2}, {4 * (i % 8)}(t0)\naddi t3, t3, 1" for i in range(100)]
-    program = assemble("li t0, 0x100\n" + "\n".join(body) + "\nhalt")
 
-    def run(ticks):
-        cpu = _cpu()
+    def run(build, ticks):
+        soc = _soc_with_pe()
+        program = assemble(build(soc))
         # a no-op event at every cycle stops the core after every instruction
         for cycle in range(ticks):
-            cpu.scheduler.schedule_at(cycle, lambda: None, label="tick")
-        cpu.load_program(program, max_instructions=max_instructions)
-        cpu.start()
-        cpu.scheduler.run()
-        return cpu.stats
+            soc.scheduler.schedule_at(cycle, lambda: None, label="tick")
+        soc.cpu.load_program(program, max_instructions=max_instructions)
+        soc.cpu.start()
+        soc.scheduler.run()
+        return program, soc.cpu.stats
 
-    alone = run(0)
-    assert run(alone.cycles) == alone
-    # the block at pc 0 once, then one single-instruction block per resume pc
-    assert len(program.instructions) < sum(sizes) <= 2 * len(program.instructions)
-    assert translations.count(0) == 1
+    for name, build in {"straight_loads": lambda soc: STRAIGHT_LOADS, **TICKED_PROGRAMS}.items():
+        sizes.clear()
+        program, alone = run(build, 0)
+        assert run(build, alone.cycles)[1] == alone, name
+        # Each instruction is in one leader's block, and in one one-instruction
+        # block where the core stopped before it or a pass there did not fit.
+        assert sum(sizes) <= 2 * len(program.instructions), name
 
 
 # ---------------------------------------------------------------------- #
