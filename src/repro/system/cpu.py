@@ -629,9 +629,10 @@ class _Translation:
 
     A block starts at a leader (:func:`_leaders`).  At any other pc, where
     an event stopped the core inside a block, the core runs one-instruction
-    blocks up to the next leader, so a straight run that is stopped after
-    every instruction costs one translated instruction per pc, not a tail
-    block per resume pc.
+    blocks up to the next leader, and after a pass that does not fit
+    before the horizon it runs them to the end of the event.  A run that
+    is stopped after every instruction thus costs each pc its leader's
+    block and one one-instruction block, not a tail block per resume pc.
     """
 
     __slots__ = ("program", "latencies", "energies", "leaders", "blocks", "steps", "_straight")

@@ -125,6 +125,21 @@ def test_a_non_architectural_error_propagates_after_the_state_is_kept():
     assert cpu.fault_cause is None and not cpu.halted
 
 
+def test_a_long_straight_run_adds_its_energy_in_program_order(translations):
+    # one block of 3001 instructions; one expression of that many additions
+    # would exceed the compiler's nesting limit
+    program = assemble("\n".join(["addi t0, t0, 1", "mul t1, t0, t0"] * 1500) + "\nhalt")
+    cpu = _run(_cpu(), program)
+    energy = 0.0
+    for _ in range(1500):
+        energy += cpu_module.DEFAULT_ENERGIES["alu"]
+        energy += cpu_module.DEFAULT_ENERGIES["mul"]
+    energy += cpu_module.DEFAULT_ENERGIES["system"]
+    assert translations == [0]
+    assert repr(cpu.stats.energy_j) == repr(energy)
+    assert (cpu.registers[5], cpu.registers[6]) == (1500, 1500 * 1500)
+
+
 @pytest.mark.parametrize("tables", [{"latencies": {"alu": 1.5}},
                                     {"energies": {"alu": float("inf")}},
                                     {"latencies": {"alu": -1}}])
