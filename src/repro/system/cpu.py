@@ -55,8 +55,9 @@ horizon is checked once per *pass* (the block once through, or one round
 of its loop).  A pass runs only if its last instruction issues below the
 horizon when every load and store in it costs the window's latency; the
 loop's back edge checks the next pass the same way.  A pass that does not
-fit runs nothing, and the event goes on in one-instruction blocks, each
-followed by the dispatcher's check, until it stops.  A load or store
+fit runs its first instruction alone, and the event goes on in
+one-instruction blocks, each followed by the dispatcher's check, up to
+the next leader, whose block checks its pass again.  A load or store
 outside the window moves the block's clock by its real latency, re-reads
 the horizon if it scheduled an event, and leaves the block after itself
 when the rest of the pass no longer fits.  So no other component acts
@@ -221,8 +222,7 @@ class _Exit:
 
 
 #: what a block returns, having run nothing, when its pass does not fit
-#: before the horizon: the core then runs one-instruction blocks to the end
-#: of the event
+#: before the horizon: the core then runs its first instruction alone
 _DECLINED = _Exit(0, 0, 0, 0, 0, (), False)
 
 
@@ -323,23 +323,23 @@ def _plan(
 ) -> Tuple[List[int], bool]:
     """The instruction indices of the block at ``pc`` and whether they loop.
 
-    A block is the straight run from ``pc`` through its terminator, up to
-    the next leader, or ``limit`` instructions.  With ``loop`` it runs
-    again from ``pc`` inside the same call when that terminator is a ``j``
-    or branch back to ``pc``, or when it is a branch whose not-taken run
-    ends in one (a ``for`` loop's head and body).
+    A block is the straight run from ``pc`` through its terminator or up to
+    the next leader; at a ``for`` loop's head (a branch whose not-taken run
+    ends in a ``j`` or branch back to ``pc``) it is the head and that body.
+    ``limit`` cuts it to that many instructions.  With ``loop`` an uncut
+    block whose last instruction jumps back to ``pc`` runs again inside the
+    same call.
     """
     run = _straight_run(instructions, pc // 4, leaders, limit)
-    if not loop:
-        return run, False
     last = run[-1]
-    if _jumps_to(instructions, last, pc):
-        return run, True
-    if instructions[last].op in BRANCH_OPS:
+    if (len(run) != limit and instructions[last].op in BRANCH_OPS
+            and not _jumps_to(instructions, last, pc)):
         rest = _straight_run(instructions, last + 1, leaders)
         if rest and _jumps_to(instructions, rest[-1], pc):
-            return run + rest, True
-    return run, False
+            run += rest
+    if limit is not None and len(run) > limit:
+        return run[:limit], False
+    return run, loop and _jumps_to(instructions, run[-1], pc)
 
 
 def _cycles(literal: int, reads: int, writes: int) -> str:
@@ -382,10 +382,11 @@ def _translate_block(
 ) -> _Block:
     """Generate the function of the basic block that starts at ``pc``.
 
-    The block runs through the next branch, ``jal``, ``jalr`` or halt, up
-    to the next of ``leaders`` (:func:`_leaders`), to the end of the
-    program, or to ``limit`` instructions; with ``loop`` it may also loop
-    back to ``pc`` (:func:`_plan`).  The function is
+    The block runs through the next branch, ``jal``, ``jalr`` or halt (at
+    a ``for`` loop's head, through its body), up to the next of
+    ``leaders`` (:func:`_leaders`), to the end of the program, or to
+    ``limit`` instructions; with ``loop`` it may also loop back to ``pc``
+    (:func:`_plan`).  The function is
     ``block(regs, bus, scheduler, t, horizon, sequence, energy, visits, window)``
     with ``t`` the first instruction's issue cycle and ``window`` the bus's
     main-memory window (:data:`_NO_WINDOW` when it has none); ``energies``
@@ -629,13 +630,13 @@ class _Translation:
 
     A block starts at a leader (:func:`_leaders`).  At any other pc, where
     an event stopped the core inside a block, the core runs one-instruction
-    blocks up to the next leader, and after a pass that does not fit
-    before the horizon it runs them to the end of the event.  A run that
-    is stopped after every instruction thus costs each pc its leader's
-    block and one one-instruction block, not a tail block per resume pc.
+    blocks up to the next leader; so does a pass that does not fit before
+    the horizon, after its first instruction runs alone.  A run that is
+    stopped after every instruction thus costs each pc its leader's block
+    and one one-instruction block, not a tail block per resume pc.
     """
 
-    __slots__ = ("program", "latencies", "energies", "leaders", "blocks", "steps", "_straight")
+    __slots__ = ("program", "latencies", "energies", "leaders", "blocks", "_straight")
 
     def __init__(self, program: Program, latencies: Dict[str, int], energies: Dict[str, float]):
         #: held so that ``id(program)`` in the cache key stays this program's
@@ -644,8 +645,6 @@ class _Translation:
         self.leaders = _leaders(program.instructions)
         #: entry pc -> block function
         self.blocks: Dict[int, Callable] = {}
-        #: pc -> one-instruction block, run where a pass does not fit
-        self.steps: Dict[int, Callable] = {}
         #: ``(entry pc, instruction limit or None)`` -> block without a loop
         self._straight: Dict[Tuple[int, Optional[int]], _Block] = {}
 
@@ -656,23 +655,16 @@ class _Translation:
                 self.program, pc, self.leaders, self.latencies, self.energies
             )
         else:
-            block = self.step(pc)
+            block = self._unlooped(pc, 1)[0]
         self.blocks[pc] = block
         return block
 
-    def step(self, pc: int) -> Callable:
-        """The one-instruction block at ``pc``, added to :attr:`steps`."""
-        block = self.steps[pc] = self._unlooped(pc, 1)[0]
-        return block
-
-    def capped(self, pc: int, budget: int) -> _Block:
+    def capped(self, pc: int, budget: int) -> Callable:
         """The block at ``pc`` without its loop, cut to ``budget`` instructions."""
         if budget == 1 or pc not in self.leaders:
-            return self._unlooped(pc, 1)
-        entry = self._unlooped(pc, None)
-        if entry[1] > budget:
-            entry = self._unlooped(pc, budget)
-        return entry
+            return self._unlooped(pc, 1)[0]
+        block, size = self._unlooped(pc, None)
+        return block if size <= budget else self._unlooped(pc, budget)[0]
 
     def _unlooped(self, pc: int, limit: Optional[int]) -> _Block:
         entry = self._straight.get((pc, limit))
@@ -811,32 +803,30 @@ class RiscvCPU:
         visits: Dict[_Exit, int] = {}
         seen = visits.get
         window = bus.main_memory_window() or _NO_WINDOW
-        # a pass that does not fit before the horizon hands the rest of the
-        # event to one-instruction blocks
-        stepping = False
+        exit_ = _DECLINED
         try:
             while True:
                 block = blocks.get(pc)
                 if block is None:
                     if budget is None:
                         block = fetch(pc)
-                    elif budget <= 0:
-                        self.halted = True
-                        break
                     else:
-                        # a block that does not end the event runs whole
-                        block, size = translation.capped(pc, 1 if stepping else budget)
-                        budget -= size
+                        # what the last block ran: a branch may leave early
+                        budget -= exit_.instructions
+                        if budget <= 0:
+                            self.halted = True
+                            break
+                        block = translation.capped(pc, budget)
                 pc, t, latency, energy, exit_ = block(
                     regs, bus, scheduler, t, horizon, sequence, energy, visits, window
                 )
                 if exit_ is _DECLINED:
-                    stepping = True
-                    if budget is None:
-                        blocks, fetch = translation.steps, translation.step
-                    else:
-                        budget += size
-                    continue
+                    # The pass does not fit before the horizon: its first
+                    # instruction runs alone, then the one-instruction
+                    # blocks up to the next leader.
+                    pc, t, latency, energy, exit_ = translation.capped(pc, 1)(
+                        regs, bus, scheduler, t, horizon, sequence, energy, visits, window
+                    )
                 visits[exit_] = seen(exit_, 0) + 1
                 if exit_.halts:
                     self.halted = True

@@ -99,6 +99,30 @@ def test_a_max_instructions_cap_uses_a_truncated_block(translations):
     assert translations == [0, 0]
 
 
+#: a ``for`` loop: head branch at 0x8, body 0xc-0x14, ten passes
+FOR_LOOP = "li t0, 0\nli t1, 10\nloop:\nbge t0, t1, done\naddi t2, t2, 3\naddi t0, t0, 1\n" \
+    "j loop\ndone:\nhalt"
+
+
+def test_a_capped_for_loop_runs_its_head_and_body_in_one_block(translations):
+    program = assemble(FOR_LOOP)
+    cpu = _cpu()
+    # three passes, then the head and the first body instruction
+    cpu.load_program(program, max_instructions=2 + 3 * 4 + 2)
+    cpu.start()
+    cpu.scheduler.run()
+    assert cpu.halted and cpu.fault_cause is None
+    assert (cpu.stats.instructions, cpu.pc, cpu.registers[5], cpu.registers[7]) == (16, 16, 3, 12)
+    assert translations == [0, 8, 8]
+    # the head's taken branch leaves after one instruction, so the budget
+    # left for the halt is one, not the rest of the block
+    cpu.load_program(program, max_instructions=2 + 10 * 4 + 2)
+    cpu.start()
+    cpu.scheduler.run()
+    stats = cpu.stats
+    assert (stats.instructions, stats.per_category["system"], cpu.registers[7]) == (44, 1, 30)
+
+
 def test_generated_blocks_are_named_after_their_entry_pc(translations):
     program = assemble("li t0, 2\nloop:\naddi t0, t0, -1\nbnez t0, loop\nhalt")
     cpu = _run(_cpu(), program)
@@ -180,34 +204,52 @@ STRAIGHT_LOADS = "li t0, 0x100\n" + "\n".join(
 def test_a_run_stopped_after_every_instruction_translates_linearly(
     translations, monkeypatch, max_instructions
 ):
-    sizes = []
+    sizes, cuts = [], []
     translate = cpu_module._translate_block
 
     def sizing(*args, **kwargs):
         block = translate(*args, **kwargs)
-        sizes.append(block[1])
+        # a block cut to what is left of an instruction budget
+        (sizes if kwargs.get("limit") in (None, 1) else cuts).append(block[1])
         return block
 
     monkeypatch.setattr(cpu_module, "_translate_block", sizing)
 
-    def run(build, ticks):
-        soc = _soc_with_pe()
-        program = assemble(build(soc))
+    def on_soc(build):
+        def make():
+            soc = _soc_with_pe()
+            return soc.cpu, build(soc)
+        return make
+
+    programs = {"straight_loads": lambda: (_cpu(), STRAIGHT_LOADS)}
+    programs.update((name, on_soc(build)) for name, build in TICKED_PROGRAMS.items())
+
+    def run(make, ticks):
+        cpu, source = make()
+        program = assemble(source)
         # a no-op event at every cycle stops the core after every instruction
         for cycle in range(ticks):
-            soc.scheduler.schedule_at(cycle, lambda: None, label="tick")
-        soc.cpu.load_program(program, max_instructions=max_instructions)
-        soc.cpu.start()
-        soc.scheduler.run()
-        return program, soc.cpu.stats
+            cpu.scheduler.schedule_at(cycle, lambda: None, label="tick")
+        cpu.load_program(program, max_instructions=max_instructions)
+        cpu.start()
+        cpu.scheduler.run()
+        return program, cpu.stats
 
-    for name, build in {"straight_loads": lambda soc: STRAIGHT_LOADS, **TICKED_PROGRAMS}.items():
+    for name, make in programs.items():
         sizes.clear()
-        program, alone = run(build, 0)
-        assert run(build, alone.cycles)[1] == alone, name
+        cuts.clear()
+        translations.clear()
+        program, alone = run(make, 0)
+        assert run(make, alone.cycles)[1] == alone, name
         # Each instruction is in one leader's block, and in one one-instruction
         # block where the core stopped before it or a pass there did not fit.
-        assert sum(sizes) <= 2 * len(program.instructions), name
+        assert len(program.instructions) < sum(sizes) <= 2 * len(program.instructions), name
+        assert len(cuts) <= 1, name
+        if name == "straight_loads":
+            # its block, then a one-instruction block per pc, the first at
+            # pc 0 where the block's pass did not fit
+            assert translations.count(0) == 2
+            assert sum(sizes) == 2 * len(program.instructions) and not cuts
 
 
 # ---------------------------------------------------------------------- #
