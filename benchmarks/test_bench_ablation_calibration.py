@@ -10,7 +10,6 @@ used elsewhere.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.core import calibrate_mesh
 from repro.eval import format_table
 from repro.mesh import ClementsMesh, MeshErrorModel
@@ -35,8 +34,8 @@ def _calibration_sweep(n_modes=6, n_chips=3):
     return rows
 
 
-def test_bench_calibration_iterations(benchmark):
-    rows = run_once(benchmark, _calibration_sweep)
+def test_bench_calibration_iterations():
+    rows = _calibration_sweep()
     print("\n[ablation] calibration iterations vs mean fidelity (N=6, 3 chips)")
     print(format_table(["iterations", "mean fidelity"], rows))
     fidelities = [row[1] for row in rows]

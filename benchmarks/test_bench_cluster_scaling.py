@@ -8,7 +8,6 @@ end-to-end cycles, speedup over one PE, energy and area versus PE count.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from benchmarks.sections import cluster
 from repro.eval import format_table, make_gemm_workload, speedup
 
@@ -26,8 +25,8 @@ def _cluster_sweep(rows_=16, inner=12, cols=8):
     return reports
 
 
-def test_bench_cluster_scaling(benchmark):
-    reports = run_once(benchmark, _cluster_sweep)
+def test_bench_cluster_scaling():
+    reports = _cluster_sweep()
     base = reports[PE_COUNTS[0]]
     rows = [
         [n_pes, report.cycles, speedup(base.cycles, report.cycles),

@@ -7,7 +7,6 @@ PCM phase shifters (one-off programming energy, zero holding power), as a
 function of mesh size and of how many inferences reuse the same weights.
 """
 
-from benchmarks.conftest import run_once
 from repro.core import PhotonicCoreEnergyModel, combined_component_count
 from repro.eval import format_table
 from repro.mesh import ClementsMesh
@@ -35,8 +34,8 @@ def _energy_rows():
     return rows
 
 
-def test_bench_pcm_vs_thermo_energy(benchmark):
-    rows = run_once(benchmark, _energy_rows)
+def test_bench_pcm_vs_thermo_energy():
+    rows = _energy_rows()
     print("\n[E4] energy per inference: thermo-optic vs PCM weight storage")
     print(format_table(
         ["N", "inferences", "thermo static power (W)",

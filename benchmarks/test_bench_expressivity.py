@@ -5,7 +5,6 @@ mesh approaches universality only once it has enough phase-shifter columns,
 while the Clements mesh is universal by construction with N(N-1) phases.
 """
 
-from benchmarks.conftest import run_once
 from repro.eval import format_table
 from repro.mesh import ClementsMesh, FldzhyanMesh, evaluate_expressivity, expressivity_vs_layers
 
@@ -22,8 +21,8 @@ def _expressivity_sweep(n_modes=4, layer_counts=(2, 4, 8), n_targets=3):
     return results, clements
 
 
-def test_bench_expressivity_vs_layers(benchmark):
-    results, clements = run_once(benchmark, _expressivity_sweep)
+def test_bench_expressivity_vs_layers():
+    results, clements = _expressivity_sweep()
     rows = [
         ["fldzhyan", result.n_phase_shifters, result.mean_fidelity, result.coverage]
         for result in results

@@ -5,7 +5,6 @@ injected into the CPU register file and into main memory while the GeMM
 workload runs, and every run is classified as masked / SDC / crash / hang.
 """
 
-from benchmarks.conftest import run_once
 from repro.eval import format_table, make_gemm_workload
 from repro.system import PhotonicSoC, run_fault_campaign
 
@@ -28,8 +27,8 @@ def _campaigns():
     return campaigns
 
 
-def test_bench_fault_injection_campaign(benchmark):
-    campaigns = run_once(benchmark, _campaigns)
+def test_bench_fault_injection_campaign():
+    campaigns = _campaigns()
     rows = []
     for target, campaign in campaigns.items():
         counts = campaign.counts()

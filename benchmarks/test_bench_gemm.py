@@ -9,7 +9,6 @@ inter-channel crosstalk.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.core import PhotonicMVM, QuantizationSpec, TDMGeMM, WDMGeMM, WDMChannelPlan
 from repro.eval import format_table
 
@@ -35,8 +34,8 @@ def _gemm_comparison(n=8, batch=16):
     return rows
 
 
-def test_bench_tdm_vs_wdm_gemm(benchmark):
-    rows = run_once(benchmark, _gemm_comparison)
+def test_bench_tdm_vs_wdm_gemm():
+    rows = _gemm_comparison()
     print("\n[E5] GeMM scheduling: TDM vs DWDM channels (8x8 x 16 columns)")
     print(format_table(
         ["schedule", "channels", "mesh passes", "latency (s)",

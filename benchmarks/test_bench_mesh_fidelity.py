@@ -8,7 +8,6 @@ hardware inventory (MZIs, phase shifters, depth).
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.eval import format_table
 from repro.mesh import (
     ClementsMesh,
@@ -45,8 +44,8 @@ def _fidelity_table(sizes=(4, 8), n_targets=3):
     return rows
 
 
-def test_bench_mesh_programming_fidelity(benchmark):
-    rows = run_once(benchmark, _fidelity_table)
+def test_bench_mesh_programming_fidelity():
+    rows = _fidelity_table()
     print("\n[E1] mesh programming fidelity (Haar-random targets)")
     print(format_table(
         ["architecture", "N", "MZIs", "phase shifters", "depth", "mean fidelity", "min fidelity"],

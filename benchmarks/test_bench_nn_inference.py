@@ -6,7 +6,6 @@ photonic, 8-bit converters with detector noise, and decreasing PCM weight
 level counts.
 """
 
-from benchmarks.conftest import run_once
 from repro.core import MLP, PhotonicMLP, QuantizationSpec, train_mlp
 from repro.eval import classification_accuracy, format_table, make_digit_dataset
 
@@ -34,8 +33,8 @@ def _inference_study(n_eval=24):
     return rows
 
 
-def test_bench_photonic_mlp_accuracy(benchmark):
-    rows = run_once(benchmark, _inference_study)
+def test_bench_photonic_mlp_accuracy():
+    rows = _inference_study()
     print("\n[E6] MLP classification accuracy on the photonic core")
     print(format_table(["configuration", "weight levels", "accuracy"], rows))
     accuracies = [row[2] for row in rows]

@@ -7,7 +7,6 @@ Reck architectures (the Fldzhyan mesh is covered by its dedicated test
 suite; keeping the benchmark to analytic meshes keeps it fast).
 """
 
-from benchmarks.conftest import run_once
 from repro.eval import format_table
 from repro.mesh import ClementsMesh, ReckMesh, sweep_error_magnitude
 from repro.utils import random_unitary
@@ -30,8 +29,8 @@ def _robustness_tables(n_modes=6, n_trials=5):
     return tables
 
 
-def test_bench_robustness_sweeps(benchmark):
-    tables = run_once(benchmark, _robustness_tables)
+def test_bench_robustness_sweeps():
+    tables = _robustness_tables()
     for error_kind, header in (("phase", "sigma_phase (rad)"),
                                ("coupler", "sigma_split"),
                                ("quantization", "PCM levels")):

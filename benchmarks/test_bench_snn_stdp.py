@@ -8,7 +8,6 @@ network potentiates the synapses that drive output spikes.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.eval import format_table, make_spike_patterns
 from repro.snn import ExcitableLaserNeuron, PhotonicSNN, STDPRule
 
@@ -54,8 +53,8 @@ def _snn_study():
     }
 
 
-def test_bench_snn_stdp(benchmark):
-    data = run_once(benchmark, _snn_study)
+def test_bench_snn_stdp():
+    data = _snn_study()
     print("\n[E7] excitable laser response")
     print(format_table(
         ["input amplitude", "output spikes"],

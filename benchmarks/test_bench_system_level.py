@@ -8,7 +8,6 @@ DSA, reporting end-to-end cycles, total energy, and configuration area.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.eval import format_table, make_gemm_workload, speedup
 from repro.system import PhotonicSoC
 
@@ -38,8 +37,8 @@ def _system_comparison(n=10, cols=6):
     return reports
 
 
-def test_bench_full_system_comparison(benchmark):
-    reports = run_once(benchmark, _system_comparison)
+def test_bench_full_system_comparison():
+    reports = _system_comparison()
     cpu = reports[0]
     rows = [
         [report.label, report.cycles, speedup(cpu.cycles, report.cycles),

@@ -1,6 +1,6 @@
-"""Throughput benchmarks for the vectorized hot-path engine.
+"""Throughput checks for the vectorized hot-path engine.
 
-Records operations-per-second figures for the four kernels the simulator
+Prints operations-per-second figures for the four kernels the simulator
 spends its time in — mesh matrix builds, batched MVM, GeMM schedules and
 SNN event processing — and asserts the two performance contracts of the
 vectorization work:
@@ -11,15 +11,14 @@ vectorization work:
 * a 64-mode Clements mesh must program and build its physical matrix in
   under a second.
 
-Run ``python benchmarks/run_bench.py`` to persist the numbers to
-``BENCH_throughput.json`` for cross-PR trajectory tracking.
+The printed figures are single in-run measurements for reading with
+``pytest -s``; end-to-end speed claims are measured by ``perfbench/``.
 """
 
 import time
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.core.gemm import TDMGeMM, WDMGeMM
 from repro.core.mvm import PhotonicMVM
 from repro.core.nn import MLP, PhotonicMLP
@@ -28,6 +27,7 @@ from repro.core.wdm import WDMChannelPlan
 from repro.eval.reporting import format_table
 from repro.mesh.base import MeshErrorModel
 from repro.mesh.clements import ClementsMesh
+from repro.snn.encoding import rate_encode
 from repro.snn.network import PhotonicSNN
 from repro.snn.stdp import STDPRule
 from repro.utils.linalg import random_unitary
@@ -40,51 +40,40 @@ def _timed(function) -> float:
     return time.perf_counter() - start
 
 
-def test_bench_mesh_build_64_modes(benchmark):
+def test_bench_mesh_build_64_modes():
     """Program + physical-matrix build of a 64-mode Clements mesh (< 1 s)."""
     target = random_unitary(64, rng=11)
     error = MeshErrorModel(phase_error_std=0.02, coupler_ratio_error_std=0.01, rng=0)
 
-    def build():
-        mesh = ClementsMesh(64)
-        mesh.program(target)
-        return mesh.matrix(error)
-
     start = time.perf_counter()
-    realized = build()
+    realized = ClementsMesh(64).program(target).matrix(error)
     elapsed = time.perf_counter() - start
-    run_once(benchmark, build)
     print(f"\n[throughput] 64-mode Clements program+physical build: {elapsed * 1e3:.1f} ms")
     assert realized.shape == (64, 64)
     assert elapsed < 1.0, f"64-mode mesh build took {elapsed:.2f} s (budget: 1 s)"
 
 
-def test_bench_mesh_build_scaling(benchmark):
+def test_bench_mesh_build_scaling():
     """Mesh builds per second across sizes (the O(N^3) forward model)."""
-
-    def sweep():
-        rows = []
-        for n in (8, 16, 32, 64):
-            mesh = ClementsMesh(n).program(random_unitary(n, rng=n))
-            mesh.set_phase_vector(mesh.phase_vector())  # invalidate the cache
-            start = time.perf_counter()
-            repeats = 5
-            for index in range(repeats):
-                phases = mesh.phase_vector()
-                phases[0] += 1e-9 * (index + 1)  # defeat the matrix cache
-                mesh.set_phase_vector(phases)
-                mesh.matrix()
-            elapsed = (time.perf_counter() - start) / repeats
-            rows.append([n, mesh.n_mzis, elapsed * 1e3, 1.0 / elapsed])
-        return rows
-
-    rows = run_once(benchmark, sweep)
+    rows = []
+    for n in (8, 16, 32, 64):
+        mesh = ClementsMesh(n).program(random_unitary(n, rng=n))
+        mesh.set_phase_vector(mesh.phase_vector())  # invalidate the cache
+        start = time.perf_counter()
+        repeats = 5
+        for index in range(repeats):
+            phases = mesh.phase_vector()
+            phases[0] += 1e-9 * (index + 1)  # defeat the matrix cache
+            mesh.set_phase_vector(phases)
+            mesh.matrix()
+        elapsed = (time.perf_counter() - start) / repeats
+        rows.append([n, mesh.n_mzis, elapsed * 1e3, 1.0 / elapsed])
     print("\n[throughput] ideal mesh matrix builds")
     print(format_table(["modes", "MZIs", "ms/build", "builds/s"], rows))
     assert rows[-1][2] < 1000.0
 
 
-def test_bench_batched_mvm_speedup_32_modes(benchmark):
+def test_bench_batched_mvm_speedup_32_modes():
     """Batched MVM must beat the per-vector loop by >= 10x at 32 modes."""
     rng = np.random.default_rng(0)
     weights = rng.normal(size=(32, 32))
@@ -110,7 +99,6 @@ def test_bench_batched_mvm_speedup_32_modes(benchmark):
     batch_elapsed = min(
         _timed(batch_path) for _ in range(5)
     )
-    run_once(benchmark, batch_path)
 
     speedup = loop_elapsed / batch_elapsed
     mvms_per_s = batch.shape[1] / batch_elapsed
@@ -123,34 +111,30 @@ def test_bench_batched_mvm_speedup_32_modes(benchmark):
     assert speedup >= 10.0, f"batched path only {speedup:.1f}x faster than the loop"
 
 
-def test_bench_gemm_schedule_throughput(benchmark):
+def test_bench_gemm_schedule_throughput():
     """Simulated MACs/s of the TDM and WDM GeMM schedules."""
     rng = np.random.default_rng(1)
     weights = rng.normal(size=(32, 32))
     engine = PhotonicMVM(weights, quantization=QuantizationSpec.ideal(), rng=0)
     inputs = rng.normal(size=(32, 128))
 
-    def schedules():
-        rows = []
-        for name, scheduler in (
-            ("tdm", TDMGeMM(engine)),
-            ("wdm-8ch", WDMGeMM(engine, WDMChannelPlan(n_channels=8), rng=0)),
-        ):
-            start = time.perf_counter()
-            result = scheduler.multiply(inputs, add_noise=False)
-            elapsed = time.perf_counter() - start
-            rows.append(
-                [
-                    name,
-                    result.n_passes,
-                    result.throughput_macs_per_s / 1e12,
-                    elapsed * 1e3,
-                    result.total_macs / elapsed / 1e6,
-                ]
-            )
-        return rows
-
-    rows = run_once(benchmark, schedules)
+    rows = []
+    for name, scheduler in (
+        ("tdm", TDMGeMM(engine)),
+        ("wdm-8ch", WDMGeMM(engine, WDMChannelPlan(n_channels=8), rng=0)),
+    ):
+        start = time.perf_counter()
+        result = scheduler.multiply(inputs, add_noise=False)
+        elapsed = time.perf_counter() - start
+        rows.append(
+            [
+                name,
+                result.n_passes,
+                result.throughput_macs_per_s / 1e12,
+                elapsed * 1e3,
+                result.total_macs / elapsed / 1e6,
+            ]
+        )
     print("\n[throughput] GeMM schedules, 32x32 weights x 128 columns")
     print(
         format_table(
@@ -161,7 +145,7 @@ def test_bench_gemm_schedule_throughput(benchmark):
     assert rows[1][2] > rows[0][2]
 
 
-def test_bench_photonic_mlp_inference(benchmark):
+def test_bench_photonic_mlp_inference():
     """Batched photonic MLP inference samples/s."""
     model = MLP.random_init([16, 24, 4], rng=0)
     photonic = PhotonicMLP(
@@ -170,13 +154,9 @@ def test_bench_photonic_mlp_inference(benchmark):
     rng = np.random.default_rng(2)
     inputs = rng.uniform(size=(512, 16))
 
-    def infer():
-        return photonic.forward(inputs)
-
     start = time.perf_counter()
-    outputs = infer()
+    outputs = photonic.forward(inputs)
     elapsed = time.perf_counter() - start
-    run_once(benchmark, infer)
     print(
         f"\n[throughput] photonic MLP 16-24-4, batch=512: "
         f"{elapsed * 1e3:.1f} ms, {inputs.shape[0] / elapsed:.0f} samples/s"
@@ -185,22 +165,16 @@ def test_bench_photonic_mlp_inference(benchmark):
     assert np.allclose(outputs, model.forward(inputs), atol=1e-6)
 
 
-def test_bench_snn_event_rate(benchmark):
+def test_bench_snn_event_rate():
     """SNN events processed per second with online STDP enabled."""
     network = PhotonicSNN(
         32, 8, stdp=STDPRule(), inhibition=0.2, neuron_threshold=0.6, rng=0
     )
-    from repro.snn.encoding import rate_encode
-
     pattern = rate_encode(np.tile([1.0, 0.6, 0.0, 0.9], 8), max_spikes=10)
 
-    def run_network():
-        return network.run(pattern, learning=True)
-
     start = time.perf_counter()
-    result = run_network()
+    result = network.run(pattern, learning=True)
     elapsed = time.perf_counter() - start
-    run_once(benchmark, run_network)
     events_per_s = result.total_input_spikes / elapsed
     print(
         f"\n[throughput] SNN 32->8 with STDP: {result.total_input_spikes} events in "

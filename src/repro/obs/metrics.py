@@ -1,12 +1,12 @@
 """Metrics registry: deterministic counters, gauges and histograms.
 
 Instruments are process-local and cheap (a dict lookup plus an integer
-add); process safety comes from the snapshot/merge protocol rather than
-shared memory — each fabric worker snapshots its own
-:class:`MetricsRegistry`, ships the plain-JSON snapshot over the pipe
-with its ``bye`` stats, and the gateway folds them together with
-:meth:`MetricsRegistry.merge`.  A :class:`Histogram` is a log-bucketed
-sketch at the fixed relative accuracy :data:`RELATIVE_ACCURACY`
+add) and share no memory across processes: :meth:`MetricsRegistry.snapshot`
+gives a plain-JSON state and :meth:`MetricsRegistry.merge` folds one in.
+No caller ships registries between processes yet — a fabric worker's
+``bye`` message carries its engine and batcher counter dicts, which the
+gateway keeps unmerged as ``worker_stats``.  A :class:`Histogram` is a
+log-bucketed sketch at the fixed relative accuracy :data:`RELATIVE_ACCURACY`
 (DDSketch, Masson, Rim & Lee, VLDB 2019): bucket edges are a pure
 function of that constant, never adapted to data, so sketches from any
 process merge exactly and replayed runs are bitwise comparable.
@@ -148,9 +148,9 @@ class Histogram:
 class MetricsRegistry:
     """Named instrument registry with get-or-create semantics.
 
-    One registry per process; cross-process aggregation goes through
-    :meth:`snapshot` on the worker side and :meth:`merge` on the gateway
-    side.
+    One registry per process.  :meth:`snapshot` and :meth:`merge` let
+    registries of several processes be combined; the serving fabric does
+    not do so yet (its workers report plain counter dicts).
     """
 
     def __init__(self):

@@ -114,14 +114,14 @@ class TestEndToEndDeterminism:
     def test_repeated_runs_are_identical(self):
         weights, inputs = make_gemm_workload(4, 4, 4, rng=8)
 
-        def run_once():
+        def offload_once():
             soc = PhotonicSoC()
             soc.add_photonic_accelerator()
             report = soc.run_offloaded_gemm(weights, inputs)
             return report.cycles, report.energy_j, report.result.copy()
 
-        first = run_once()
-        second = run_once()
+        first = offload_once()
+        second = offload_once()
         assert first[0] == second[0]
         assert first[1] == pytest.approx(second[1])
         assert np.array_equal(first[2], second[2])
