@@ -121,6 +121,9 @@ class MicroBatcher:
             group fills.  0 serves whatever is queued immediately.
         held: the request held over from the last pull, or ``None``.  It
             is still queued: replica depth, admission and abort count it.
+        pull: the model groups of the pull being coalesced or executed, or
+            ``None`` between pulls; ``Replica.abort`` fails what a crashed
+            serve loop left in it.
         on_result: optional callback ``(request, latency_s, batch_size,
             outcome)`` with outcome ``"ok" | "expired" | "cancelled" |
             "error"`` — the telemetry hook.  An exception it raises is
@@ -160,6 +163,7 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_s)
         self.held: Optional[InferenceRequest] = None
+        self.pull: Optional[Dict[str, List[InferenceRequest]]] = None
         self.on_result = on_result
         self.on_pull = on_pull
         self.on_batch = on_batch
@@ -238,6 +242,7 @@ class MicroBatcher:
             if key is None:
                 continue
             groups: Dict[str, List[InferenceRequest]] = {}
+            self.pull = groups
             self._take(groups, key, item)
             try:
                 stop = self._coalesce_nowait(queue, groups, keys)
@@ -248,9 +253,11 @@ class MicroBatcher:
                 ):
                     stop = await self._coalesce_wait(queue, groups, keys)
             except asyncio.CancelledError:
+                self.pull = None
                 self._fail_batch(groups)
                 raise
             self._execute(groups)
+            self.pull = None
             if stop:
                 return
 
@@ -265,6 +272,27 @@ class MicroBatcher:
                     )
                 self.stats.cancelled += 1
                 self._notify(request, now, len(group), "cancelled")
+
+    def abort_pull(self) -> None:
+        """Fail the pull a serve loop left open when it ended with an exception.
+
+        Only requests whose futures are still pending fail (with
+        :class:`ServerClosedError`) and are reported as ``"cancelled"``: the
+        loop may have resolved and reported others before it crashed.  A
+        cancelled loop has already failed its pull; then this does nothing.
+        """
+        groups, self.pull = self.pull, None
+        if not groups:
+            return
+        now = self._now()
+        for group in groups.values():
+            for request in group:
+                if not request.future.done():
+                    request.future.set_exception(
+                        ServerClosedError("server aborted before serving this request")
+                    )
+                    self.stats.cancelled += 1
+                    self._notify(request, now, len(group), "cancelled")
 
     def _coalesce_nowait(
         self,
@@ -406,19 +434,32 @@ class MicroBatcher:
                     self.tracer.pop()
                     self.tracer.end_span(engine_span)
             done = self._now()
-            self.stats.batches += 1
-            self.stats.requests += len(requests)
+            width = len(requests)
+            stats = self.stats
+            stats.batches += 1
+            stats.requests += width
+            metrics = self.metrics
+            on_result = self.on_result
+            # _notify(request, done, width, "ok"), inlined on the per-request path
             for index, request in enumerate(requests):
                 if not request.future.done():
                     request.future.set_result(outputs[:, index])
-                self._notify(request, done, len(requests), "ok")
-            if self.metrics:
-                self.metrics.histogram("batcher.batch_size").observe(len(requests))
+                latency_s = done - request.submitted_at
+                if metrics:
+                    metrics.counter("batcher.requests.ok").inc()
+                    metrics.histogram("batcher.latency_s").observe(latency_s)
+                if on_result is not None:
+                    try:
+                        on_result(request, latency_s, width, "ok")
+                    except Exception:  # noqa: BLE001 - an observer must not stop serving
+                        stats.observer_errors += 1
+            if metrics:
+                metrics.histogram("batcher.batch_size").observe(width)
             if self.on_batch is not None:
                 try:
-                    self.on_batch(len(requests))
+                    self.on_batch(width)
                 except Exception:  # noqa: BLE001 - an observer must not stop serving
-                    self.stats.observer_errors += 1
+                    stats.observer_errors += 1
         if batch_span is not None:
             self.tracer.end_span(batch_span)
 

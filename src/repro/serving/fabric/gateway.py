@@ -8,7 +8,8 @@ pickle-framed duplex pipes) and routes admitted requests onto them with the
 in-process server uses — round-robin, least-loaded, latency-aware and the
 compiler-fed cost-based router — by presenting each
 :class:`WorkerHandle` through the scheduler's replica surface (``queue``,
-``depth``, ``load``, ``ewma_latency_s``, ``engine.latency_hint_s``).
+``load``, ``inflight``, ``pool``, ``ewma_latency_s``,
+``engine.latency_hint_s``).
 
 What the process boundary adds over :class:`InferenceServer`:
 
@@ -61,7 +62,7 @@ from repro.serving.errors import (
 )
 from repro.serving.fabric import wire
 from repro.serving.fabric.worker import WorkerSpec, worker_main
-from repro.serving.scheduler import latency_ewma
+from repro.serving.scheduler import PoolLoad, latency_ewma
 from repro.serving.server import InferenceServer
 from repro.serving.telemetry import ServingTelemetry
 
@@ -104,6 +105,10 @@ class WorkerHandle:
         max_pending: gateway-side admission bound (the scheduler's
             ``max_queue_depth``).
         max_inflight: dispatch credit: requests outstanding on the pipe.
+        load: pending plus in-flight requests, kept as a counter: one more
+            at :meth:`enqueue`, one fewer when the gateway finishes the
+            request.
+        pool: the scheduler's :class:`~repro.serving.scheduler.PoolLoad`.
         alive: False once the worker's pipe reported EOF.
         ewma_latency_s: smoothed end-to-end latency of completed requests.
     """
@@ -115,6 +120,8 @@ class WorkerHandle:
         self.spec = spec
         self.max_pending = int(max_pending)
         self.max_inflight = int(max_inflight)
+        self.load = 0
+        self.pool = PoolLoad()
         self.alive = False
         self.draining = False
         self.ewma_latency_s: Optional[float] = None
@@ -142,11 +149,6 @@ class WorkerHandle:
         return len(self.inflight_requests)
 
     @property
-    def load(self) -> int:
-        """Pending plus in-flight (the routing/drain load metric)."""
-        return self.depth + self.inflight
-
-    @property
     def max_queue_depth(self) -> int:
         """Admission bound; 0 once the worker is dead (never routed to)."""
         return self.max_pending if self.alive else 0
@@ -155,8 +157,11 @@ class WorkerHandle:
         """Admit one routed request into the priority heap and dispatch.
 
         Request ids rise with admission, so they break priority ties
-        first-in, first-out.
+        first-in, first-out.  The request joins the load counters first:
+        dispatch may finish it at once.
         """
+        self.load += 1
+        self.pool.load += 1
         heapq.heappush(self._pending, (-request.priority, request.request_id, request))
         if self._dispatch is not None:
             self._dispatch(self)
@@ -235,6 +240,7 @@ class FabricGateway(InferenceServer):
     def _attach(self, handle: WorkerHandle) -> None:
         """Routing a request onto ``handle`` pumps its pipe."""
         handle._dispatch = self._pump
+        self.telemetry.replica_slice(handle.name)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -488,6 +494,8 @@ class FabricGateway(InferenceServer):
         batch_size: int = 1,
     ) -> None:
         """Resolve one request's future and account its final outcome."""
+        handle.load -= 1
+        handle.pool.release()
         latency_s = self._now() - request.submitted_at
         if not request.future.done():
             if outcome == "ok":

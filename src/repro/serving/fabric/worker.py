@@ -254,8 +254,9 @@ class WorkerReplica:
     # ------------------------------------------------------------------ #
     def _handle_submit(self, message, received_at: float) -> None:
         # every row of a frame is admitted under the frame's receive stamp
+        replica = self.replica
         for request_id, inputs, weights, deadline_s, trace_ctx in message[1]:
-            depth = self.replica.depth
+            depth = replica.load - replica.inflight  # queued, from the counters
             if depth >= self.spec.max_queue_depth:
                 # worker-side admission: the typed rejection crosses the pipe
                 self._send_error(
@@ -291,7 +292,7 @@ class WorkerReplica:
                 )
                 self._request_spans[request_id] = span
                 request.trace = span
-            self.replica.queue.put_nowait(request)
+            replica.queue.put_nowait(request)
 
     def stats(self) -> Dict:
         """Worker-lifetime counters shipped back in the ``bye`` message."""

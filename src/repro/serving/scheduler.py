@@ -21,11 +21,20 @@ replica is full, the scheduler fails over to the least-loaded alternative
 with space; when every queue is full it raises the typed
 :class:`~repro.serving.errors.BackpressureError` instead of growing an
 unbounded backlog.
+
+Load is kept as integer counters, so admission is constant work per
+request.  A request joins its replica's ``load`` and the pool's
+:class:`PoolLoad` when it is put on the replica queue, joins ``inflight``
+when the batcher pulls it, and leaves all three when it resolves (ok,
+expired, cancelled or error) or when ``abort`` fails it.  Routing and the
+room check read the counters, and a one-replica pool routes without
+scoring.
 """
 
 from __future__ import annotations
 
 import asyncio
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence
 
 from repro.serving.batching import SHUTDOWN, InferenceRequest, MicroBatcher
@@ -38,11 +47,65 @@ POLICIES = ("round-robin", "least-loaded", "latency-aware", "cost-based")
 LATENCY_EWMA_ALPHA = 0.2
 
 
+_by_load = attrgetter("load")
+
+
 def latency_ewma(previous: Optional[float], latency_s: float) -> float:
     """Fold one completed-request latency into a routing estimate."""
     if previous is None:
         return latency_s
     return LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
+
+
+class PoolLoad:
+    """Queued plus in-flight requests of one replica pool, as one counter.
+
+    Every replica of the pool adds to :attr:`load` when a request is put on
+    its queue and takes from it when the request resolves, so the pool's
+    load reads in constant time.  :meth:`settled` waits until it is 0.
+    """
+
+    __slots__ = ("load", "_settled")
+
+    def __init__(self, load: int = 0):
+        self.load = load
+        self._settled: Optional[asyncio.Event] = None
+
+    def release(self, n: int = 1) -> None:
+        """Take ``n`` resolved requests off the pool."""
+        self.load -= n
+        if not self.load and self._settled is not None:
+            self.wake()
+
+    def wake(self) -> None:
+        """Wake every :meth:`settled` waiter; the load has just reached 0."""
+        settled, self._settled = self._settled, None
+        settled.set()
+
+    async def settled(self) -> None:
+        """Return once no request of the pool is queued or in flight."""
+        while self.load:
+            if self._settled is None:
+                self._settled = asyncio.Event()
+            await self._settled.wait()
+
+
+class _ReplicaQueue(asyncio.Queue):
+    """A replica's request queue: every request put on it joins the load counters.
+
+    The shutdown sentinel is queued but is no request, so it is not counted.
+    """
+
+    def __init__(self, replica: "Replica"):
+        super().__init__()
+        self._replica = replica
+
+    def _put(self, item) -> None:
+        self._queue.append(item)
+        if item is not SHUTDOWN:
+            replica = self._replica
+            replica.load += 1
+            replica.pool.load += 1
 
 
 class Replica:
@@ -52,7 +115,15 @@ class Replica:
         name: replica label (unique within a scheduler).
         engine: the execution engine.
         max_queue_depth: admission bound of the request queue.
-        inflight: requests dispatched to the engine but not yet resolved.
+        load: queued (including one held over by the batcher) plus
+            in-flight requests, kept as a counter.
+        inflight: requests pulled by the batcher but not yet resolved,
+            including those in an open batching window.
+        pool: the :class:`PoolLoad` this replica counts into (its own until
+            a :class:`ReplicaScheduler` adopts it).
+        telemetry: the attached server's
+            :class:`~repro.serving.telemetry.ServingTelemetry`, told every
+            outcome before the observers; ``None`` until a server attaches.
         ewma_latency_s: smoothed observed request latency (queue + service),
             ``None`` until the first completion.
     """
@@ -72,8 +143,11 @@ class Replica:
         self.name = str(name)
         self.engine = engine
         self.max_queue_depth = int(max_queue_depth)
-        self.queue: asyncio.Queue = asyncio.Queue()
+        self.load = 0
         self.inflight = 0
+        self.pool = PoolLoad()
+        self.telemetry = None
+        self.queue: asyncio.Queue = _ReplicaQueue(self)
         self.ewma_latency_s: Optional[float] = None
         self.batcher = MicroBatcher(
             engine,
@@ -94,17 +168,12 @@ class Replica:
     # ------------------------------------------------------------------ #
     @property
     def depth(self) -> int:
-        """Requests waiting in the queue, including one held over by the batcher."""
+        """Items on the queue (the shutdown sentinel too) plus a held-over request."""
         return self.queue.qsize() + (self.batcher.held is not None)
 
-    @property
-    def load(self) -> int:
-        """Queued plus in-flight requests (including open batching windows)."""
-        return self.depth + self.inflight
-
     def _on_pull(self, n_taken: int) -> None:
-        # counted at dequeue time so a request held in an open max_wait_s
-        # window is never invisible to drain()/routing load
+        # counted when a request joins a pull, so one held in an open
+        # max_wait_s window still counts toward load, not toward the queue
         self.inflight += n_taken
 
     def _on_batch(self, n_dispatched: int) -> None:
@@ -114,11 +183,29 @@ class Replica:
     def _on_result(
         self, request: InferenceRequest, latency_s: float, batch_size: int, outcome: str
     ) -> None:
-        self.inflight = max(0, self.inflight - 1)
+        self.inflight -= 1
+        self.load -= 1
+        pool = self.pool
+        pool.load -= 1
+        if not pool.load and pool._settled is not None:
+            pool.wake()
         if outcome == "ok":
-            self.ewma_latency_s = latency_ewma(self.ewma_latency_s, latency_s)
+            # latency_ewma, inlined on the per-request path
+            previous = self.ewma_latency_s
+            self.ewma_latency_s = (
+                latency_s
+                if previous is None
+                else LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
+            )
+        name = self.name
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.on_result(name, latency_s, batch_size, outcome)
         for observer in self._observers:
-            observer(self.name, request, latency_s, batch_size, outcome)
+            try:
+                observer(name, request, latency_s, batch_size, outcome)
+            except Exception:  # noqa: BLE001 - one observer must not starve the next
+                self.batcher.stats.observer_errors += 1
 
     def expected_columns(self) -> int:
         """Batch width compiled plans targeting this replica should assume.
@@ -162,13 +249,17 @@ class Replica:
         self._task = None
 
     async def abort(self) -> None:
-        """Cancel the batcher immediately and fail everything still queued.
+        """Cancel the batcher immediately and fail every request it still holds.
 
-        A request the batcher held over counts as queued and fails too.
-        When the batcher task had already ended with an exception, every
-        queued request is failed first and the exception is re-raised.
+        Pulled, held-over and queued requests all fail with
+        :class:`~repro.serving.errors.ServerClosedError`, whatever state the
+        batcher task ended in, and ``load``, ``inflight`` and the pool's
+        load are 0 afterwards.  When the batcher task had already ended
+        with an exception, everything is failed first and the exception is
+        re-raised.
         """
         task, self._task = self._task, None
+        crashed = True
         try:
             if task is not None:
                 task.cancel()
@@ -176,16 +267,28 @@ class Replica:
                     await task
                 except asyncio.CancelledError:
                     pass
+            crashed = False
         finally:
-            pending = [] if self.batcher.held is None else [self.batcher.held]
-            self.batcher.held = None
+            batcher = self.batcher
+            # a cancelled serve loop has failed and reported its own pull
+            batcher.abort_pull()
+            pending = [] if batcher.held is None else [batcher.held]
+            batcher.held = None
             while not self.queue.empty():
                 pending.append(self.queue.get_nowait())
+            released = 0
+            if crashed:
+                # pulled requests the crashed loop resolved but never reported
+                released, self.inflight = self.inflight, 0
             for item in pending:
-                if item is not SHUTDOWN and not item.future.done():
-                    item.future.set_exception(
-                        ServerClosedError("server aborted before serving this request")
-                    )
+                if item is not SHUTDOWN:
+                    released += 1
+                    if not item.future.done():
+                        item.future.set_exception(
+                            ServerClosedError("server aborted before serving this request")
+                        )
+            self.load -= released
+            self.pool.release(released)
 
     @property
     def running(self) -> bool:
@@ -231,6 +334,11 @@ class ReplicaScheduler:
         self.cost_fn = cost_fn
         self._by_name = {replica.name: replica for replica in self.replicas}
         self._rr_index = 0
+        self._single = len(self.replicas) == 1
+        # the pool adopts whatever its replicas already hold
+        self.pool = PoolLoad(sum(replica.load for replica in self.replicas))
+        for replica in self.replicas:
+            replica.pool = self.pool
 
     def update_cost_fn(self, cost_fn: Optional[Callable[[Replica], float]]) -> None:
         """Swap the ``cost-based`` scorer without rebuilding the scheduler.
@@ -254,7 +362,7 @@ class ReplicaScheduler:
             self._rr_index += 1
             return replica
         if self.policy == "least-loaded":
-            return min(self.replicas, key=lambda replica: replica.load)
+            return min(self.replicas, key=_by_load)
         if self.policy == "cost-based":
             # expected time-to-serve from the *calibrated* cost model:
             # (load + 1) requests ahead of (and including) this one, each
@@ -302,38 +410,32 @@ class ReplicaScheduler:
         Failover order when the preferred replica's queue is full: remaining
         replicas by ascending load.  Raises
         :class:`~repro.serving.errors.BackpressureError` when every bounded
-        queue is at its limit.
+        queue is at its limit.  A replica has room while its queued
+        requests, ``load - inflight``, are below ``max_queue_depth``.
 
         ``replica_name`` pins admission to one replica (no routing, no
         failover) — compiled placement plans use this to execute each op on
         the replica the cost model chose.
         """
         if replica_name is not None:
-            pinned = self.replica_named(replica_name)
-            if pinned.depth >= pinned.max_queue_depth:
-                raise BackpressureError(
-                    replica=pinned.name, depth=pinned.depth,
-                    limit=pinned.max_queue_depth,
-                )
-            pinned.queue.put_nowait(request)
-            return pinned
-        preferred = self.select()
-        if len(self.replicas) == 1:
+            candidates = [self.replica_named(replica_name)]
+        elif self._single:
             candidates = self.replicas
         else:
+            preferred = self.select()
             candidates = [preferred] + sorted(
                 (replica for replica in self.replicas if replica is not preferred),
-                key=lambda replica: replica.load,
+                key=_by_load,
             )
         for replica in candidates:
-            if replica.depth < replica.max_queue_depth:
+            if replica.load - replica.inflight < replica.max_queue_depth:
                 replica.queue.put_nowait(request)
                 return replica
         last = candidates[-1]
         raise BackpressureError(
-            replica=last.name, depth=last.depth, limit=last.max_queue_depth
+            replica=last.name, depth=last.load - last.inflight, limit=last.max_queue_depth
         )
 
     def total_load(self) -> int:
-        """Queued + in-flight requests across the pool."""
-        return sum(replica.load for replica in self.replicas)
+        """Queued + in-flight requests across the pool (the pool counter)."""
+        return self.pool.load

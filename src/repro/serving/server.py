@@ -90,7 +90,9 @@ class InferenceServer:
         # engines that support SoC-phase tracing expose a tracer slot
         if tracer and getattr(replica.engine, "tracer", "absent") is None:
             replica.engine.tracer = tracer
-        replica.add_observer(self._observe_result)
+        # the replica reports every outcome straight to the telemetry
+        replica.telemetry = self.telemetry
+        self.telemetry.replica_slice(replica.name)
         replica.add_batch_observer(self.telemetry.on_batch)
         if self.replanner:
             replica.add_batch_observer(self._observe_batch_width)
@@ -98,16 +100,6 @@ class InferenceServer:
     def _observe_batch_width(self, replica_name: str, batch_size: int) -> None:
         """Feed one fused-batch width into the attached replanner."""
         self.replanner.observe_batch(batch_size)
-
-    def _observe_result(
-        self,
-        replica_name: str,
-        request: InferenceRequest,
-        latency_s: float,
-        batch_size: int,
-        outcome: str,
-    ) -> None:
-        self.telemetry.on_result(replica_name, latency_s, batch_size, outcome)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -140,27 +132,33 @@ class InferenceServer:
         """Wait until every admitted request has completed.
 
         Covers queued requests, open batching windows and dispatched
-        batches (in-flight load counts requests from the moment they are
-        pulled off the queue).
+        batches: it waits for the pool's load counter to reach 0.
         """
-        while self.scheduler.total_load() > 0:
-            await asyncio.sleep(0.0005)
+        await self.scheduler.pool.settled()
 
     async def shutdown(self, drain: bool = True) -> None:
         """Stop admission, then stop the batcher tasks.
 
         ``drain=True`` serves everything already admitted (the shutdown
         sentinel trails the backlog and cuts straggler windows short);
-        ``drain=False`` aborts immediately, failing still-queued requests
-        with :class:`~repro.serving.errors.ServerClosedError`.
+        ``drain=False`` aborts immediately, failing every pulled, held and
+        queued request with :class:`~repro.serving.errors.ServerClosedError`.
+        Every replica is stopped even when one raises; the first error is
+        re-raised afterwards.
         """
         self._closed = True
+        error = None
         for replica in self.scheduler.replicas:
-            if drain:
-                await replica.stop()
-            else:
-                await replica.abort()
+            try:
+                if drain:
+                    await replica.stop()
+                else:
+                    await replica.abort()
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                error = error or exc
         self._stopped()
+        if error is not None:
+            raise error
 
     async def __aenter__(self) -> "InferenceServer":
         return await self.start()
@@ -241,7 +239,7 @@ class InferenceServer:
         except BackpressureError:
             self._rejected(span)
             raise
-        self.telemetry.on_admit(routed.name, self.scheduler.total_load())
+        self.telemetry.on_admit(routed.name, self.scheduler.pool.load)
         if span is not None:
             span.attrs["replica"] = routed.name
             tracer = self.tracer

@@ -89,7 +89,8 @@ class ServingTelemetry:
         rejected: requests refused by admission control (backpressure).
         submitted: admitted requests; also the number of pool-depth samples
             (one per admission) behind :meth:`mean_queue_depth`.
-        replicas: per-replica slices, created at a replica's first event.
+        replicas: per-replica slices, created when a server attaches the
+            replica (or at its first event, for telemetry fed directly).
     """
 
     def __init__(self):
@@ -119,7 +120,8 @@ class ServingTelemetry:
         """Freeze the lifetime window at the current time."""
         self.stopped_at = self._now()
 
-    def _replica(self, name: str) -> ReplicaTelemetry:
+    def replica_slice(self, name: str) -> ReplicaTelemetry:
+        """The slice of replica ``name``, created on first use."""
         slice_ = self.replicas.get(name)
         if slice_ is None:
             slice_ = self.replicas[name] = ReplicaTelemetry()
@@ -131,7 +133,10 @@ class ServingTelemetry:
         self._queue_depth_sum += pool_depth
         if pool_depth > self._max_queue_depth:
             self._max_queue_depth = int(pool_depth)
-        self._replica(replica_name)
+        # a server's replicas have their slices since attach; telemetry fed
+        # directly still lists a replica admitted but never served
+        if replica_name not in self.replicas:
+            self.replicas[replica_name] = ReplicaTelemetry()
 
     def on_reject(self) -> None:
         """Count a request refused by admission control."""
@@ -140,8 +145,10 @@ class ServingTelemetry:
     def on_result(
         self, replica_name: str, latency_s: float, batch_size: int, outcome: str
     ) -> None:
-        """Per-request outcome hook (matches the replica observer signature)."""
-        slice_ = self._replica(replica_name)
+        """Per-request outcome hook, called by the replica for every request."""
+        slice_ = self.replicas.get(replica_name)
+        if slice_ is None:
+            slice_ = self.replica_slice(replica_name)
         if outcome == "ok":
             slice_.completed += 1
             # a non-finite latency must never poison the latency sketch
@@ -156,7 +163,9 @@ class ServingTelemetry:
 
     def on_batch(self, replica_name: str, batch_size: int) -> None:
         """Record one fused engine batch of ``batch_size`` requests."""
-        slice_ = self._replica(replica_name)
+        slice_ = self.replicas.get(replica_name)
+        if slice_ is None:
+            slice_ = self.replica_slice(replica_name)
         slice_.batches += 1
         slice_.fused_requests += int(batch_size)
 

@@ -745,7 +745,7 @@ class TestScheduling:
     def test_least_loaded_prefers_empty_queue(self, rng):
         _, replicas = self.make_replicas(rng, n=2)
         scheduler = ReplicaScheduler(replicas, policy="least-loaded")
-        replicas[0].inflight = 3
+        replicas[0].inflight = replicas[0].load = 3
         assert scheduler.select() is replicas[1]
 
     def test_latency_aware_prefers_fast_replica(self, rng):
@@ -755,14 +755,14 @@ class TestScheduling:
         replicas[1].ewma_latency_s = 0.001
         assert scheduler.select() is replicas[1]
         # load eventually outweighs speed
-        replicas[1].inflight = 30
+        replicas[1].inflight = replicas[1].load = 30
         assert scheduler.select() is replicas[0]
 
     def test_latency_aware_falls_back_to_load_on_zero_estimates(self, rng):
         """An all-digital pool (0-latency hints) must still spread by load."""
         _, replicas = self.make_replicas(rng, n=2)
         scheduler = ReplicaScheduler(replicas, policy="latency-aware")
-        replicas[0].inflight = 5
+        replicas[0].inflight = replicas[0].load = 5
         assert scheduler.select() is replicas[1]
 
     def test_unknown_policy_rejected(self, rng):
@@ -1144,13 +1144,13 @@ class TestCostBasedRouting:
         scheduler = ReplicaScheduler(
             replicas, policy="cost-based", cost_fn=lambda r: costs[r.name]
         )
-        replicas[1].inflight = 30
+        replicas[1].inflight = replicas[1].load = 30
         assert scheduler.select() is replicas[0]
 
     def test_zero_cost_pool_falls_back_to_least_loaded(self, rng):
         replicas = self.make_replicas(rng, n=2)
         scheduler = ReplicaScheduler(replicas, policy="cost-based")
-        replicas[0].inflight = 4
+        replicas[0].inflight = replicas[0].load = 4
         assert scheduler.select() is replicas[1]
 
     def test_cost_fn_default_uses_engine_latency_hint(self, rng):

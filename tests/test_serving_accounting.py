@@ -9,19 +9,32 @@ literals were captured from the pool before its load became counters: the
 routed replica and outcome of every request, every rejection with its
 :class:`~repro.serving.errors.BackpressureError` fields, and the telemetry's
 queue-depth mean and maximum.
+
+The state machine drives one 2-replica server through submissions,
+cancellations, expired deadlines, raising observers and engines, aborts
+and shutdowns, and checks after every step that the load counters equal
+what the queues, held-over requests and open pulls hold.
 """
 
 import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.serving import (
     BackpressureError,
+    FabricGateway,
     GemmEngine,
     InferenceServer,
     Replica,
+    ServerClosedError,
+    WorkerCrashedError,
+    make_worker_specs,
 )
+from repro.serving.batching import SHUTDOWN
 
 WEIGHTS = np.arange(9, dtype=float).reshape(3, 3) / 10.0
 
@@ -193,3 +206,249 @@ class TestRoutingOracle:
     @pytest.mark.parametrize("policy", sorted(ORACLE))
     def test_routing_backpressure_and_depth_samples_are_pinned(self, policy):
         assert asyncio.run(replay(policy, seed=7)) == ORACLE[policy]
+
+
+# --------------------------------------------------------------------- #
+# abort and drain
+# --------------------------------------------------------------------- #
+def crash(groups):
+    raise RuntimeError("batcher fault")
+
+
+class TestAbortAndDrain:
+    def test_abort_fails_a_crashed_pull_and_zeroes_the_counters(self):
+        async def scenario():
+            engines = [GemmEngine(backend="ideal-digital", weights=WEIGHTS) for _ in range(2)]
+            replicas = [
+                Replica("r0", engines[0], max_batch=2),
+                Replica("r1", engines[1], max_batch=8, max_wait_s=30.0),
+            ]
+            replicas[0].batcher._execute = crash
+            server = InferenceServer(replicas, policy="round-robin")
+            await server.start()
+            futures = [server.submit_nowait(np.ones(3)) for _ in range(8)]
+            futures[0].cancel()  # resolved, but the crash leaves it unreported
+            await asyncio.wait([replicas[0]._task], timeout=10.0)
+            # r0 pulled two requests and crashed; r1 holds its four in a window
+            before = [(replica.load, replica.inflight) for replica in replicas]
+            with pytest.raises(RuntimeError, match="batcher fault"):
+                await server.shutdown(drain=False)
+            after = [(replica.load, replica.inflight) for replica in replicas]
+            return futures, before, after, server.scheduler.total_load()
+
+        futures, before, after, total = asyncio.run(scenario())
+        assert before == [(4, 2), (4, 4)]
+        assert after == [(0, 0), (0, 0)] and total == 0
+        assert futures[0].cancelled()
+        for future in futures[1:]:
+            assert isinstance(future.exception(), ServerClosedError)
+
+    def test_drain_returns_for_a_backlog_with_open_batching_windows(self):
+        async def scenario():
+            replica = Replica(
+                "r0", GemmEngine(backend="ideal-digital", weights=WEIGHTS),
+                max_batch=8, max_wait_s=0.05,
+            )
+            server = InferenceServer([replica])
+            await server.start()
+            futures = [server.submit_nowait(np.full(3, float(i))) for i in range(20)]
+            await asyncio.sleep(0)  # the first pulls are out; the last one waits
+            load = server.scheduler.total_load()
+            await asyncio.wait_for(server.drain(), timeout=10.0)
+            done = all(future.done() for future in futures)
+            await server.shutdown()
+            return load, done, server.scheduler.total_load()
+
+        load, done, total = asyncio.run(scenario())
+        assert load > 0 and done and total == 0
+
+
+class TestGatewayCounters:
+    def test_handle_counters_follow_dispatch_crash_and_drain(self):
+        async def scenario():
+            specs = make_worker_specs(
+                2,
+                "repro.serving.fabric.engines:make_compute_heavy_engine",
+                engine_kwargs={"weights": np.ones((3, 4)), "service_s_per_column": 0.05},
+                max_batch=1,
+            )
+            gateway = FabricGateway(specs, max_inflight=1)
+            await gateway.start()
+            try:
+                doomed = [gateway.submit_nowait(np.ones(4), replica="w0") for _ in range(3)]
+                served = [gateway.submit_nowait(np.ones(4), replica="w1") for _ in range(2)]
+                before = [(handle.load, handle.depth, handle.inflight) for handle in gateway.handles]
+                total = gateway.scheduler.total_load()
+                gateway.kill_worker("w0")
+                crashed = await asyncio.gather(*doomed, return_exceptions=True)
+                await asyncio.wait_for(gateway.drain(), timeout=10.0)
+                outputs = [future.result() for future in served]
+                after = [handle.load for handle in gateway.handles]
+                return before, total, crashed, outputs, after, gateway.scheduler.total_load()
+            finally:
+                await gateway.shutdown(drain=False)
+
+        before, total, crashed, outputs, after, drained = asyncio.run(scenario())
+        assert before == [(3, 2, 1), (2, 1, 1)] and total == 5
+        assert all(isinstance(error, WorkerCrashedError) for error in crashed)
+        assert all(np.array_equal(output, np.full(3, 4.0)) for output in outputs)
+        assert after == [0, 0] and drained == 0
+
+
+# --------------------------------------------------------------------- #
+# the counters against the queues, step by step
+# --------------------------------------------------------------------- #
+class FlakyEngine(GemmEngine):
+    """An ideal-digital engine that raises while ``failing`` is set."""
+
+    failing = False
+
+    def run_batch(self, weights, inputs, key=None):
+        if self.failing:
+            raise RuntimeError("engine fault")
+        return super().run_batch(weights, inputs, key=key)
+
+
+MODELS = (None, WEIGHTS + 1.0, WEIGHTS - 1.0)
+
+#: loop turns after each step, before the counters are checked
+SETTLE_TURNS = 5
+
+
+class LoadAccountingMachine(RuleBasedStateMachine):
+    """One server, two replicas (one with an open batching window)."""
+
+    def __init__(self):
+        super().__init__()
+        self.loop = asyncio.new_event_loop()
+        self.engines = [FlakyEngine(backend="ideal-digital", weights=WEIGHTS) for _ in range(2)]
+        self.replicas = [
+            Replica("r0", self.engines[0], max_batch=2, max_queue_depth=3),
+            Replica("r1", self.engines[1], max_batch=2, max_wait_s=0.002, max_queue_depth=3),
+        ]
+        self.server = InferenceServer(self.replicas)
+        self.raising = False
+        self.seen = 0
+        for replica in self.replicas:
+            replica.add_observer(self._raising_observer)
+            replica.add_observer(self._recording_observer)
+        self.futures = []
+        self.run(self.server.start())
+
+    def _raising_observer(self, *_args):
+        if self.raising:
+            raise RuntimeError("observer fault")
+
+    def _recording_observer(self, *_args):
+        self.seen += 1
+
+    def run(self, coroutine):
+        return self.loop.run_until_complete(coroutine)
+
+    def step(self, action):
+        """Run ``action()`` on the loop, then let the loop settle.
+
+        Settled, no request is between the queue and a pull: a straggler
+        window's ``wait_for(queue.get())`` hands its item over within three
+        turns of the loop.
+        """
+
+        async def stepped():
+            action()
+            for _ in range(SETTLE_TURNS):
+                await asyncio.sleep(0)
+
+        self.run(stepped())
+
+    def submit(self, model, count=1, deadline_s=None):
+        for _ in range(count):
+            try:
+                future = self.server.submit_nowait(
+                    np.ones(3), weights=MODELS[model], deadline_s=deadline_s
+                )
+            except BackpressureError:
+                continue
+            self.futures.append(future)
+
+    def cancel_one(self, index):
+        pending = [future for future in self.futures if not future.done()]
+        if pending:
+            pending[index % len(pending)].cancel()
+
+    @rule(model=st.integers(0, 2), count=st.integers(1, 8))
+    def submit_requests(self, model, count):
+        self.step(lambda: self.submit(model, count))
+
+    @rule(model=st.integers(0, 2))
+    def submit_expired(self, model):
+        self.step(lambda: self.submit(model, deadline_s=-1.0))
+
+    @rule(index=st.integers(0, 63))
+    def cancel(self, index):
+        self.step(lambda: self.cancel_one(index))
+
+    @rule(on=st.booleans())
+    def raising_observer(self, on):
+        self.raising = on
+        self.step(lambda: None)
+
+    @rule(replica=st.integers(0, 1), on=st.booleans())
+    def raising_engine(self, replica, on):
+        self.engines[replica].failing = on
+        self.step(lambda: None)
+
+    @rule()
+    def abort(self):
+        self.run(self.server.shutdown(drain=False))
+        self.run(self.server.start())
+
+    @rule()
+    def shutdown(self):
+        self.run(self.server.shutdown(drain=True))
+        self.run(self.server.start())
+
+    @rule()
+    def drain(self):
+        self.run(asyncio.wait_for(self.server.drain(), timeout=10.0))
+        assert self.server.scheduler.total_load() == 0
+
+    @invariant()
+    def counters_match_the_queues(self):
+        total = 0
+        for replica in self.replicas:
+            batcher = replica.batcher
+            queued = [item for item in replica.queue._queue if item is not SHUTDOWN]
+            held = batcher.held is not None
+            pulled = sum(len(group) for group in (batcher.pull or {}).values())
+            assert replica.depth == len(replica.queue._queue) + held
+            assert replica.inflight == pulled
+            assert replica.load == len(queued) + held + pulled
+            total += replica.load
+        assert self.server.scheduler.total_load() == total
+
+    @invariant()
+    def every_observer_sees_every_outcome(self):
+        telemetry = self.server.telemetry
+        reported = sum(
+            slice_.completed + slice_.expired + slice_.cancelled + slice_.failed
+            for slice_ in telemetry.replicas.values()
+        )
+        assert self.seen == reported
+
+    def teardown(self):
+        try:
+            self.run(self.server.shutdown(drain=True))
+            assert all(future.done() for future in self.futures)
+            for future in self.futures:  # retrieved, so none is logged as unhandled
+                if not future.cancelled():
+                    future.exception()
+            assert self.server.scheduler.total_load() == 0
+            assert all(replica.load == replica.inflight == 0 for replica in self.replicas)
+        finally:
+            self.loop.close()
+
+
+LoadAccountingMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
+TestLoadAccounting = LoadAccountingMachine.TestCase
