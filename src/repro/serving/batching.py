@@ -261,8 +261,15 @@ class MicroBatcher:
             if stop:
                 return
 
-    def _fail_batch(self, groups: Dict[str, List[InferenceRequest]]) -> None:
-        """Resolve a pulled-but-unserved batch on abort (typed error)."""
+    def _fail_batch(
+        self, groups: Dict[str, List[InferenceRequest]], skip_resolved: bool = False
+    ) -> None:
+        """Resolve a pulled-but-unserved batch on abort (typed error).
+
+        Each request fails with :class:`ServerClosedError` and is reported
+        as ``"cancelled"``.  ``skip_resolved`` leaves requests whose future
+        is already done alone: a crashed loop may have reported them.
+        """
         now = self._now()
         for group in groups.values():
             for request in group:
@@ -270,29 +277,21 @@ class MicroBatcher:
                     request.future.set_exception(
                         ServerClosedError("server aborted before serving this request")
                     )
+                elif skip_resolved:
+                    continue
                 self.stats.cancelled += 1
                 self._notify(request, now, len(group), "cancelled")
 
     def abort_pull(self) -> None:
         """Fail the pull a serve loop left open when it ended with an exception.
 
-        Only requests whose futures are still pending fail (with
-        :class:`ServerClosedError`) and are reported as ``"cancelled"``: the
-        loop may have resolved and reported others before it crashed.  A
-        cancelled loop has already failed its pull; then this does nothing.
+        Only requests whose futures are still pending are failed and
+        reported.  A cancelled loop has already failed its pull; then this
+        does nothing.
         """
         groups, self.pull = self.pull, None
-        if not groups:
-            return
-        now = self._now()
-        for group in groups.values():
-            for request in group:
-                if not request.future.done():
-                    request.future.set_exception(
-                        ServerClosedError("server aborted before serving this request")
-                    )
-                    self.stats.cancelled += 1
-                    self._notify(request, now, len(group), "cancelled")
+        if groups:
+            self._fail_batch(groups, skip_resolved=True)
 
     def _coalesce_nowait(
         self,
