@@ -433,32 +433,19 @@ class MicroBatcher:
                     self.tracer.pop()
                     self.tracer.end_span(engine_span)
             done = self._now()
-            width = len(requests)
-            stats = self.stats
-            stats.batches += 1
-            stats.requests += width
-            metrics = self.metrics
-            on_result = self.on_result
-            # _notify(request, done, width, "ok"), inlined on the per-request path
+            self.stats.batches += 1
+            self.stats.requests += len(requests)
             for index, request in enumerate(requests):
                 if not request.future.done():
                     request.future.set_result(outputs[:, index])
-                latency_s = done - request.submitted_at
-                if metrics:
-                    metrics.counter("batcher.requests.ok").inc()
-                    metrics.histogram("batcher.latency_s").observe(latency_s)
-                if on_result is not None:
-                    try:
-                        on_result(request, latency_s, width, "ok")
-                    except Exception:  # noqa: BLE001 - an observer must not stop serving
-                        stats.observer_errors += 1
-            if metrics:
-                metrics.histogram("batcher.batch_size").observe(width)
+                self._notify(request, done, len(requests), "ok")
+            if self.metrics:
+                self.metrics.histogram("batcher.batch_size").observe(len(requests))
             if self.on_batch is not None:
                 try:
-                    self.on_batch(width)
+                    self.on_batch(len(requests))
                 except Exception:  # noqa: BLE001 - an observer must not stop serving
-                    stats.observer_errors += 1
+                    self.stats.observer_errors += 1
         if batch_span is not None:
             self.tracer.end_span(batch_span)
 

@@ -75,12 +75,9 @@ class PoolLoad:
         """Take ``n`` resolved requests off the pool."""
         self.load -= n
         if not self.load and self._settled is not None:
-            self.wake()
-
-    def wake(self) -> None:
-        """Wake every :meth:`settled` waiter; the load has just reached 0."""
-        settled, self._settled = self._settled, None
-        settled.set()
+            # wake every settled() waiter; the load has just reached 0
+            settled, self._settled = self._settled, None
+            settled.set()
 
     async def settled(self) -> None:
         """Return once no request of the pool is queued or in flight."""
@@ -185,18 +182,9 @@ class Replica:
     ) -> None:
         self.inflight -= 1
         self.load -= 1
-        pool = self.pool
-        pool.load -= 1
-        if not pool.load and pool._settled is not None:
-            pool.wake()
+        self.pool.release()
         if outcome == "ok":
-            # latency_ewma, inlined on the per-request path
-            previous = self.ewma_latency_s
-            self.ewma_latency_s = (
-                latency_s
-                if previous is None
-                else LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
-            )
+            self.ewma_latency_s = latency_ewma(self.ewma_latency_s, latency_s)
         name = self.name
         telemetry = self.telemetry
         if telemetry is not None:
