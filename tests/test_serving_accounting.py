@@ -343,7 +343,7 @@ class LoadAccountingMachine(RuleBasedStateMachine):
         self.seen += 1
 
     def run(self, coroutine):
-        return self.loop.run_until_complete(coroutine)
+        return self.loop.run_until_complete(asyncio.wait_for(coroutine, timeout=10.0))
 
     def step(self, action):
         """Run ``action()`` on the loop, then let the loop settle.
@@ -409,7 +409,7 @@ class LoadAccountingMachine(RuleBasedStateMachine):
 
     @rule()
     def drain(self):
-        self.run(asyncio.wait_for(self.server.drain(), timeout=10.0))
+        self.run(self.server.drain())
         assert self.server.scheduler.total_load() == 0
 
     @invariant()
