@@ -136,7 +136,7 @@ class ServingTelemetry:
         # a server's replicas have their slices since attach; telemetry fed
         # directly still lists a replica admitted but never served
         if replica_name not in self.replicas:
-            self.replicas[replica_name] = ReplicaTelemetry()
+            self.replica_slice(replica_name)
 
     def on_reject(self) -> None:
         """Count a request refused by admission control."""
@@ -146,9 +146,7 @@ class ServingTelemetry:
         self, replica_name: str, latency_s: float, batch_size: int, outcome: str
     ) -> None:
         """Per-request outcome hook, called by the replica for every request."""
-        slice_ = self.replicas.get(replica_name)
-        if slice_ is None:
-            slice_ = self.replica_slice(replica_name)
+        slice_ = self.replicas.get(replica_name) or self.replica_slice(replica_name)
         if outcome == "ok":
             slice_.completed += 1
             # a non-finite latency must never poison the latency sketch
@@ -163,9 +161,7 @@ class ServingTelemetry:
 
     def on_batch(self, replica_name: str, batch_size: int) -> None:
         """Record one fused engine batch of ``batch_size`` requests."""
-        slice_ = self.replicas.get(replica_name)
-        if slice_ is None:
-            slice_ = self.replica_slice(replica_name)
+        slice_ = self.replicas.get(replica_name) or self.replica_slice(replica_name)
         slice_.batches += 1
         slice_.fused_requests += int(batch_size)
 
