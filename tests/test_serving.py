@@ -1382,3 +1382,109 @@ class TestTelemetryEmptyWindows:
         assert summary["latency"]["p99_ms"] == 0.0
         assert summary["latency"]["mean_ms"] == 0.0
         assert summary["replicas"]["r0"]["p99_ms"] == 0.0
+
+
+# --------------------------------------------------------------------- #
+# telemetry oracle: one fixed event sequence, every reported figure pinned
+# --------------------------------------------------------------------- #
+class TestTelemetryOracle:
+    """Summary, snapshot and report of a fixed hook sequence, as literals.
+
+    The sequence covers every outcome, a zero and a ``nan`` latency, two
+    rejections and a replica admitted but never served.  The JSON text of
+    the summary pins the types as well as the values (an int stays ``6``,
+    never ``6.0``).
+    """
+
+    SUMMARY_JSON = (
+        '{"completed": 4, "expired": 1, "latency": {"count": 3, '
+        '"mean_ms": 84.66666666666667, "p50_ms": 3.965059780759862, '
+        '"p95_ms": 3.965059780759862, "p99_ms": 3.965059780759862}, '
+        '"queue_depth": {"max": 5, "mean": 2.5}, "rejected": 2, "replicas": '
+        '{"a": {"batches": 1, "cancelled": 0, "completed": 3, "expired": 0, '
+        '"failed": 1, "mean_batch": 2.0, "p50_ms": 0.0, "p99_ms": 0.0}, '
+        '"b": {"batches": 2, "cancelled": 1, "completed": 1, "expired": 1, '
+        '"failed": 0, "mean_batch": 2.0, "p50_ms": 249.05131021792783, '
+        '"p99_ms": 249.05131021792783}, "cold": {"batches": 0, "cancelled": 0, '
+        '"completed": 0, "expired": 0, "failed": 0, "mean_batch": 0.0, '
+        '"p50_ms": 0.0, "p99_ms": 0.0}}, "submitted": 6}'
+    )
+
+    REPORT = (
+        "# oracle\n"
+        "elapsed_s        2.5\n"
+        "submitted        6\n"
+        "completed        4\n"
+        "rejected         2\n"
+        "expired          1\n"
+        "throughput_hz    1.6\n"
+        "latency_count    3\n"
+        "latency_mean_ms  84.6667\n"
+        "latency_p50_ms   3.96506\n"
+        "latency_p95_ms   3.96506\n"
+        "latency_p99_ms   3.96506\n"
+        "queue_max        5\n"
+        "queue_mean       2.5\n"
+        "\n"
+        "replica  completed  expired  batches  mean_batch  p50_ms  p99_ms\n"
+        "-------  ---------  -------  -------  ----------  ------  ------\n"
+        "a        3          0        1        2           0       0     \n"
+        "b        1          1        2        2           249.1   249.1 \n"
+        "cold     0          0        0        0           0       0     "
+    )
+
+    @staticmethod
+    def fed():
+        telemetry = ServingTelemetry()
+        telemetry.started_at, telemetry.stopped_at = 10.0, 12.5
+        telemetry.on_admit("a", 0)
+        telemetry.on_admit("a", 3)
+        telemetry.on_admit("b", 5)
+        telemetry.on_admit("cold", 2)  # admitted, never served
+        telemetry.on_reject()
+        telemetry.on_admit("b", 1)
+        telemetry.on_reject()
+        telemetry.on_admit("a", 4)
+        telemetry.on_batch("a", 2)
+        telemetry.on_result("a", 0.004, 2, "ok")
+        telemetry.on_result("a", 0.0, 2, "ok")
+        telemetry.on_result("a", float("nan"), 1, "ok")
+        telemetry.on_batch("b", 1)
+        telemetry.on_result("b", 0.25, 1, "ok")
+        telemetry.on_result("b", 0.1, 1, "expired")
+        telemetry.on_result("b", 0.05, 1, "cancelled")
+        telemetry.on_result("a", 0.02, 3, "error")
+        telemetry.on_batch("b", 3)
+        return telemetry
+
+    def test_summary(self):
+        import json
+
+        telemetry = self.fed()
+        summary = telemetry.summary()
+        assert summary.pop("elapsed_s") == 2.5
+        assert summary.pop("throughput_hz") == 1.6
+        assert json.dumps(summary, sort_keys=True) == self.SUMMARY_JSON
+        assert summary == json.loads(self.SUMMARY_JSON)
+        assert (telemetry.completed, telemetry.expired) == (4, 1)
+        assert (telemetry.submitted, telemetry.rejected) == (6, 2)
+        assert telemetry.max_queue_depth() == 5
+        assert telemetry.mean_queue_depth() == 2.5
+
+    def test_snapshot_round_trips_through_json(self, tmp_path):
+        import json
+
+        from repro.serving.telemetry import TelemetryLog
+
+        snapshot = self.fed().to_snapshot(label="oracle")
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        log = TelemetryLog(tmp_path / "oracle.jsonl")
+        log.append(snapshot)
+        assert log.read() == [snapshot]
+        assert isinstance(snapshot.pop("captured_at"), float)
+        assert snapshot.pop("label") == "oracle"
+        assert (snapshot.pop("elapsed_s"), snapshot.pop("throughput_hz")) == (2.5, 1.6)
+        assert json.dumps(snapshot, sort_keys=True) == self.SUMMARY_JSON
+
+    def test_report(self):
+        assert self.fed().report("oracle") == self.REPORT
