@@ -3,8 +3,8 @@
 * Overhead — the same compute-heavy engine (service-time dominated, so
   the μs-scale cost of span bookkeeping is measured against a realistic
   request cost) is driven closed-loop untraced and then with a live
-  :class:`~repro.obs.trace.Tracer` + metrics registry on the server;
-  tracing must cost at most 5% of throughput.
+  :class:`~repro.obs.trace.Tracer` on the server (its telemetry registry
+  counts in both runs); tracing must cost at most 5% of throughput.
 * Parity — a seeded SoC-engine run serves bitwise-identical outputs and
   identical cycle accounting with tracing on or off, and the traced run
   exports a valid Chrome trace holding the full span hierarchy
@@ -22,7 +22,6 @@ from benchmarks.sections import cluster, retry
 from repro.compiler import SoCCostModel
 from repro.obs import (
     DriftMonitor,
-    MetricsRegistry,
     Tracer,
     chrome_trace,
     validate_chrome_trace,
@@ -44,7 +43,7 @@ MAX_OVERHEAD = 0.05
 SPAN_HIERARCHY = {"request", "batch", "engine", "soc:offload", "soc:compute"}
 
 
-def measure_throughput(tracer, metrics, requests_per_client) -> float:
+def measure_throughput(tracer, requests_per_client) -> float:
     """Closed-loop saturation throughput of one compute-heavy replica."""
     weights = ensure_rng(0).normal(size=SHAPE)
     workload = ensure_rng(1).normal(size=(64, SHAPE[1]))
@@ -57,7 +56,6 @@ def measure_throughput(tracer, metrics, requests_per_client) -> float:
         server = InferenceServer(
             [Replica("r0", engine, max_batch=8, max_queue_depth=64)],
             tracer=tracer,
-            metrics=metrics,
         )
         async with server:
             report = await run_closed_loop(
@@ -102,8 +100,8 @@ def collect(quick: bool = False) -> dict:
 
     def overhead():
         tracers.append(Tracer(process="server"))
-        untraced_hz = measure_throughput(None, None, requests_per_client)
-        traced_hz = measure_throughput(tracers[-1], MetricsRegistry(), requests_per_client)
+        untraced_hz = measure_throughput(None, requests_per_client)
+        traced_hz = measure_throughput(tracers[-1], requests_per_client)
         return {
             "untraced_hz": untraced_hz,
             "traced_hz": traced_hz,

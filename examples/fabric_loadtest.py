@@ -4,7 +4,10 @@ Serves the same compute-heavy engine two ways — one single-process asyncio
 server, then a :class:`FabricGateway` multiplexing the identical trace over
 spawned worker processes — and prints the operator's view of what the
 process boundary buys at saturation: achieved throughput, p50/p99 latency
-and per-worker completion counts.  Then it demonstrates the fabric's
+and per-worker completion counts.  Each worker's engine and batcher
+counters, merged into the gateway's telemetry registry when the worker
+shut down, must account for every request the gateway saw finish.  Then
+it demonstrates the fabric's
 queueing controls (request priorities preempting queued work, per-tenant
 admission quotas) and persists the telemetry trajectory through
 :class:`TelemetryLog` snapshots.
@@ -119,7 +122,8 @@ async def quota_demo():
 def main() -> None:
     # --- single process vs fabric at the same saturating offered load ----
     single_report, single_stats = asyncio.run(serve_trace(make_single_process_server()))
-    fabric_report, fabric_stats = asyncio.run(serve_trace(make_gateway()))
+    gateway = make_gateway()
+    fabric_report, fabric_stats = asyncio.run(serve_trace(gateway))
     rows = []
     for label, report, stats in (
         ("single-process", single_report, single_stats),
@@ -144,6 +148,35 @@ def main() -> None:
     ))
     speedup = fabric_report.achieved_hz / single_report.achieved_hz
     print(f"fabric speedup at saturation: {speedup:.2f}x\n")
+
+    # --- worker counters, merged into the gateway's registry at shutdown --
+    metrics = gateway.telemetry.metrics
+    rows, worker_outcomes = [], 0
+    for name in sorted(fabric_stats["replicas"]):
+
+        def counter(path, name=name):
+            return int(metrics.counter(f"worker.{name}.{path}").value)
+
+        outcomes = [
+            counter(f"batcher.{outcome}")
+            for outcome in ("requests", "expired", "cancelled", "failed")
+        ]
+        worker_outcomes += sum(outcomes)
+        rows.append([name, *outcomes, counter("batcher.batches"),
+                     counter("engine.columns")])
+    print("worker counters (merged at the gateway):")
+    print(format_table(
+        ["worker", "served", "expired", "cancelled", "failed", "batches", "columns"],
+        rows,
+    ))
+    gateway_outcomes = fabric_stats["completed"] + fabric_stats["expired"] + sum(
+        entry["failed"] for entry in fabric_stats["replicas"].values()
+    )
+    # every request the gateway saw finish was counted by exactly one worker
+    assert worker_outcomes == gateway_outcomes == N_REQUESTS, (
+        worker_outcomes, gateway_outcomes,
+    )
+    print()
 
     # --- request priorities preempt queued (never in-flight) work ---------
     order = asyncio.run(priority_demo())

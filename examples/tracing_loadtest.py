@@ -4,8 +4,8 @@ Serves a cycle-accurate SoC replica under closed-loop traffic with the
 observability plane switched on: every request gets a span at the front
 door, the micro-batcher's fused batches link the request spans they
 coalesced, engine execution and the SoC offload's pipeline phases
-(DMA/compute, on simulated cycles) hang underneath, and a metrics
-registry counts outcomes and buckets latencies alongside.  The finished
+(DMA/compute, on simulated cycles) hang underneath, and the server's
+telemetry registry counts outcomes and buckets latencies alongside.  The finished
 spans export to a Chrome ``trace_event`` file loadable in
 ``chrome://tracing`` / Perfetto (validated here with the same gate
 ``tools/trace_view.py`` uses), and a drift monitor compares the cost
@@ -25,7 +25,6 @@ from repro.compiler import SoCCostModel
 from repro.eval import format_table
 from repro.obs import (
     DriftMonitor,
-    MetricsRegistry,
     Tracer,
     validate_chrome_trace,
     write_chrome_trace,
@@ -53,7 +52,6 @@ def main() -> None:
     # the model is calibrated on a 2-PE cluster but served on 1 PE, so the
     # drift monitor has something real to flag at the end
     tracer = Tracer(process="server")
-    metrics = MetricsRegistry()
     monitor = DriftMonitor(threshold=0.10, min_samples=1)
     engine = SoCGemmEngine(
         make_soc(1),
@@ -62,10 +60,9 @@ def main() -> None:
         drift_monitor=monitor,
     )
 
+    server = InferenceServer([Replica("soc", engine, max_batch=8)], tracer=tracer)
+
     async def drive():
-        server = InferenceServer(
-            [Replica("soc", engine, max_batch=8)], tracer=tracer, metrics=metrics
-        )
         async with server:
             return await run_closed_loop(
                 server,
@@ -75,6 +72,7 @@ def main() -> None:
             )
 
     report = asyncio.run(drive())
+    metrics = server.telemetry.metrics
 
     # --- the span tree, as the operator sees it --------------------------
     print("span tree (one request's path):")

@@ -3,9 +3,11 @@
 Instruments are process-local and cheap (a dict lookup plus an integer
 add) and share no memory across processes: :meth:`MetricsRegistry.snapshot`
 gives a plain-JSON state and :meth:`MetricsRegistry.merge` folds one in.
-No caller ships registries between processes yet — a fabric worker's
-``bye`` message carries its engine and batcher counter dicts, which the
-gateway keeps unmerged as ``worker_stats``.  A :class:`Histogram` is a
+A serving process keeps one registry, its
+:class:`~repro.serving.telemetry.ServingTelemetry`'s ``metrics``; a
+fabric worker ships the snapshot of its engine and batcher counters in
+its ``bye`` message, and the gateway merges it into that registry
+(``FabricGateway._on_message``).  A :class:`Histogram` is a
 log-bucketed sketch at the fixed relative accuracy :data:`RELATIVE_ACCURACY`
 (DDSketch, Masson, Rim & Lee, VLDB 2019): bucket edges are a pure
 function of that constant, never adapted to data, so sketches from any
@@ -15,7 +17,7 @@ process merge exactly and replayed runs are bitwise comparable.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 #: Relative error bound α of every :meth:`Histogram.quantile` answer.
 RELATIVE_ACCURACY = 0.01
@@ -53,10 +55,6 @@ class Gauge:
     def set(self, value: float) -> None:
         """Replace the gauge value."""
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the gauge by ``amount`` (may be negative)."""
-        self.value += amount
 
     def snapshot(self) -> Dict:
         """Plain-JSON state."""
@@ -149,8 +147,8 @@ class MetricsRegistry:
     """Named instrument registry with get-or-create semantics.
 
     One registry per process.  :meth:`snapshot` and :meth:`merge` let
-    registries of several processes be combined; the serving fabric does
-    not do so yet (its workers report plain counter dicts).
+    registries of several processes be combined: a fabric gateway merges
+    each worker's counter snapshot into its telemetry registry.
     """
 
     def __init__(self):
@@ -211,8 +209,3 @@ class MetricsRegistry:
                 self.histogram(name).merge(state)
             else:
                 raise ValueError(f"unknown instrument type {kind!r} for metric {name!r}")
-
-    def merge_all(self, snapshots: Iterable[Dict[str, Dict]]) -> None:
-        """Merge a sequence of per-process snapshots."""
-        for snapshot in snapshots:
-            self.merge(snapshot)

@@ -99,11 +99,6 @@ class BatcherStats:
     failed: int = 0
     observer_errors: int = 0
 
-    @property
-    def mean_batch(self) -> float:
-        """Mean requests coalesced per engine call."""
-        return self.requests / self.batches if self.batches else 0.0
-
 
 class MicroBatcher:
     """Coalesces an :class:`asyncio.Queue` of requests into engine calls.
@@ -138,8 +133,6 @@ class MicroBatcher:
         tracer: optional :class:`~repro.obs.trace.Tracer`; when set, each
             pull records a ``batch`` span linking every traced request it
             coalesced, plus an ``engine`` span per model-key engine call.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry` for
-            batch-size / latency instruments.
 
     The straggler window, latencies and deadlines use the running loop's ``time()``.
     """
@@ -153,7 +146,6 @@ class MicroBatcher:
         on_pull: Optional[Callable[[int], None]] = None,
         on_batch: Optional[Callable[[int], None]] = None,
         tracer=None,
-        metrics=None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -168,7 +160,6 @@ class MicroBatcher:
         self.on_pull = on_pull
         self.on_batch = on_batch
         self.tracer = tracer
-        self.metrics = metrics
         self.stats = BatcherStats()
 
     def _key(self, item: InferenceRequest, keys: Dict[int, str]) -> Optional[str]:
@@ -219,7 +210,7 @@ class MicroBatcher:
         :func:`repro.compiler.partition.expected_batch_width`).
         """
         if self.stats.batches > 0:
-            return max(1, int(round(self.stats.mean_batch)))
+            return max(1, int(round(self.stats.requests / self.stats.batches)))
         return self.max_batch
 
     async def serve(self, queue: asyncio.Queue) -> None:
@@ -439,8 +430,6 @@ class MicroBatcher:
                 if not request.future.done():
                     request.future.set_result(outputs[:, index])
                 self._notify(request, done, len(requests), "ok")
-            if self.metrics:
-                self.metrics.histogram("batcher.batch_size").observe(len(requests))
             if self.on_batch is not None:
                 try:
                     self.on_batch(len(requests))
@@ -452,12 +441,6 @@ class MicroBatcher:
     def _notify(
         self, request: InferenceRequest, now: float, batch_size: int, outcome: str
     ) -> None:
-        if self.metrics:
-            self.metrics.counter(f"batcher.requests.{outcome}").inc()
-            if outcome == "ok":
-                self.metrics.histogram("batcher.latency_s").observe(
-                    now - request.submitted_at
-                )
         if self.on_result is not None:
             try:
                 self.on_result(request, now - request.submitted_at, batch_size, outcome)

@@ -24,7 +24,10 @@ What the process boundary adds over :class:`InferenceServer`:
 * **Per-tenant admission quotas.**  A tenant at its outstanding-request
   quota is rejected with the same typed
   :class:`~repro.serving.errors.BackpressureError` the bounded queues
-  raise, while other tenants keep flowing.
+  raise, while other tenants keep flowing.  A request the worker refuses
+  at its own admission bound comes back with that error too; it was
+  admitted (``submitted``) at the gateway and counts as ``rejected``,
+  never as its replica's ``failed``.
 * **Worker-crash detection.**  A worker pipe's EOF fails that worker's
   queued and in-flight requests with the typed
   :class:`~repro.serving.errors.WorkerCrashedError` and removes the worker
@@ -65,6 +68,9 @@ from repro.serving.fabric.worker import WorkerSpec, worker_main
 from repro.serving.scheduler import PoolLoad, latency_ewma
 from repro.serving.server import InferenceServer
 from repro.serving.telemetry import ServingTelemetry
+
+#: outcome of a worker's error reply by its decoded type; any other is "error"
+_REPLY_OUTCOMES = {DeadlineExceededError: "expired", BackpressureError: "rejected"}
 
 
 class _HandleQueue:
@@ -127,7 +133,6 @@ class WorkerHandle:
         self.ewma_latency_s: Optional[float] = None
         self.process = None
         self.conn = None
-        self.worker_stats: Optional[Dict] = None
         self.queue = _HandleQueue(self)
         self.engine = _HandleEngine(self)
         self.inflight_requests: Dict[int, InferenceRequest] = {}
@@ -493,7 +498,10 @@ class FabricGateway(InferenceServer):
         error: Optional[Exception] = None,
         batch_size: int = 1,
     ) -> None:
-        """Resolve one request's future and account its final outcome."""
+        """Resolve one request's future and account its final outcome.
+
+        A ``"rejected"`` outcome (worker backpressure) counts as a rejection.
+        """
         handle.load -= 1
         handle.pool.release()
         latency_s = self._now() - request.submitted_at
@@ -506,6 +514,9 @@ class FabricGateway(InferenceServer):
             self._release_tenant(request.tenant)
         if outcome == "ok":
             handle.ewma_latency_s = latency_ewma(handle.ewma_latency_s, latency_s)
+        elif outcome == "rejected":
+            self.telemetry.on_reject()
+            return
         self.telemetry.on_result(handle.name, latency_s, batch_size, outcome)
 
     def _release_tenant(self, tenant: str) -> None:
@@ -541,20 +552,19 @@ class FabricGateway(InferenceServer):
             request = handle.inflight_requests.pop(request_id, None)
             if request is not None:
                 error = wire.decode_exception(payload)
-                outcome = (
-                    "expired" if isinstance(error, DeadlineExceededError) else "error"
-                )
                 self._finish(
-                    handle, request, outcome, error=error,
+                    handle, request, _REPLY_OUTCOMES.get(type(error), "error"), error=error,
                     batch_size=max(int(batch_size), 1),
                 )
             self._pump(handle)
         elif kind == "ready":
             handle._ready.set()
         elif kind == "bye":
-            handle.worker_stats = message[1]
-            if self.tracer and isinstance(handle.worker_stats, dict):
-                self.tracer.ingest(handle.worker_stats.pop("spans", None))
+            # the worker's counter snapshot joins the one telemetry registry
+            _, metrics, spans = message
+            self.telemetry.metrics.merge(metrics)
+            if self.tracer:
+                self.tracer.ingest(spans)
             handle._bye.set()
 
     def _on_worker_eof(self, handle: WorkerHandle) -> None:
@@ -698,11 +708,16 @@ class FabricGateway(InferenceServer):
                     "pending": handle.depth,
                     "inflight": handle.inflight,
                     "seed": handle.spec.seed,
-                    "worker_stats": handle.worker_stats,
                 }
                 for handle in self.handles
             },
             "tenant_outstanding": dict(self._tenant_outstanding),
+            # worker counters merged from every bye (empty before shutdown)
+            "metrics": {
+                name: state
+                for name, state in self.telemetry.metrics.snapshot().items()
+                if name.startswith("worker.")
+            },
         }
         return summary
 

@@ -21,12 +21,14 @@ twin — the fabric's bitwise-equivalence oracle depends on this.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serving.batching import InferenceRequest
 from repro.serving.errors import BackpressureError, ServerClosedError
 from repro.serving.fabric.engines import resolve_factory
@@ -61,7 +63,8 @@ class WorkerSpec:
         tracing: build a process-local :class:`~repro.obs.trace.Tracer`
             inside the worker so submits carrying gateway trace context
             get a stitched worker-side span tree (shipped back once per
-            reply frame and with the final ``bye``).
+            reply frame and with the final ``bye``, next to the worker's
+            counter snapshot).
     """
 
     name: str
@@ -294,27 +297,20 @@ class WorkerReplica:
                 request.trace = span
             replica.queue.put_nowait(request)
 
-    def stats(self) -> Dict:
-        """Worker-lifetime counters shipped back in the ``bye`` message."""
-        engine_stats = self.engine.stats
-        batcher_stats = self.replica.batcher.stats
-        return {
-            "engine": {
-                "batches": engine_stats.batches,
-                "columns": engine_stats.columns,
-                "busy_s": engine_stats.busy_s,
-                "compiles": engine_stats.compiles,
-                "cache_hits": engine_stats.cache_hits,
-            },
-            "batcher": {
-                "batches": batcher_stats.batches,
-                "requests": batcher_stats.requests,
-                "expired": batcher_stats.expired,
-                "cancelled": batcher_stats.cancelled,
-                "failed": batcher_stats.failed,
-                "mean_batch": batcher_stats.mean_batch,
-            },
-        }
+    def stats(self) -> Dict[str, Dict]:
+        """The engine's and batcher's counters as a :class:`MetricsRegistry` snapshot.
+
+        Named ``worker.<name>.engine.*`` and ``worker.<name>.batcher.*``;
+        built at shutdown for the ``bye`` message.
+        """
+        registry = MetricsRegistry()
+        for part, stats in (
+            ("engine", self.engine.stats), ("batcher", self.replica.batcher.stats)
+        ):
+            prefix = f"worker.{self.spec.name}.{part}."
+            for counter in dataclasses.fields(stats):
+                registry.counter(prefix + counter.name).inc(getattr(stats, counter.name))
+        return registry.snapshot()
 
     async def serve(self) -> None:
         """Serve pipe messages until shutdown or gateway EOF."""
@@ -335,12 +331,9 @@ class WorkerReplica:
                     await self.replica.stop()
                 else:
                     await self.replica.abort()
-                stats = self.stats()
-                if self.tracer:
-                    # stragglers: spans finished after their request's
-                    # result shipped (e.g. the fused batch span)
-                    stats["spans"] = self.tracer.drain()
-                self.conn.send(("bye", stats))
+                # stragglers: spans finished after their request's result
+                # shipped (e.g. the fused batch span)
+                self.conn.send(("bye", self.stats(), self._drain_spans()))
                 return
             elif kind == "__eof__":
                 # gateway died: nothing to report results to

@@ -133,7 +133,6 @@ class Replica:
         max_wait_s: float = 0.0,
         max_queue_depth: int = 64,
         tracer=None,
-        metrics=None,
     ):
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
@@ -154,7 +153,6 @@ class Replica:
             on_pull=self._on_pull,
             on_batch=self._on_batch,
             tracer=tracer,
-            metrics=metrics,
         )
         self._task: Optional[asyncio.Task] = None
         self._observers: List[Callable[[str, InferenceRequest, float, int, str], None]] = []

@@ -42,13 +42,12 @@ class InferenceServer:
 
     Attributes:
         scheduler: the routing/admission layer.
-        telemetry: the server-lifetime metrics sink.
+        telemetry: the server-lifetime metrics sink; ``telemetry.metrics``
+            is the one registry of every serving figure.
         tracer: optional :class:`~repro.obs.trace.Tracer`; when set, each
             admitted request gets a ``request`` root span that the
             batchers/engines parent their spans on.  ``None`` (the
             default) keeps the entire tracing path to one falsy check.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            shared with the batchers.
         replanner: optional
             :class:`~repro.compiler.adaptive.AdaptiveReplanner`; when
             set, every replica's fused-batch widths stream into the
@@ -65,13 +64,11 @@ class InferenceServer:
         telemetry: Optional[ServingTelemetry] = None,
         cost_fn: Optional[Callable[[Replica], float]] = None,
         tracer=None,
-        metrics=None,
         replanner=None,
     ):
         self.scheduler = ReplicaScheduler(replicas, policy=policy, cost_fn=cost_fn)
         self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
         self.tracer = tracer
-        self.metrics = metrics
         self.replanner = replanner
         self._started = False
         self._closed = False
@@ -82,11 +79,9 @@ class InferenceServer:
     def _attach(self, replica: Replica) -> None:
         """Subscribe the server's instruments to one replica's batcher."""
         tracer = self.tracer
-        # replicas without their own tracer/metrics instruments join the server's
+        # replicas without their own tracer join the server's
         if replica.batcher.tracer is None:
             replica.batcher.tracer = tracer
-        if replica.batcher.metrics is None:
-            replica.batcher.metrics = self.metrics
         # engines that support SoC-phase tracing expose a tracer slot
         if tracer and getattr(replica.engine, "tracer", "absent") is None:
             replica.engine.tracer = tracer

@@ -1,13 +1,17 @@
 """Serving telemetry: latency percentiles, throughput, queue depth, utilization.
 
-One :class:`ServingTelemetry` instance observes a whole server: every
-admission samples queue depth, every completion records end-to-end latency
-(queue wait + batching wait + engine service) into its replica's mergeable
-:class:`~repro.obs.metrics.Histogram` sketch, and rejections/expiries are
-counted by outcome.  ``summary()`` returns the SLO dictionary the traffic
-benchmarks persist; ``report()`` renders it through
-:mod:`repro.eval.reporting` so serving numbers print in the same style as
-the paper-experiment tables.
+One :class:`ServingTelemetry` instance observes a whole server, and every
+figure it keeps is an instrument of its one
+:class:`~repro.obs.metrics.MetricsRegistry`, ``telemetry.metrics``: per
+replica the outcome counters ``serving.<replica>.{completed, expired,
+cancelled, failed, batches, fused_requests}`` and the latency sketch
+``serving.<replica>.latency_s``; pool-wide ``serving.submitted``,
+``serving.rejected`` and the exact queue-depth sample sum and maximum
+(``serving.queue_depth.{sum,max}``).  A fabric gateway merges its workers'
+engine and batcher counters into the same registry when they shut down.
+``summary()`` returns the SLO dictionary the traffic benchmarks persist;
+``report()`` renders it through :mod:`repro.eval.reporting` so serving
+numbers print in the same style as the paper-experiment tables.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.eval.reporting import format_dict, format_table
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.serving.timebase import loop_time
 
 
@@ -55,29 +58,30 @@ def _latency_summary(latencies: Histogram) -> Dict[str, float]:
     }
 
 
-@dataclass
 class ReplicaTelemetry:
-    """Per-replica slice of the server telemetry."""
+    """One replica's instruments in the telemetry registry.
 
-    completed: int = 0
-    expired: int = 0
-    cancelled: int = 0
-    failed: int = 0
-    batches: int = 0
-    fused_requests: int = 0
-    latencies: Histogram = field(default_factory=lambda: Histogram("latency_s"))
+    The slice holds the instrument objects, so the hooks update them
+    without a name lookup.
+    """
 
-    @property
-    def mean_batch(self) -> float:
-        """Mean requests fused per engine batch on this replica."""
-        return self.fused_requests / self.batches if self.batches else 0.0
+    __slots__ = (
+        "completed", "expired", "cancelled", "failed", "batches", "fused_requests",
+        "latencies",
+    )
+
+    def __init__(self, metrics: MetricsRegistry, name: str):
+        prefix = f"serving.{name}."
+        for counter in self.__slots__[:-1]:
+            setattr(self, counter, metrics.counter(prefix + counter))
+        self.latencies = metrics.histogram(prefix + "latency_s")
 
 
 class ServingTelemetry:
     """Aggregated serving metrics for one server lifetime.
 
     Every statistic covers the whole lifetime, in memory that does not grow
-    with traffic.
+    with traffic, and lives in :attr:`metrics`.
     Each replica's latencies go into one :class:`~repro.obs.metrics.Histogram`
     sketch, and the server-wide latency block is the merge of those
     sketches, so percentiles are within
@@ -86,11 +90,14 @@ class ServingTelemetry:
     outcomes) and the queue-depth mean and maximum are exact.
 
     Attributes:
+        metrics: the registry holding every instrument (names in the
+            module docstring).
         rejected: requests refused by admission control (backpressure).
         submitted: admitted requests; also the number of pool-depth samples
             (one per admission) behind :meth:`mean_queue_depth`.
-        replicas: per-replica slices, created when a server attaches the
-            replica (or at its first event, for telemetry fed directly).
+        replicas: per-replica instrument slices, created when a server
+            attaches the replica (or at its first event, for telemetry fed
+            directly).
     """
 
     def __init__(self):
@@ -98,10 +105,11 @@ class ServingTelemetry:
         self._now = loop_time()
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
-        self.rejected = 0
-        self.submitted = 0
-        self._queue_depth_sum = 0
-        self._max_queue_depth = 0
+        self.metrics = MetricsRegistry()
+        self._submitted = self.metrics.counter("serving.submitted")
+        self._rejected = self.metrics.counter("serving.rejected")
+        self._depth_sum = self.metrics.counter("serving.queue_depth.sum")
+        self._depth_max = self.metrics.gauge("serving.queue_depth.max")
         self.replicas: Dict[str, ReplicaTelemetry] = {}
 
     # ------------------------------------------------------------------ #
@@ -124,15 +132,16 @@ class ServingTelemetry:
         """The slice of replica ``name``, created on first use."""
         slice_ = self.replicas.get(name)
         if slice_ is None:
-            slice_ = self.replicas[name] = ReplicaTelemetry()
+            slice_ = self.replicas[name] = ReplicaTelemetry(self.metrics, name)
         return slice_
 
     def on_admit(self, replica_name: str, pool_depth: int) -> None:
         """Count an admitted request and sample the pool queue depth."""
-        self.submitted += 1
-        self._queue_depth_sum += pool_depth
-        if pool_depth > self._max_queue_depth:
-            self._max_queue_depth = int(pool_depth)
+        self._submitted.value += 1
+        self._depth_sum.value += pool_depth
+        depth_max = self._depth_max
+        if pool_depth > depth_max.value:
+            depth_max.value = pool_depth
         # a server's replicas have their slices since attach; telemetry fed
         # directly still lists a replica admitted but never served
         if replica_name not in self.replicas:
@@ -140,7 +149,7 @@ class ServingTelemetry:
 
     def on_reject(self) -> None:
         """Count a request refused by admission control."""
-        self.rejected += 1
+        self._rejected.value += 1
 
     def on_result(
         self, replica_name: str, latency_s: float, batch_size: int, outcome: str
@@ -148,35 +157,45 @@ class ServingTelemetry:
         """Per-request outcome hook, called by the replica for every request."""
         slice_ = self.replicas.get(replica_name) or self.replica_slice(replica_name)
         if outcome == "ok":
-            slice_.completed += 1
+            slice_.completed.value += 1
             # a non-finite latency must never poison the latency sketch
             if math.isfinite(latency_s):
                 slice_.latencies.observe(latency_s)
         elif outcome == "expired":
-            slice_.expired += 1
+            slice_.expired.value += 1
         elif outcome == "cancelled":
-            slice_.cancelled += 1
+            slice_.cancelled.value += 1
         else:
-            slice_.failed += 1
+            slice_.failed.value += 1
 
     def on_batch(self, replica_name: str, batch_size: int) -> None:
         """Record one fused engine batch of ``batch_size`` requests."""
         slice_ = self.replicas.get(replica_name) or self.replica_slice(replica_name)
-        slice_.batches += 1
-        slice_.fused_requests += int(batch_size)
+        slice_.batches.value += 1
+        slice_.fused_requests.value += batch_size
 
     # ------------------------------------------------------------------ #
     # derived metrics
     # ------------------------------------------------------------------ #
     @property
+    def submitted(self) -> int:
+        """Admitted requests (one pool-depth sample each)."""
+        return int(self._submitted.value)
+
+    @property
+    def rejected(self) -> int:
+        """Requests refused by admission control."""
+        return int(self._rejected.value)
+
+    @property
     def completed(self) -> int:
         """Total requests completed successfully, across all replicas."""
-        return sum(slice_.completed for slice_ in self.replicas.values())
+        return sum(int(slice_.completed.value) for slice_ in self.replicas.values())
 
     @property
     def expired(self) -> int:
         """Total requests expired past their deadline, across all replicas."""
-        return sum(slice_.expired for slice_ in self.replicas.values())
+        return sum(int(slice_.expired.value) for slice_ in self.replicas.values())
 
     def elapsed_s(self) -> float:
         """Seconds of server lifetime (live-reading until stopped)."""
@@ -192,11 +211,12 @@ class ServingTelemetry:
 
     def max_queue_depth(self) -> int:
         """All-time maximum admitted pool depth."""
-        return self._max_queue_depth
+        return int(self._depth_max.value)
 
     def mean_queue_depth(self) -> float:
         """All-time mean admitted pool depth; 0.0 before any admission."""
-        return self._queue_depth_sum / self.submitted if self.submitted else 0.0
+        submitted = self.submitted
+        return int(self._depth_sum.value) / submitted if submitted else 0.0
 
     def utilization(self, replica_busy_s: Dict[str, float]) -> Dict[str, float]:
         """Per-replica engine-busy fraction of the server lifetime.
@@ -238,13 +258,14 @@ class ServingTelemetry:
 
     @staticmethod
     def _replica_summary(slice_: ReplicaTelemetry) -> Dict:
+        batches = int(slice_.batches.value)
         return {
-            "completed": slice_.completed,
-            "expired": slice_.expired,
-            "cancelled": slice_.cancelled,
-            "failed": slice_.failed,
-            "batches": slice_.batches,
-            "mean_batch": slice_.mean_batch,
+            "completed": int(slice_.completed.value),
+            "expired": int(slice_.expired.value),
+            "cancelled": int(slice_.cancelled.value),
+            "failed": int(slice_.failed.value),
+            "batches": batches,
+            "mean_batch": int(slice_.fused_requests.value) / batches if batches else 0.0,
             "p50_ms": slice_.latencies.quantile(0.50) * 1e3,
             "p99_ms": slice_.latencies.quantile(0.99) * 1e3,
         }

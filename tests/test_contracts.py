@@ -105,7 +105,7 @@ class TestOneCallPerMicroBatch:
 
             server = run_async(drive())
             fused_batches = sum(
-                slice_.batches for slice_ in server.telemetry.replicas.values()
+                stats["batches"] for stats in server.telemetry.summary()["replicas"].values()
             )
             # however the batcher grouped them, every fused batch was exactly
             # one backend call — and every request was served
@@ -236,15 +236,13 @@ class TestCacheNeverReprograms:
 # --------------------------------------------------------------------- #
 class TestTracedUntracedParity:
     @staticmethod
-    def serve(tracer=None, metrics=None):
+    def serve(tracer=None):
         from repro.utils.rng import ensure_rng
 
         engine = SoCGemmEngine(make_soc(2), weights=np.ones((4, 6)))
 
         async def drive():
-            server = InferenceServer(
-                [Replica("r0", engine)], tracer=tracer, metrics=metrics
-            )
+            server = InferenceServer([Replica("r0", engine)], tracer=tracer)
             columns = ensure_rng(3).integers(-5, 6, size=(8, 6)).astype(float)
             async with server:
                 return await asyncio.gather(
@@ -254,11 +252,10 @@ class TestTracedUntracedParity:
         return run_async(drive())
 
     def test_traced_equals_untraced_bitwise(self):
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import Tracer
 
         plain = self.serve()
-        traced = self.serve(tracer=Tracer(process="server"), metrics=MetricsRegistry())
+        traced = self.serve(tracer=Tracer(process="server"))
         assert len(plain) == len(traced) == 8
         for lhs, rhs in zip(plain, traced):
             assert np.array_equal(lhs, rhs)

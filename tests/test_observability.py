@@ -193,7 +193,8 @@ class TestMetrics:
             histogram.observe(1.5)
 
         gateway = MetricsRegistry()
-        gateway.merge_all([worker_a.snapshot(), worker_b.snapshot()])
+        for worker in (worker_a, worker_b):
+            gateway.merge(worker.snapshot())
         assert gateway.counter("done").value == 8
         assert gateway.gauge("depth").value == 5  # last writer wins
         merged = gateway.histogram("lat")
@@ -352,18 +353,16 @@ class TestTelemetryLog:
 class TestInProcessTracing:
     def test_request_batch_engine_soc_hierarchy(self):
         tracer = Tracer(process="server")
-        metrics = MetricsRegistry()
 
         async def drive():
             engine = SoCGemmEngine(make_soc(1), weights=soc_weights())
-            server = InferenceServer(
-                [Replica("r0", engine)], tracer=tracer, metrics=metrics
-            )
+            server = InferenceServer([Replica("r0", engine)], tracer=tracer)
             columns = ensure_rng(3).integers(-5, 6, size=(3, 6)).astype(float)
             async with server:
                 await asyncio.gather(*(server.submit(column) for column in columns))
+            return server.telemetry.metrics
 
-        run_async(drive())
+        metrics = run_async(drive())
 
         requests = tracer.spans_named("request")
         batches = tracer.spans_named("batch")
@@ -390,10 +389,10 @@ class TestInProcessTracing:
             span.parent_id in {o.span_id for o in offloads} for span in compute
         )
 
-        # metrics rode along: outcome counters and latency/batch histograms
-        assert metrics.counter("batcher.requests.ok").value == 3
-        assert metrics.histogram("batcher.latency_s").count == 3
-        assert metrics.histogram("batcher.batch_size").count >= 1
+        # the telemetry registry rode along: outcome, latency and batch instruments
+        assert metrics.counter("serving.r0.completed").value == 3
+        assert metrics.histogram("serving.r0.latency_s").count == 3
+        assert metrics.counter("serving.r0.batches").value >= 1
 
         # the whole tree exports to a valid Chrome trace
         assert validate_chrome_trace(chrome_trace(tracer.finished)) > 0

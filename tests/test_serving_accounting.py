@@ -11,9 +11,10 @@ routed replica and outcome of every request, every rejection with its
 queue-depth mean and maximum.
 
 The state machine drives one 2-replica server through submissions,
-cancellations, expired deadlines, raising observers and engines, aborts
-and shutdowns, and checks after every step that the load counters equal
-what the queues, held-over requests and open pulls hold.
+cancellations, expired deadlines, weights that cannot be hashed, raising
+observers, raising and wrongly shaped engine replies, aborts and
+shutdowns, and checks after every step that the load counters equal what
+the queues, held-over requests and open pulls hold.
 """
 
 import asyncio
@@ -35,6 +36,7 @@ from repro.serving import (
     make_worker_specs,
 )
 from repro.serving.batching import SHUTDOWN
+from repro.serving.errors import ServingError
 
 WEIGHTS = np.arange(9, dtype=float).reshape(3, 3) / 10.0
 
@@ -299,17 +301,26 @@ class TestGatewayCounters:
 # the counters against the queues, step by step
 # --------------------------------------------------------------------- #
 class FlakyEngine(GemmEngine):
-    """An ideal-digital engine that raises while ``failing`` is set."""
+    """An ideal-digital engine that raises while ``failing`` is set.
+
+    While ``ravel`` is set it answers with its result flattened, a reply
+    of the wrong shape.
+    """
 
     failing = False
+    ravel = False
 
     def run_batch(self, weights, inputs, key=None):
         if self.failing:
             raise RuntimeError("engine fault")
-        return super().run_batch(weights, inputs, key=key)
+        outputs = super().run_batch(weights, inputs, key=key)
+        return outputs.ravel() if self.ravel else outputs
 
 
 MODELS = (None, WEIGHTS + 1.0, WEIGHTS - 1.0)
+
+#: weights ``weight_hash`` cannot hash (``np.ascontiguousarray`` raises)
+RAGGED = [[1.0, 2.0], [3.0]]
 
 #: loop turns after each step, before the counters are checked
 SETTLE_TURNS = 5
@@ -329,6 +340,7 @@ class LoadAccountingMachine(RuleBasedStateMachine):
         self.server = InferenceServer(self.replicas)
         self.raising = False
         self.seen = 0
+        self.outcomes = {}
         for replica in self.replicas:
             replica.add_observer(self._raising_observer)
             replica.add_observer(self._recording_observer)
@@ -339,8 +351,9 @@ class LoadAccountingMachine(RuleBasedStateMachine):
         if self.raising:
             raise RuntimeError("observer fault")
 
-    def _recording_observer(self, *_args):
+    def _recording_observer(self, _name, request, _latency_s, _batch_size, outcome):
         self.seen += 1
+        self.outcomes[request.future] = outcome
 
     def run(self, coroutine):
         return self.loop.run_until_complete(asyncio.wait_for(coroutine, timeout=10.0))
@@ -360,15 +373,21 @@ class LoadAccountingMachine(RuleBasedStateMachine):
 
         self.run(stepped())
 
-    def submit(self, model, count=1, deadline_s=None):
+    def submit(self, model, count=1, deadline_s=None, weights=None, replica=None):
+        admitted = []
         for _ in range(count):
             try:
                 future = self.server.submit_nowait(
-                    np.ones(3), weights=MODELS[model], deadline_s=deadline_s
+                    np.ones(3),
+                    weights=MODELS[model] if weights is None else weights,
+                    deadline_s=deadline_s,
+                    replica=replica,
                 )
             except BackpressureError:
                 continue
-            self.futures.append(future)
+            admitted.append(future)
+        self.futures.extend(admitted)
+        return admitted
 
     def cancel_one(self, index):
         pending = [future for future in self.futures if not future.done()]
@@ -382,6 +401,47 @@ class LoadAccountingMachine(RuleBasedStateMachine):
     @rule(model=st.integers(0, 2))
     def submit_expired(self, model):
         self.step(lambda: self.submit(model, deadline_s=-1.0))
+
+    @rule(model=st.integers(0, 2))
+    def submit_unhashable(self, model):
+        async def served():
+            good = self.submit(model)
+            bad = self.submit(model, weights=RAGGED)
+            good += self.submit(model)
+            return good, bad, await asyncio.gather(*good, *bad, return_exceptions=True)
+
+        good, bad, results = self.run(served())
+        faulty = any(engine.failing or engine.ravel for engine in self.engines)
+        for future, result in zip(good, results):
+            # the hash error stays with its own request
+            assert not isinstance(result, ValueError)
+            if not faulty:
+                assert isinstance(result, np.ndarray)
+                assert self.outcomes[future] == "ok"
+        for future, result in zip(bad, results[len(good):]):
+            assert isinstance(result, ValueError)
+            assert self.outcomes[future] == "error"
+
+    @rule(replica=st.integers(0, 1), on=st.booleans())
+    def ravel_engine(self, replica, on):
+        engine = self.engines[replica]
+        engine.ravel = on
+        if not on:
+            self.step(lambda: None)
+            return
+        name = self.replicas[replica].name
+
+        async def served():
+            admitted = self.submit(0, count=2, replica=name)
+            return admitted, await asyncio.gather(*admitted, return_exceptions=True)
+
+        admitted, results = self.run(served())
+        for future, result in zip(admitted, results):
+            expected = RuntimeError if engine.failing else ServingError
+            assert isinstance(result, expected)
+            assert self.outcomes[future] == "error"
+        # the batcher keeps serving after a wrongly shaped reply
+        assert self.replicas[replica].running
 
     @rule(index=st.integers(0, 63))
     def cancel(self, index):
@@ -428,10 +488,10 @@ class LoadAccountingMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_observer_sees_every_outcome(self):
-        telemetry = self.server.telemetry
+        replicas = self.server.telemetry.summary()["replicas"]
         reported = sum(
-            slice_.completed + slice_.expired + slice_.cancelled + slice_.failed
-            for slice_ in telemetry.replicas.values()
+            stats["completed"] + stats["expired"] + stats["cancelled"] + stats["failed"]
+            for stats in replicas.values()
         )
         assert self.seen == reported
 

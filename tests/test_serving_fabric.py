@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.serving import (
     BackpressureError,
     DeadlineExceededError,
@@ -566,6 +567,23 @@ class TestCrossProcessErrors:
 
         run_async(check())
 
+    def test_worker_backpressure_counts_as_rejected_not_failed(self):
+        async def check():
+            spec = WorkerSpec(
+                name="wfull", engine_factory=GEMM,
+                engine_kwargs={"weights": demo_weights()}, max_queue_depth=0,
+            )
+            async with FabricGateway([spec]) as gateway:
+                with pytest.raises(BackpressureError):
+                    await gateway.submit(np.ones(4))
+                return gateway.stats(), gateway.scheduler.total_load()
+
+        stats, load = run_async(check())
+        # admitted at the gateway, refused by the worker's own bound
+        assert (stats["submitted"], stats["rejected"]) == (1, 1)
+        assert stats["replicas"]["wfull"]["failed"] == 0
+        assert load == 0
+
     def test_deadline_counts_from_arrival_while_the_engine_blocks(self):
         # A submit that reaches the worker while a blocking engine call
         # holds its event loop waits in the inbox; its budget must still
@@ -923,6 +941,41 @@ class TestBatchedWire:
             assert sorted(pipe.answered()) == list(range(8))
 
         run_async(check())
+
+
+class TestMergedWorkerMetrics:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_bye_merges_worker_counters_into_the_gateway_registry(self, traced):
+        n_requests = 12
+        tracer = Tracer(prefix="gw", process="gateway") if traced else None
+
+        async def check():
+            spec = WorkerSpec(name="w0", engine_factory=GEMM,
+                              engine_kwargs={"weights": demo_weights()}, max_batch=4)
+            gateway = FabricGateway([spec], tracer=tracer)
+            await gateway.start()
+            await asyncio.gather(
+                *(gateway.submit(np.full(4, float(index))) for index in range(n_requests))
+            )
+            await gateway.shutdown(drain=True)
+            return gateway
+
+        gateway = run_async(check())
+        metrics = gateway.telemetry.metrics
+        assert metrics.get("worker.w0.batcher.requests").value == n_requests
+        assert metrics.get("worker.w0.engine.columns").value == n_requests
+        stats = gateway.stats()
+        assert json.loads(json.dumps(stats)) == stats
+        merged = stats["fabric"]["metrics"]
+        assert merged["worker.w0.batcher.requests"] == {
+            "type": "counter", "value": n_requests,
+        }
+        assert all(name.startswith("worker.w0.") for name in merged)
+        if traced:
+            # the last batch span closes after its rows' result frame left:
+            # only the bye carries it, so every batch span arrived
+            batches = metrics.get("worker.w0.batcher.batches").value
+            assert len(tracer.spans_named("batch")) == batches > 0
 
 
 class TestBitwiseEquivalence:
