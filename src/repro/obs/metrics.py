@@ -156,21 +156,20 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter ``name``."""
-        return self._get(name, Counter, lambda: Counter(name))
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge ``name``."""
-        return self._get(name, Gauge, lambda: Gauge(name))
+        return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         """Get or create the histogram ``name``."""
-        return self._get(name, Histogram, lambda: Histogram(name))
+        return self._get(name, Histogram)
 
-    def _get(self, name, kind, factory):
+    def _get(self, name, kind):
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = factory()
-            self._instruments[name] = instrument
+            instrument = self._instruments[name] = kind(name)
         elif not isinstance(instrument, kind):
             raise TypeError(
                 f"metric {name!r} already registered as {type(instrument).__name__}"

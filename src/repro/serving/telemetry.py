@@ -61,8 +61,8 @@ def _latency_summary(latencies: Histogram) -> Dict[str, float]:
 class ReplicaTelemetry:
     """One replica's instruments in the telemetry registry.
 
-    The slice holds the instrument objects, so the hooks update them
-    without a name lookup.
+    The hooks add to the held instruments' ``value`` directly: no name
+    lookup and no ``inc()`` call per request (every amount is non-negative).
     """
 
     __slots__ = (
@@ -95,9 +95,8 @@ class ServingTelemetry:
         rejected: requests refused by admission control (backpressure).
         submitted: admitted requests; also the number of pool-depth samples
             (one per admission) behind :meth:`mean_queue_depth`.
-        replicas: per-replica instrument slices, created when a server
-            attaches the replica (or at its first event, for telemetry fed
-            directly).
+        replicas: per-replica slices, created when a server attaches the
+            replica (or at its first event, for telemetry fed directly).
     """
 
     def __init__(self):
@@ -139,9 +138,8 @@ class ServingTelemetry:
         """Count an admitted request and sample the pool queue depth."""
         self._submitted.value += 1
         self._depth_sum.value += pool_depth
-        depth_max = self._depth_max
-        if pool_depth > depth_max.value:
-            depth_max.value = pool_depth
+        if pool_depth > self._depth_max.value:
+            self._depth_max.value = pool_depth
         # a server's replicas have their slices since attach; telemetry fed
         # directly still lists a replica admitted but never served
         if replica_name not in self.replicas:
@@ -215,8 +213,8 @@ class ServingTelemetry:
 
     def mean_queue_depth(self) -> float:
         """All-time mean admitted pool depth; 0.0 before any admission."""
-        submitted = self.submitted
-        return int(self._depth_sum.value) / submitted if submitted else 0.0
+        submitted = self._submitted.value
+        return self._depth_sum.value / submitted if submitted else 0.0
 
     def utilization(self, replica_busy_s: Dict[str, float]) -> Dict[str, float]:
         """Per-replica engine-busy fraction of the server lifetime.
