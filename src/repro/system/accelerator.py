@@ -22,6 +22,13 @@ input-stationary: it is loaded once per stream (descriptors with
 sharded multi-tile GeMM of :meth:`repro.system.soc.PhotonicSoC.run_tiled_gemm`
 cheaper than replaying the single-shot protocol per tile.
 
+A host driver enqueues a whole stream with one block access
+(:meth:`repro.system.bus.SystemBus.write_stream`), which the device takes as
+the word writes of the ENQUEUE protocol it stands for.  What a tile derives
+from its shape is decided once: its scratchpad fit when it is enqueued, and
+on the photonic PE the default model's cycles and energy once per shape
+(:func:`default_tile_cost`).
+
 The functional datapath is a pluggable execution backend
 (``repro.core.backends``): ``ideal-digital`` reproduces the exact integer
 product, ``quantized-digital`` models a saturating fixed-point datapath and
@@ -34,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Deque, Optional
+from typing import Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,13 +58,8 @@ from repro.system.dfg import build_gemm_dfg
 from repro.system.dma import DMADescriptor, DMAEngine
 from repro.system.event import EventScheduler
 from repro.system.interrupt import InterruptController
-from repro.system.memory import (
-    Scratchpad,
-    WORD_BYTES,
-    signed_to_words,
-    words_to_signed,
-)
-from repro.system.mmr import MemoryMappedRegisters
+from repro.system.memory import Scratchpad, WORD_BYTES, WORD_MASK
+from repro.system.mmr import CTRL_ENQUEUE, MemoryMappedRegisters
 
 #: MMR data-register assignments shared by both accelerator types.
 REG_WEIGHTS_ADDR = 0
@@ -203,6 +205,7 @@ class BaseMatrixAccelerator:
             on_start=self._on_start,
             on_enqueue=self._on_enqueue,
             on_reset=self._on_reset,
+            on_stream=self._on_stream,
         )
         self.input_spm = Scratchpad(scratchpad_bytes)
         self.weight_spm = Scratchpad(scratchpad_bytes)
@@ -215,8 +218,8 @@ class BaseMatrixAccelerator:
         if interrupt_controller is not None:
             self.irq_line = interrupt_controller.allocate_line(name)
         self.busy = False
-        # pipeline state
-        self._pending: Deque[TileDescriptor] = deque()
+        # pipeline state; a pending tile carries whether it runs exclusive
+        self._pending: Deque[Tuple[TileDescriptor, bool]] = deque()
         self._ready: Deque[_TileJob] = deque()
         self._writeback: Deque[_TileJob] = deque()
         self._dma_in_job: Optional[_TileJob] = None
@@ -273,18 +276,71 @@ class BaseMatrixAccelerator:
 
         Invalid or scratchpad-oversized descriptors latch a stream error:
         the stream refuses to start (or completes with STATUS_ERROR) rather
-        than silently producing a partial result.
+        than silently producing a partial result.  The tile's scratchpad
+        fit is decided here, once.
         """
-        if not descriptor.valid or self._tile_fit(descriptor) is None:
+        fit = self._tile_fit(descriptor) if descriptor.valid else None
+        if fit is None:
             self._stream_error = True
             if not self.busy:
                 self.mmr.mark_done(error=True)
             return
-        self._pending.append(descriptor)
+        self._pending.append((descriptor, fit == "exclusive"))
 
     def _on_enqueue(self) -> None:
         """Host set the ENQUEUE bit: queue the latched descriptor."""
         self.enqueue_tile(self._descriptor_from_registers())
+
+    def _on_stream(self, descriptors: Sequence[TileDescriptor]) -> int:
+        """Host block access enqueuing a tile stream; returns its word writes.
+
+        The block stands for the word writes of the ENQUEUE protocol: for
+        each descriptor the data registers ``REG_WEIGHTS_ADDR..REG_FLAGS``,
+        ``REG_WEIGHTS_PITCH`` when any descriptor of the stream has a pitch,
+        and ``CTRL_ENQUEUE``; then ``REG_FLAGS`` and, for a pitched stream,
+        ``REG_WEIGHTS_PITCH`` back to 0.  It leaves the registers as those
+        writes would and hands :meth:`enqueue_tile`, in order, the
+        descriptor each ENQUEUE would latch: every field masked to 32 bits,
+        and on an unpitched stream the pitch the register already holds.
+        A descriptor that latches unchanged is handed as is.
+        """
+        if not descriptors:
+            return 0
+        mmr = self.mmr
+        data = mmr.data
+        program_pitch = any(d.weights_pitch for d in descriptors)
+        pitch = data[REG_WEIGHTS_PITCH]
+        mmr.control = CTRL_ENQUEUE
+        for d in descriptors:
+            if program_pitch:
+                pitch = int(d.weights_pitch) & WORD_MASK
+            if pitch != d.weights_pitch or (
+                d.weights_addr | d.input_addr | d.output_addr | d.rows | d.inner
+                | d.cols | d.scale_shift
+            ) >> 32:
+                d = TileDescriptor(
+                    weights_addr=int(d.weights_addr) & WORD_MASK,
+                    input_addr=int(d.input_addr) & WORD_MASK,
+                    output_addr=int(d.output_addr) & WORD_MASK,
+                    rows=int(d.rows) & WORD_MASK,
+                    inner=int(d.inner) & WORD_MASK,
+                    cols=int(d.cols) & WORD_MASK,
+                    scale_shift=int(d.scale_shift) & WORD_MASK,
+                    load_input=bool(d.load_input),
+                    weights_pitch=pitch,
+                )
+            self.enqueue_tile(d)
+        last = descriptors[-1]
+        data[REG_WEIGHTS_ADDR:REG_FLAGS] = [
+            int(value) & WORD_MASK
+            for value in (last.weights_addr, last.input_addr, last.output_addr,
+                          last.rows, last.inner, last.cols, last.scale_shift)
+        ]
+        data[REG_FLAGS] = 0
+        if program_pitch:
+            data[REG_WEIGHTS_PITCH] = 0
+        per_tile = REG_FLAGS - REG_WEIGHTS_ADDR + 2 + program_pitch
+        return len(descriptors) * per_tile + 1 + program_pitch
 
     def _on_reset(self) -> None:
         """Host set the RESET bit: abort queued work and clear error state.
@@ -312,10 +368,11 @@ class BaseMatrixAccelerator:
             return
         if not self._pending:
             descriptor = self._descriptor_from_registers()
-            if not descriptor.valid or self._tile_fit(descriptor) is None:
+            fit = self._tile_fit(descriptor) if descriptor.valid else None
+            if fit is None:
                 self.mmr.mark_done(error=True)
                 return
-            self._pending.append(descriptor)
+            self._pending.append((descriptor, fit == "exclusive"))
         self.busy = True
         self.stats.invocations += 1
         self.mmr.mark_busy()
@@ -357,8 +414,7 @@ class BaseMatrixAccelerator:
         if self._exclusive_active:
             # an oversized tile owns the whole scratchpad until it drains
             return
-        descriptor = self._pending[0]
-        exclusive = self._tile_fit(descriptor) == "exclusive"
+        descriptor, exclusive = self._pending[0]
         if exclusive:
             # too large for a ping-pong region: run it unpipelined with
             # exclusive use of the full scratchpads (old serial capacity)
@@ -443,9 +499,11 @@ class BaseMatrixAccelerator:
 
     def _finish_compute(self, job: _TileJob) -> None:
         self._compute_job = None
-        scaled = np.asarray(np.round(job.outputs), dtype=np.int64)
+        outputs = job.outputs
+        if getattr(outputs, "dtype", None) != np.int64:
+            outputs = np.asarray(np.round(outputs), dtype=np.int64)
         self._write_matrix(
-            self.output_spm, self._buffer_offset(self.output_spm, job.buffer), scaled
+            self.output_spm, self._buffer_offset(self.output_spm, job.buffer), outputs
         )
         self._writeback.append(job)
         self._advance()
@@ -515,19 +573,18 @@ class BaseMatrixAccelerator:
             self.interrupt_controller.raise_interrupt(self.irq_line.index)
 
     # ------------------------------------------------------------------ #
-    # scratchpad (de)serialisation: row-major signed 32-bit words
+    # scratchpad (de)serialisation: row-major signed 32-bit words, one
+    # copy each way
     # ------------------------------------------------------------------ #
     @staticmethod
     def _read_matrix(
         spm: Scratchpad, offset_bytes: int, n_rows: int, n_cols: int
     ) -> np.ndarray:
-        words = spm.read_block(offset_bytes, n_rows * n_cols)
-        return words_to_signed(words).reshape(n_rows, n_cols)
+        return spm.read_signed(offset_bytes, n_rows * n_cols).reshape(n_rows, n_cols)
 
     @staticmethod
     def _write_matrix(spm: Scratchpad, offset_bytes: int, matrix: np.ndarray) -> None:
-        flat = np.asarray(matrix, dtype=np.int64).reshape(-1)
-        spm.write_block(offset_bytes, signed_to_words(flat))
+        spm.write_signed(offset_bytes, matrix)
 
     # ------------------------------------------------------------------ #
     # compute unit (subclass responsibility)
@@ -613,6 +670,41 @@ def default_energy_model(rows: int, inner: int) -> PhotonicCoreEnergyModel:
     )
 
 
+def _tile_cost(
+    model: PhotonicCoreEnergyModel, cols: int, include_programming: bool, clock_hz: float
+) -> Tuple[int, float]:
+    """``(cycles, energy_j)`` of one photonic tile of ``cols`` input columns."""
+    # One optical pass per input column, pipelined at the modulator rate.
+    latency_s = model.mvm_latency_s + (cols - 1) / model.mvm_rate_hz
+    cycles = max(1, int(np.ceil(latency_s * clock_hz)))
+    energy = model.inference_energy_j(cols, include_programming=include_programming)
+    return cycles, energy
+
+
+#: (rows, inner, cols, include_programming, clock_hz) -> (model, cycles, energy_j)
+_DEFAULT_TILE_COSTS: Dict[tuple, tuple] = {}
+
+
+def default_tile_cost(
+    rows: int, inner: int, cols: int, include_programming: bool, clock_hz: float
+) -> Tuple[int, float]:
+    """``(cycles, energy_j)`` of a tile on the default model of its shape.
+
+    Decided once per ``(rows, inner, cols, include_programming, clock_hz)``
+    and tied to :func:`default_energy_model`: an entry holds only while
+    that function returns the model it was computed from, so after its
+    ``cache_clear()``, or with it replaced by an uncached builder, the
+    figures are computed again from the model it now returns.
+    """
+    model = default_energy_model(rows, inner)
+    key = (rows, inner, cols, include_programming, clock_hz)
+    entry = _DEFAULT_TILE_COSTS.get(key)
+    if entry is None or entry[0] is not model:
+        entry = (model, *_tile_cost(model, cols, include_programming, clock_hz))
+        _DEFAULT_TILE_COSTS[key] = entry
+    return entry[1], entry[2]
+
+
 class PhotonicMVMAccelerator(BaseMatrixAccelerator):
     """Photonic in-memory GeMM accelerator (the paper's DSA).
 
@@ -659,17 +751,20 @@ class PhotonicMVMAccelerator(BaseMatrixAccelerator):
     def _compute(self, weights: np.ndarray, inputs: np.ndarray, config: dict):
         rows, inner = weights.shape
         cols = inputs.shape[1]
-        model = self.energy_model or default_energy_model(rows, inner)
-
         outputs = self._functional_product(weights, inputs)
         if config["scale_shift"]:
             outputs = outputs >> config["scale_shift"]
 
-        # One optical pass per input column, pipelined at the modulator rate.
-        latency_s = model.mvm_latency_s + (cols - 1) / model.mvm_rate_hz
-        cycles = max(1, int(np.ceil(latency_s * self.clock_hz)))
         include_programming = self.reprogram_every_call or not self._programmed
-        energy = model.inference_energy_j(cols, include_programming=include_programming)
+        if self.energy_model is not None:
+            # an explicit model may change between tiles: read it every time
+            cycles, energy = _tile_cost(
+                self.energy_model, cols, include_programming, self.clock_hz
+            )
+        else:
+            cycles, energy = default_tile_cost(
+                rows, inner, cols, include_programming, self.clock_hz
+            )
         self._programmed = True
         return cycles, energy, outputs
 

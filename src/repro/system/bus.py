@@ -12,11 +12,12 @@ contention-free accounting bitwise identical.
 Address decode bisects a sorted list of mapping bases, so it costs
 O(log n) in the number of mappings.  A host driver programs an
 accelerator descriptor with one block access to its contiguous MMR data
-registers (:meth:`SystemBus.write_words`), accounted exactly like the
-word writes it replaces.  The host CPU inlines its aligned word accesses
-to main memory through :meth:`SystemBus.main_memory_window` and counts
-for each what :meth:`SystemBus.read_word`/:meth:`SystemBus.write_word`
-would.
+registers (:meth:`SystemBus.write_words`), and a whole tile stream with
+one block access to its MMR block (:meth:`SystemBus.write_stream`), each
+accounted exactly like the word writes it replaces.  The host CPU
+inlines its aligned word accesses to main memory through
+:meth:`SystemBus.main_memory_window` and counts for each what
+:meth:`SystemBus.read_word`/:meth:`SystemBus.write_word` would.
 """
 
 from __future__ import annotations
@@ -257,6 +258,34 @@ class SystemBus:
         if not isinstance(target, MemoryMappedRegisters):
             raise MemoryAccessError(f"target {mapping.name!r} takes no register block writes")
         target.write_words(address - mapping.base, values)
+        return self._charge_register_writes(n_words, initiator)
+
+    def write_stream(self, address: int, stream, initiator: Optional[str] = None) -> int:
+        """Enqueue a tile stream on the MMR block at ``address`` as one block access.
+
+        The block stands for every register write of the ENQUEUE protocol
+        the device performs for ``stream`` (see
+        :meth:`MemoryMappedRegisters.write_stream`); none of them launches
+        a DMA stream, so with arbitration on each pays the same delay.
+        Returns the summed latency of those word writes and charges
+        exactly what they would: ``transfers``, the delay per word and the
+        contention counters.  ``address`` must be the block's base.
+        """
+        mapping = self.find(address)
+        target = mapping.target
+        if not isinstance(target, MemoryMappedRegisters) or address != mapping.base:
+            raise MemoryAccessError(f"no register block at {address:#x} takes stream writes")
+        n_words = target.write_stream(stream)
+        if n_words == 0:
+            return 0
+        return self._charge_register_writes(n_words, initiator)
+
+    def _charge_register_writes(self, n_words: int, initiator: Optional[str]) -> int:
+        """Charge ``n_words`` MMR word writes made at one simulated time.
+
+        No active stream starts or ends between them, so each pays the same
+        arbitration delay.  Returns their summed latency.
+        """
         self.transfers += n_words
         delay = self._arbitration_delay(initiator)
         if delay:

@@ -139,6 +139,21 @@ class MainMemory:
         self.stats.writes += words.size
         self._words[index : index + words.size] = words
 
+    def read_signed(self, address: int, n_words: int) -> np.ndarray:
+        """:meth:`read_block` as signed int64 values, made in one copy."""
+        index = self._block_index(address, n_words)
+        self.stats.reads += n_words
+        return self._words[index : index + n_words].view(np.int32).astype(np.int64)
+
+    def write_signed(self, address: int, values) -> None:
+        """:meth:`write_block` of signed integers, wrapped to words in one copy."""
+        flat = np.asarray(values, dtype=np.int64).reshape(-1)
+        index = self._block_index(address, flat.size)
+        self.stats.writes += flat.size
+        # the unsafe int64 -> uint32 cast keeps the low 32 bits, as the
+        # mask of signed_to_words does
+        np.copyto(self._words[index : index + flat.size], flat, casting="unsafe")
+
     def read_strided(
         self, address: int, block_words: int, n_blocks: int, stride_words: int
     ) -> np.ndarray:

@@ -11,7 +11,7 @@ through an interrupt line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.system.memory import MemoryAccessError, WORD_BYTES, WORD_MASK, to_unsigned
 
@@ -47,12 +47,17 @@ class MemoryMappedRegisters:
         n_data_registers: number of general-purpose data registers.
         on_start: callback invoked when the host sets the START bit.
         on_reset: callback invoked when the host sets the RESET bit.
+        on_enqueue: callback invoked when the host sets the ENQUEUE bit.
+        on_stream: device handler of a host block access that enqueues a
+            whole tile stream (:meth:`write_stream`); it performs the
+            stream's register writes and returns how many there are.
     """
 
     n_data_registers: int = 16
     on_start: Optional[Callable[[], None]] = None
     on_reset: Optional[Callable[[], None]] = None
     on_enqueue: Optional[Callable[[], None]] = None
+    on_stream: Optional[Callable[[Sequence], int]] = None
 
     def __post_init__(self):
         if self.n_data_registers < 1:
@@ -131,6 +136,20 @@ class MemoryMappedRegisters:
             )
         self.write_count += len(values)
         self.data[index:stop] = [int(value) & WORD_MASK for value in values]
+
+    def write_stream(self, stream: Sequence) -> int:
+        """Enqueue a tile stream as one block access; returns its word writes.
+
+        The device's ``on_stream`` handler performs the writes of the
+        ENQUEUE protocol the block stands for and returns their number,
+        which counts in :attr:`write_count` as those word writes would.  A
+        block without a handler raises before any side effect.
+        """
+        if self.on_stream is None:
+            raise MemoryAccessError("this register block takes no stream writes")
+        n_words = self.on_stream(stream)
+        self.write_count += n_words
+        return n_words
 
     def check_offset(self, offset: int) -> None:
         """Raise :class:`MemoryAccessError` unless ``offset`` names a register."""

@@ -12,18 +12,15 @@ offload, and multi-PE tiled GeMM — all returning a uniform
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.system.accelerator import (
     BaseMatrixAccelerator,
-    FLAG_SKIP_INPUT_LOAD,
     MACArrayAccelerator,
     PhotonicMVMAccelerator,
-    REG_FLAGS,
-    REG_WEIGHTS_ADDR,
-    REG_WEIGHTS_PITCH,
     TileDescriptor,
 )
 from repro.system.assembler import assemble
@@ -32,14 +29,7 @@ from repro.system.cpu import RiscvCPU
 from repro.system.event import EventScheduler
 from repro.system.interrupt import InterruptController
 from repro.system.memory import MainMemory, WORD_BYTES, signed_to_words, words_to_signed
-from repro.system.mmr import (
-    CTRL_ENQUEUE,
-    CTRL_IRQ_ENABLE,
-    CTRL_IRQ_PER_TILE,
-    CTRL_START,
-    DATA_OFFSET,
-    STATUS_ERROR,
-)
+from repro.system.mmr import CTRL_IRQ_ENABLE, CTRL_IRQ_PER_TILE, CTRL_START, STATUS_ERROR
 from repro.system.programs import accelerator_offload_program, gemm_program
 
 #: Default address map.
@@ -91,7 +81,29 @@ def plan_shards(
     a larger pitch means the operand is a column slice ``A[:, k0:k1]`` of a
     wider row-major matrix, which the tiles then fetch with a strided DMA
     descriptor instead of requiring a contiguous staged copy.
+
+    A plan is decided once per argument tuple: the frozen descriptors are
+    shared between calls, the lists holding them are new on every call.
     """
+    plans = _planned_shards(
+        n_rows, n_inner, n_cols, n_pes, a_addr, b_addr, c_addr, tile_rows, weights_pitch
+    )
+    return [list(descriptors) for descriptors in plans]
+
+
+@lru_cache(maxsize=1024)
+def _planned_shards(
+    n_rows: int,
+    n_inner: int,
+    n_cols: int,
+    n_pes: int,
+    a_addr: int,
+    b_addr: int,
+    c_addr: int,
+    tile_rows: Optional[int],
+    weights_pitch: int,
+) -> Tuple[Tuple[TileDescriptor, ...], ...]:
+    """The memoized plan of :func:`plan_shards`, as tuples."""
     if min(n_rows, n_inner, n_cols) < 1:
         raise ValueError(
             f"GeMM dimensions must be positive, got "
@@ -104,9 +116,9 @@ def plan_shards(
     if weights_pitch and weights_pitch < n_inner:
         raise ValueError("weights_pitch must be 0 or >= n_inner")
     row_pitch = weights_pitch if weights_pitch else n_inner
-    plans: List[List[TileDescriptor]] = []
+    plans = []
     for shard_start, shard_stop in _split_ranges(n_rows, n_pes):
-        descriptors: List[TileDescriptor] = []
+        descriptors = []
         shard_rows = shard_stop - shard_start
         chunk_rows = tile_rows if tile_rows is not None else max(1, -(-shard_rows // 2))
         for first_row in range(shard_start, shard_stop, chunk_rows):
@@ -122,8 +134,8 @@ def plan_shards(
                     weights_pitch=weights_pitch,
                 )
             )
-        plans.append(descriptors)
-    return plans
+        plans.append(tuple(descriptors))
+    return tuple(plans)
 
 
 #: Default staging base for K-sharded operand slices and partial products.
@@ -217,9 +229,9 @@ def plan_k_shards(
             partial_addr = slice_b + k_size * n_cols * WORD_BYTES
             cursor = partial_addr + n_rows * n_cols * WORD_BYTES
             weights_pitch = 0
-        descriptors = plan_shards(
+        descriptors = _planned_shards(
             n_rows, k_size, n_cols, 1, slice_a, slice_b, partial_addr,
-            tile_rows=tile_rows, weights_pitch=weights_pitch,
+            tile_rows, weights_pitch,
         )[0]
         slices.append(
             KShardSlice(
@@ -229,7 +241,7 @@ def plan_k_shards(
                 a_addr=slice_a,
                 b_addr=slice_b,
                 partial_addr=partial_addr,
-                descriptors=tuple(descriptors),
+                descriptors=descriptors,
             )
         )
     return slices
@@ -495,6 +507,12 @@ class PhotonicSoC:
     def _enqueue_streams(self, plans: List[List[TileDescriptor]], irq_per_tile: bool):
         """Program every PE's tile stream through its MMR block.
 
+        Each stream is one block access (:meth:`SystemBus.write_stream`),
+        charged as the word writes of the ENQUEUE protocol it stands for:
+        per tile the descriptor registers, the pitch register on a strided
+        stream, and ``CTRL_ENQUEUE``, then the restore of the flags (and
+        pitch) defaults so a later single-shot offload latches no stale
+        state.  The START that launches the stream stays a word write.
         Returns ``(host_cycles, n_tiles)`` — the bus cycles the host driver
         spent on MMR writes and the total tiles enqueued.
         """
@@ -505,39 +523,10 @@ class PhotonicSoC:
         n_tiles = 0
         bus = self.bus
         for accelerator, descriptors in zip(self.accelerators, plans):
-            data_base = accelerator.mmr_base + DATA_OFFSET
-            pitch_address = data_base + REG_WEIGHTS_PITCH * WORD_BYTES
-            # Only strided streams program the pitch register, so the host
-            # driver cost (and the register traffic) of the classic dense
-            # row-path streams is unchanged.
-            stream_uses_pitch = any(d.weights_pitch for d in descriptors)
-            for descriptor in descriptors:
-                # one block access over REG_WEIGHTS_ADDR..REG_FLAGS, charged
-                # as the eight word writes it replaces
-                host_cycles += bus.write_words(
-                    data_base + REG_WEIGHTS_ADDR * WORD_BYTES,
-                    (
-                        descriptor.weights_addr,
-                        descriptor.input_addr,
-                        descriptor.output_addr,
-                        descriptor.rows,
-                        descriptor.inner,
-                        descriptor.cols,
-                        descriptor.scale_shift,
-                        0 if descriptor.load_input else FLAG_SKIP_INPUT_LOAD,
-                    ),
-                )
-                if stream_uses_pitch:
-                    host_cycles += bus.write_word(pitch_address, descriptor.weights_pitch)
-                host_cycles += bus.write_word(accelerator.mmr_base, CTRL_ENQUEUE)
-                n_tiles += 1
             if descriptors:
-                # restore the protocol defaults (load-input, dense pitch) so
-                # a later single-shot offload does not latch stale state
-                host_cycles += bus.write_word(data_base + REG_FLAGS * WORD_BYTES, 0)
-                if stream_uses_pitch:
-                    host_cycles += bus.write_word(pitch_address, 0)
+                host_cycles += bus.write_stream(accelerator.mmr_base, descriptors)
                 host_cycles += bus.write_word(accelerator.mmr_base, start_bits)
+                n_tiles += len(descriptors)
         return host_cycles, n_tiles
 
     def _run_streams(self, plans: List[List[TileDescriptor]]) -> int:
@@ -557,6 +546,12 @@ class PhotonicSoC:
         while any(pe.busy for pe in streams) and scheduler.horizon() <= limit:
             scheduler.run(max_cycles=scheduler.horizon())
         final_cycle = scheduler.current_cycle
+        stuck = [pe.name for pe in streams if pe.busy]
+        if stuck:
+            raise RuntimeError(
+                f"tiled GeMM stream of {', '.join(stuck)} still busy after the "
+                f"{self.max_cycles}-cycle watchdog (result incomplete)"
+            )
         failed = [
             accelerator.name
             for accelerator, descriptors in zip(self.accelerators, plans)
@@ -683,6 +678,14 @@ class PhotonicSoC:
             raise RuntimeError("no accelerator attached")
         if k_staging not in ("in-place", "staged"):
             raise ValueError(f"unknown k_staging mode {k_staging!r}")
+        busy = [accelerator.name for accelerator in self.accelerators if accelerator.busy]
+        if busy:
+            # a stream enqueued onto a running PE would never start, and the
+            # running one would still write its results during this offload
+            raise RuntimeError(
+                f"cannot offload onto busy {', '.join(busy)} "
+                f"(a previous stream has not drained)"
+            )
         weights = np.asarray(weights, dtype=np.int64)
         inputs = np.asarray(inputs, dtype=np.int64)
         n_rows, n_inner = weights.shape

@@ -2,10 +2,13 @@
 
 The event scheduler's clock is absolute over a SoC's lifetime, so the
 ``max_cycles`` watchdog of ``PhotonicSoC.run_program`` is counted from the
-cycle the program starts at, as tiled offloads already do.
+cycle the program starts at, as tiled offloads already do.  A tiled offload
+the watchdog cuts raises instead of returning a partial result, and the
+next offload refuses the PEs it left busy before it writes anything.
 """
 
 import numpy as np
+import pytest
 
 from repro.system.soc import PhotonicSoC
 
@@ -66,3 +69,64 @@ class TestFaultCause:
 
     def test_a_fresh_cpu_has_no_fault(self):
         assert PhotonicSoC().cpu.fault_cause is None
+
+
+def _cluster(n_pes, **soc_kwargs):
+    soc = PhotonicSoC(**soc_kwargs)
+    for _ in range(n_pes):
+        soc.add_photonic_accelerator()
+    return soc
+
+
+def _side_effects(soc):
+    return (
+        soc.bus.transfers,
+        soc.scheduler.current_cycle,
+        soc.scheduler.pending,
+        soc.main_memory.stats.reads,
+        soc.main_memory.stats.writes,
+        soc.main_memory.dump_words(0x1000, 0x8000 // 4),
+        [(pe.mmr.write_count, list(pe.mmr.data), pe.mmr.control, pe.mmr.status)
+         for pe in soc.accelerators],
+    )
+
+
+class TestWatchdogCutTiledOffload:
+    ALL_BUSY = "photonic0, photonic1, photonic2, photonic3"
+
+    @pytest.mark.parametrize("k_shards", [None, 4])
+    def test_cut_offload_raises_naming_the_busy_pes(self, k_shards):
+        soc = _cluster(4, max_cycles=200)
+        weights, inputs = _operands(0, shape=(32, 16, 16))
+        with pytest.raises(RuntimeError, match=f"{self.ALL_BUSY} still busy after the 200-cycle"):
+            soc.run_tiled_gemm(weights, inputs, k_shards=k_shards)
+        assert all(pe.busy for pe in soc.accelerators)
+
+    def test_next_offload_refuses_busy_pes_before_any_write(self):
+        soc = _cluster(4, max_cycles=200)
+        weights, inputs = _operands(0, shape=(32, 16, 16))
+        with pytest.raises(RuntimeError, match="still busy"):
+            soc.run_tiled_gemm(weights, inputs)
+        before = _side_effects(soc)
+        other_weights, other_inputs = _operands(1, shape=(8, 16, 16))
+        with pytest.raises(RuntimeError, match=f"cannot offload onto busy {self.ALL_BUSY} "):
+            soc.run_tiled_gemm(other_weights, other_inputs)
+        assert _side_effects(soc) == before
+
+    def test_a_drained_soc_offloads_correctly_again(self):
+        soc = _cluster(4, max_cycles=200)
+        weights, inputs = _operands(0, shape=(32, 16, 16))
+        with pytest.raises(RuntimeError, match="still busy"):
+            soc.run_tiled_gemm(weights, inputs)
+        soc.scheduler.run()  # let the cut streams finish
+        assert not any(pe.busy for pe in soc.accelerators)
+        soc.max_cycles = 50_000
+        report = soc.run_tiled_gemm(weights, inputs)
+        assert np.array_equal(report.result, weights @ inputs)
+
+    def test_offload_within_the_budget_completes(self):
+        weights, inputs = _operands(0, shape=(32, 16, 16))
+        cycles = _cluster(4).run_tiled_gemm(weights, inputs).cycles
+        report = _cluster(4, max_cycles=cycles).run_tiled_gemm(weights, inputs)
+        assert np.array_equal(report.result, weights @ inputs)
+        assert report.cycles == cycles

@@ -16,14 +16,22 @@ that 32-bit register masking changes, and a stale pitch register that a
 dense stream latches.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.eval.workloads import make_gemm_workload
-from repro.system.accelerator import REG_WEIGHTS_PITCH, TileDescriptor
-from repro.system.memory import WORD_BYTES
+from repro.system.accelerator import MACArrayAccelerator, REG_WEIGHTS_PITCH, TileDescriptor
+from repro.system.memory import (
+    MemoryAccessError,
+    Scratchpad,
+    WORD_BYTES,
+    signed_to_words,
+    words_to_signed,
+)
 from repro.system.mmr import DATA_OFFSET, STATUS_BUSY, STATUS_DONE, STATUS_ERROR
-from repro.system.soc import PhotonicSoC
+from repro.system.soc import PhotonicSoC, plan_k_shards, plan_shards
 
 
 def _cluster(n_pes, arbitration_penalty=0):
@@ -324,3 +332,109 @@ class TestHandBuiltStreams:
         assert _registers(soc) == [
             (21, 5, STATUS_BUSY, [4144, 16384, 32804, 3, 4, 3, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0]),
         ]
+
+
+# ---------------------------------------------------------------------- #
+# the stream block access
+# ---------------------------------------------------------------------- #
+def _block_state(soc):
+    return (
+        soc.bus.transfers, soc.bus.contention_cycles, soc.bus.contention_events,
+        _registers(soc), [list(pe._pending) for pe in soc.accelerators],
+    )
+
+
+class TestStreamBlockAccess:
+    def test_stream_needs_the_base_of_a_register_block_with_a_handler(self):
+        soc = _cluster(1, arbitration_penalty=3)
+        soc.bus.begin_stream("other-dma")
+        pe = soc.accelerators[0]
+        stream = [_tile(0, 3, True)]
+        before = _block_state(soc)
+        for address in (0x1000, pe.mmr_base + DATA_OFFSET):
+            with pytest.raises(MemoryAccessError, match="takes stream writes"):
+                soc.bus.write_stream(address, stream)
+        pe.mmr.on_stream = None
+        with pytest.raises(MemoryAccessError, match="no stream writes"):
+            soc.bus.write_stream(pe.mmr_base, stream)
+        assert _block_state(soc) == before
+
+    def test_empty_stream_charges_nothing(self):
+        soc = _cluster(1, arbitration_penalty=3)
+        soc.bus.begin_stream("other-dma")
+        before = _block_state(soc)
+        assert soc.bus.write_stream(soc.accelerators[0].mmr_base, []) == 0
+        assert _block_state(soc) == before
+
+    def test_each_tile_fit_is_decided_once(self):
+        soc = _cluster(2)
+        fits = []
+        for pe in soc.accelerators:
+            def counted(descriptor, fit=pe._tile_fit):
+                fits.append(descriptor)
+                return fit(descriptor)
+
+            pe._tile_fit = counted
+        weights, inputs = make_gemm_workload(12, 8, 5, rng=5)
+        report = soc.run_tiled_gemm(weights, inputs, tile_rows=2)
+        assert np.array_equal(report.result, weights @ inputs)
+        assert len(fits) == report.pipeline["n_tiles"] == 6
+
+
+class TestPlanMemo:
+    def test_calls_share_descriptors_but_never_lists(self):
+        first = plan_shards(13, 6, 5, 3, 0x1000, 0x4000, 0x8000, tile_rows=2)
+        first[0].append("junk")
+        first.append([])
+        second = plan_shards(13, 6, 5, 3, 0x1000, 0x4000, 0x8000, tile_rows=2)
+        assert len(second) == 3 and "junk" not in second[0]
+        assert second is not first and second[1] is not first[1]
+        assert second[1][0] is first[1][0]
+
+    def test_k_slices_are_frozen_and_fresh_per_call(self):
+        first = plan_k_shards(8, 12, 5, 3, a_addr=0x1000, b_addr=0x4000)
+        second = plan_k_shards(8, 12, 5, 3, a_addr=0x1000, b_addr=0x4000)
+        assert first == second and first is not second
+        assert all(isinstance(piece.descriptors, tuple) for piece in first)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first[0].k_start = 1
+
+    def test_invalid_arguments_still_raise_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dimensions must be positive"):
+                plan_shards(0, 4, 4, 2, 0, 0, 0)
+
+
+class TestScratchpadMatrices:
+    VALUES = np.array([0, 1, -1, 2**31 - 1, -2**31, 2**31, -2**31 - 1, 2**40 + 5, -7],
+                      dtype=np.int64)
+
+    def test_signed_block_io_equals_word_conversion(self):
+        one_copy, reference = Scratchpad(256), Scratchpad(256)
+        one_copy.write_signed(8, self.VALUES.reshape(3, 3))
+        reference.write_block(8, signed_to_words(self.VALUES))
+        assert np.array_equal(one_copy._words, reference._words)
+        values = one_copy.read_signed(8, self.VALUES.size)
+        expected = words_to_signed(reference.read_block(8, self.VALUES.size))
+        assert values.dtype == np.int64 and np.array_equal(values, expected)
+        assert one_copy.stats == reference.stats
+
+    def test_signed_block_io_checks_its_range(self):
+        spm = Scratchpad(16)
+        with pytest.raises(MemoryAccessError):
+            spm.write_signed(8, [1, 2, 3])
+        with pytest.raises(MemoryAccessError):
+            spm.read_signed(4, 4)
+        assert spm.stats.accesses == 0
+
+    def test_non_integer_outputs_are_still_rounded(self):
+        class HalfwayMAC(MACArrayAccelerator):
+            def _compute(self, weights, inputs, config):
+                cycles, energy, outputs = super()._compute(weights, inputs, config)
+                return cycles, energy, outputs + 0.4
+
+        soc = PhotonicSoC()
+        soc._attach_accelerator(HalfwayMAC(soc.scheduler, soc.bus, name="mac0"))
+        weights, inputs = make_gemm_workload(4, 3, 2, rng=1)
+        report = soc.run_tiled_gemm(weights, inputs)
+        assert np.array_equal(report.result, weights @ inputs)
