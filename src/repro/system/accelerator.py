@@ -294,48 +294,33 @@ class BaseMatrixAccelerator:
     def _on_stream(self, descriptors: Sequence[TileDescriptor]) -> int:
         """Host block access enqueuing a tile stream; returns its word writes.
 
-        The block stands for the word writes of the ENQUEUE protocol: for
+        The block performs the word writes of the ENQUEUE protocol: for
         each descriptor the data registers ``REG_WEIGHTS_ADDR..REG_FLAGS``,
         ``REG_WEIGHTS_PITCH`` when any descriptor of the stream has a pitch,
-        and ``CTRL_ENQUEUE``; then ``REG_FLAGS`` and, for a pitched stream,
-        ``REG_WEIGHTS_PITCH`` back to 0.  It leaves the registers as those
-        writes would and hands :meth:`enqueue_tile`, in order, the
-        descriptor each ENQUEUE would latch: every field masked to 32 bits,
-        and on an unpitched stream the pitch the register already holds.
-        A descriptor that latches unchanged is handed as is.
+        and ``CTRL_ENQUEUE``, which latches the descriptor through
+        :meth:`_on_enqueue`; then ``REG_FLAGS`` and, for a pitched stream,
+        ``REG_WEIGHTS_PITCH`` back to 0.
         """
         if not descriptors:
             return 0
         mmr = self.mmr
         data = mmr.data
         program_pitch = any(d.weights_pitch for d in descriptors)
-        pitch = data[REG_WEIGHTS_PITCH]
         mmr.control = CTRL_ENQUEUE
         for d in descriptors:
+            data[REG_WEIGHTS_ADDR:REG_FLAGS + 1] = [
+                int(d.weights_addr) & WORD_MASK,
+                int(d.input_addr) & WORD_MASK,
+                int(d.output_addr) & WORD_MASK,
+                int(d.rows) & WORD_MASK,
+                int(d.inner) & WORD_MASK,
+                int(d.cols) & WORD_MASK,
+                int(d.scale_shift) & WORD_MASK,
+                0 if d.load_input else FLAG_SKIP_INPUT_LOAD,
+            ]
             if program_pitch:
-                pitch = int(d.weights_pitch) & WORD_MASK
-            if pitch != d.weights_pitch or (
-                d.weights_addr | d.input_addr | d.output_addr | d.rows | d.inner
-                | d.cols | d.scale_shift
-            ) >> 32:
-                d = TileDescriptor(
-                    weights_addr=int(d.weights_addr) & WORD_MASK,
-                    input_addr=int(d.input_addr) & WORD_MASK,
-                    output_addr=int(d.output_addr) & WORD_MASK,
-                    rows=int(d.rows) & WORD_MASK,
-                    inner=int(d.inner) & WORD_MASK,
-                    cols=int(d.cols) & WORD_MASK,
-                    scale_shift=int(d.scale_shift) & WORD_MASK,
-                    load_input=bool(d.load_input),
-                    weights_pitch=pitch,
-                )
-            self.enqueue_tile(d)
-        last = descriptors[-1]
-        data[REG_WEIGHTS_ADDR:REG_FLAGS] = [
-            int(value) & WORD_MASK
-            for value in (last.weights_addr, last.input_addr, last.output_addr,
-                          last.rows, last.inner, last.cols, last.scale_shift)
-        ]
+                data[REG_WEIGHTS_PITCH] = int(d.weights_pitch) & WORD_MASK
+            self._on_enqueue()
         data[REG_FLAGS] = 0
         if program_pitch:
             data[REG_WEIGHTS_PITCH] = 0
@@ -681,8 +666,11 @@ def _tile_cost(
     return cycles, energy
 
 
-#: (rows, inner, cols, include_programming, clock_hz) -> (model, cycles, energy_j)
+#: (rows, inner, cols, include_programming, clock_hz) -> (model, cycles, energy_j),
+#: oldest first; bounded like the model cache, so a sweep over many shapes
+#: or batch widths cannot grow it, or the models it holds, without limit
 _DEFAULT_TILE_COSTS: Dict[tuple, tuple] = {}
+_DEFAULT_TILE_COSTS_MAX = 1024
 
 
 def default_tile_cost(
@@ -694,13 +682,17 @@ def default_tile_cost(
     and tied to :func:`default_energy_model`: an entry holds only while
     that function returns the model it was computed from, so after its
     ``cache_clear()``, or with it replaced by an uncached builder, the
-    figures are computed again from the model it now returns.
+    figures are computed again from the model it now returns.  At most
+    ``_DEFAULT_TILE_COSTS_MAX`` entries are kept; a new one evicts the oldest.
     """
     model = default_energy_model(rows, inner)
     key = (rows, inner, cols, include_programming, clock_hz)
     entry = _DEFAULT_TILE_COSTS.get(key)
     if entry is None or entry[0] is not model:
         entry = (model, *_tile_cost(model, cols, include_programming, clock_hz))
+        _DEFAULT_TILE_COSTS.pop(key, None)
+        if len(_DEFAULT_TILE_COSTS) >= _DEFAULT_TILE_COSTS_MAX:
+            del _DEFAULT_TILE_COSTS[next(iter(_DEFAULT_TILE_COSTS))]
         _DEFAULT_TILE_COSTS[key] = entry
     return entry[1], entry[2]
 

@@ -10,11 +10,10 @@ DMA streams holding the bus; it defaults to off, keeping the historical
 contention-free accounting bitwise identical.
 
 Address decode bisects a sorted list of mapping bases, so it costs
-O(log n) in the number of mappings.  A host driver programs an
-accelerator descriptor with one block access to its contiguous MMR data
-registers (:meth:`SystemBus.write_words`), and a whole tile stream with
-one block access to its MMR block (:meth:`SystemBus.write_stream`), each
-accounted exactly like the word writes it replaces.  The host CPU
+O(log n) in the number of mappings.  A host driver programs a whole tile
+stream with one block access to an accelerator's MMR block
+(:meth:`SystemBus.write_stream`), accounted exactly like the word writes
+it stands for.  The host CPU
 inlines its aligned word accesses to main memory through
 :meth:`SystemBus.main_memory_window` and counts for each what
 :meth:`SystemBus.read_word`/:meth:`SystemBus.write_word` would.
@@ -239,27 +238,6 @@ class SystemBus:
             return self.traversal_latency + target.write_latency + delay
         raise MemoryAccessError(f"target {mapping.name!r} is not writable")
 
-    def write_words(self, address: int, values, initiator: Optional[str] = None) -> int:
-        """Write consecutive MMR data registers as one block access.
-
-        Returns the summed latency of the equivalent :meth:`write_word`
-        calls, one per value, and charges exactly what they would: the
-        same ``transfers`` and, with arbitration on, the same delay per
-        word and the same contention counters.  Only data registers take
-        block writes, so CTRL/STATUS writes keep their per-write side
-        effects.  A block that is not wholly inside one MMR block's data
-        registers raises :class:`MemoryAccessError` before any side effect.
-        """
-        n_words = len(values)
-        if n_words == 0:
-            return 0
-        mapping = self.find(address)
-        target = mapping.target
-        if not isinstance(target, MemoryMappedRegisters):
-            raise MemoryAccessError(f"target {mapping.name!r} takes no register block writes")
-        target.write_words(address - mapping.base, values)
-        return self._charge_register_writes(n_words, initiator)
-
     def write_stream(self, address: int, stream, initiator: Optional[str] = None) -> int:
         """Enqueue a tile stream on the MMR block at ``address`` as one block access.
 
@@ -278,14 +256,6 @@ class SystemBus:
         n_words = target.write_stream(stream)
         if n_words == 0:
             return 0
-        return self._charge_register_writes(n_words, initiator)
-
-    def _charge_register_writes(self, n_words: int, initiator: Optional[str]) -> int:
-        """Charge ``n_words`` MMR word writes made at one simulated time.
-
-        No active stream starts or ends between them, so each pays the same
-        arbitration delay.  Returns their summed latency.
-        """
         self.transfers += n_words
         delay = self._arbitration_delay(initiator)
         if delay:

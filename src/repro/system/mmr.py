@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.system.memory import MemoryAccessError, WORD_BYTES, WORD_MASK, to_unsigned
+from repro.system.memory import MemoryAccessError, WORD_BYTES, to_unsigned
 
 #: Conventional register offsets shared by all accelerators in this repo.
 CTRL_OFFSET = 0x00
@@ -119,23 +119,6 @@ class MemoryMappedRegisters:
             self.status = STATUS_IDLE
             return
         self.data[self._data_index(offset)] = value
-
-    def write_words(self, offset: int, values) -> None:
-        """Write consecutive data registers starting at byte ``offset``.
-
-        Equivalent to one :meth:`write_word` per value.  The whole block
-        must lie inside the data registers, which is checked before any
-        register or counter changes; a block never reaches CTRL or STATUS,
-        so it triggers no callback.
-        """
-        index = self._data_index(offset)
-        stop = index + len(values)
-        if stop > self.n_data_registers:
-            raise MemoryAccessError(
-                f"MMR data registers {index}..{stop - 1} out of range"
-            )
-        self.write_count += len(values)
-        self.data[index:stop] = [int(value) & WORD_MASK for value in values]
 
     def write_stream(self, stream: Sequence) -> int:
         """Enqueue a tile stream as one block access; returns its word writes.

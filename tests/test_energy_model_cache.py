@@ -81,6 +81,7 @@ class TestNoRebuilds:
         weights, inputs = make_gemm_workload(32, 16, 16, rng=0)
         _cluster(4).run_tiled_gemm(weights, inputs)  # tile costs cached for these shapes
         default_energy_model.cache_clear()
+        model_builds.clear()
         cost_evaluations.clear()
         report = _cluster(4).run_tiled_gemm(weights, inputs)
         assert report.pipeline["n_tiles"] > 1
@@ -192,3 +193,17 @@ class TestDefaultTileCost:
             )
             assert default_tile_cost(*changed) == expected
             assert expected != base
+
+    def test_cost_cache_is_bounded_and_evicts_the_oldest(self, monkeypatch, cost_evaluations):
+        costs = {}
+        monkeypatch.setattr(accelerator_module, "_DEFAULT_TILE_COSTS", costs)
+        monkeypatch.setattr(accelerator_module, "_DEFAULT_TILE_COSTS_MAX", 3)
+        keys = [(5, 7, cols, True, 1e9) for cols in range(1, 6)]
+        figures = [default_tile_cost(*key) for key in keys]
+        assert list(costs) == keys[2:]
+        cost_evaluations.clear()
+        assert [default_tile_cost(*key) for key in keys[2:]] == figures[2:]
+        assert cost_evaluations == []
+        assert default_tile_cost(*keys[0]) == figures[0]
+        assert len(cost_evaluations) == 1
+        assert list(costs) == keys[3:] + keys[:1]

@@ -1,8 +1,8 @@
 """Tests for the tiled-offload driver path of the SoC.
 
 Covers the bisected bus address decode (against a linear-scan oracle),
-block MMR descriptor writes (accounting-equal to per-word writes, with
-arbitration on), rejected word accesses that charge nothing, the integer
+block MMR tile-stream writes (accounting-equal to the per-word ENQUEUE
+protocol, with arbitration on), rejected word accesses that charge nothing, the integer
 row/K partition of the shard planners (against ``np.array_split``), the
 tuple event heap, ``mmr_data`` fault injection during tiled offloads pinned
 to figures of the per-word driver, and offloads that stop at their last
@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 
 from repro.eval.workloads import make_gemm_workload
-from repro.system.accelerator import REG_FLAGS, REG_WEIGHTS_ADDR, TileDescriptor
+from repro.system.accelerator import (
+    FLAG_SKIP_INPUT_LOAD,
+    REG_FLAGS,
+    REG_WEIGHTS_ADDR,
+    REG_WEIGHTS_PITCH,
+    TileDescriptor,
+)
 from repro.system.bus import SystemBus
 from repro.system.event import EventScheduler
 from repro.system.faults import FaultInjector, FaultSpec
 from repro.system.memory import MainMemory, MemoryAccessError, WORD_BYTES
-from repro.system.mmr import DATA_OFFSET, MemoryMappedRegisters
+from repro.system.mmr import CTRL_ENQUEUE, DATA_OFFSET, MemoryMappedRegisters
 from repro.system.soc import PhotonicSoC, plan_k_shards, plan_shards
 
 
@@ -88,9 +94,45 @@ class TestBisectedDecode:
 
 
 # ---------------------------------------------------------------------- #
-# block MMR writes
+# stream block writes
 # ---------------------------------------------------------------------- #
-DESCRIPTOR_WORDS = [0x1000, 0x4000, 0x8000, 6, 5, 4, 2, -1]
+HIGH = 1 << 32  # a bit the 32-bit data registers drop
+
+STREAMS = {
+    "dense": [
+        TileDescriptor(0x1000, 0x4000, 0x8000, 6, 5, 4, scale_shift=2, load_input=True),
+        TileDescriptor(0x1078, 0x4000, 0x8060, 6, 5, 4, scale_shift=2, load_input=False),
+    ],
+    "pitched": [
+        TileDescriptor(0x1000, 0x4000, 0x8000, 6, 2, 4, load_input=True, weights_pitch=5),
+        TileDescriptor(0x1078, 0x4000, 0x8060, 6, 2, 4, load_input=False, weights_pitch=5),
+    ],
+    "masked": [
+        TileDescriptor(0x1000 + HIGH, 0x4000, 0x8000 + 3 * HIGH, 6, 5, 4, scale_shift=HIGH,
+                       load_input=True, weights_pitch=5 + HIGH),
+        TileDescriptor(0x1078, 0x4000 + HIGH, 0x8060, 6, 5, 4, load_input=False),
+    ],
+}
+
+
+def _word_protocol(bus, mmr_base, stream, initiator):
+    """The word writes a stream block stands for; returns their summed latency."""
+    data = mmr_base + DATA_OFFSET
+    pitched = any(d.weights_pitch for d in stream)
+    latency = 0
+    for d in stream:
+        fields = (d.weights_addr, d.input_addr, d.output_addr, d.rows, d.inner, d.cols,
+                  d.scale_shift, 0 if d.load_input else FLAG_SKIP_INPUT_LOAD)
+        for register, value in enumerate(fields, start=REG_WEIGHTS_ADDR):
+            latency += bus.write_word(data + register * WORD_BYTES, value, initiator)
+        if pitched:
+            latency += bus.write_word(data + REG_WEIGHTS_PITCH * WORD_BYTES,
+                                      d.weights_pitch, initiator)
+        latency += bus.write_word(mmr_base, CTRL_ENQUEUE, initiator)
+    latency += bus.write_word(data + REG_FLAGS * WORD_BYTES, 0, initiator)
+    if pitched:
+        latency += bus.write_word(data + REG_WEIGHTS_PITCH * WORD_BYTES, 0, initiator)
+    return latency
 
 
 def _arbitrated_soc():
@@ -102,82 +144,70 @@ def _arbitrated_soc():
 
 
 def _bus_counters(soc):
-    mmr = soc.accelerators[0].mmr
+    pe = soc.accelerators[0]
+    mmr = pe.mmr
     return (soc.bus.transfers, soc.bus.contention_cycles, soc.bus.contention_events,
-            mmr.write_count, list(mmr.data))
+            mmr.write_count, mmr.control, mmr.status, list(mmr.data), list(pe._pending),
+            pe.busy)
 
 
 class TestBlockRegisterWrites:
-    @pytest.mark.parametrize("first_register", [REG_WEIGHTS_ADDR, 3, 8])
-    def test_block_write_equals_word_writes_under_arbitration(self, first_register):
+    """A stream block access against the word writes it stands for."""
+
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    def test_block_write_equals_word_writes_under_arbitration(self, stream):
         block, words = _arbitrated_soc(), _arbitrated_soc()
-        address = block.accelerators[0].mmr_base + DATA_OFFSET + first_register * WORD_BYTES
-        block_latency = block.bus.write_words(address, DESCRIPTOR_WORDS, initiator="host")
-        word_latency = sum(
-            words.bus.write_word(address + i * WORD_BYTES, value, initiator="host")
-            for i, value in enumerate(DESCRIPTOR_WORDS)
-        )
-        assert block_latency == word_latency == 8 * (block.bus.traversal_latency + 1 + 3)
+        for soc in (block, words):
+            # a stale pitch, which only a dense stream latches
+            soc.bus.write_word(soc.accelerators[0].mmr_base + DATA_OFFSET
+                               + REG_WEIGHTS_PITCH * WORD_BYTES, 7)
+        base = block.accelerators[0].mmr_base
+        block_latency = block.bus.write_stream(base, STREAMS[stream], initiator="host")
+        word_latency = _word_protocol(words.bus, base, STREAMS[stream], "host")
+        n_words = block.bus.transfers - 1
+        assert block_latency == word_latency == n_words * (block.bus.traversal_latency + 1 + 3)
         assert _bus_counters(block) == _bus_counters(words)
-        assert block.bus.contention_events == 8
-        assert block.accelerators[0].mmr.data[first_register + 7] == 0xFFFFFFFF
+        assert block.bus.contention_events == n_words + 1
+        assert len(block.accelerators[0]._pending) == 2
 
     def test_initiator_holding_the_bus_pays_no_arbitration(self):
         block, words = _arbitrated_soc(), _arbitrated_soc()
-        address = block.accelerators[0].mmr_base + DATA_OFFSET
-        block_latency = block.bus.write_words(address, DESCRIPTOR_WORDS,
-                                              initiator="photonic0-dma")
-        word_latency = sum(
-            words.bus.write_word(address + i * WORD_BYTES, value, initiator="photonic0-dma")
-            for i, value in enumerate(DESCRIPTOR_WORDS)
-        )
+        base = block.accelerators[0].mmr_base
+        block_latency = block.bus.write_stream(base, STREAMS["pitched"],
+                                               initiator="photonic0-dma")
+        word_latency = _word_protocol(words.bus, base, STREAMS["pitched"], "photonic0-dma")
         assert block_latency == word_latency
         assert _bus_counters(block) == _bus_counters(words)
         assert block.bus.contention_events == 0
 
-    def test_block_write_triggers_no_control_callback(self):
-        soc = PhotonicSoC()
-        soc.add_photonic_accelerator()
-        mmr = soc.accelerators[0].mmr
-        soc.bus.write_words(soc.accelerators[0].mmr_base + DATA_OFFSET, DESCRIPTOR_WORDS)
-        assert not soc.accelerators[0]._pending
-        assert mmr.control == 0 and not soc.accelerators[0].busy
-
     @pytest.mark.parametrize(
-        "offset, n_words",
+        "offset",
         [
-            (DATA_OFFSET + 12 * WORD_BYTES, 8),   # runs past the data registers
-            (DATA_OFFSET + 16 * WORD_BYTES, 1),   # starts past them
-            (0x00, 8),                            # would cover CTRL
-            (0x04, 8),                            # would cover STATUS
-            (DATA_OFFSET + 2, 8),                 # misaligned
+            0x04,                                 # STATUS
+            DATA_OFFSET,                          # first data register
+            DATA_OFFSET + 2,                      # misaligned
+            DATA_OFFSET + 16 * WORD_BYTES,        # past the block
         ],
     )
-    def test_bad_block_raises_before_any_side_effect(self, offset, n_words):
+    def test_bad_block_raises_before_any_side_effect(self, offset):
         soc = _arbitrated_soc()
         before = _bus_counters(soc)
         with pytest.raises(MemoryAccessError):
-            soc.bus.write_words(soc.accelerators[0].mmr_base + offset,
-                                DESCRIPTOR_WORDS[:n_words], initiator="host")
+            soc.bus.write_stream(soc.accelerators[0].mmr_base + offset, STREAMS["dense"],
+                                 initiator="host")
         assert _bus_counters(soc) == before
 
     def test_block_write_needs_a_register_block(self):
         bus = SystemBus()
         bus.attach(0, 0x100, MainMemory(0x100), "mem")
-        with pytest.raises(MemoryAccessError, match="no register block writes"):
-            bus.write_words(0, [1, 2])
+        bus.attach(0x200, 0x48, MemoryMappedRegisters(), "mmr")  # no stream handler
+        with pytest.raises(MemoryAccessError, match="takes stream writes"):
+            bus.write_stream(0, STREAMS["dense"])
+        with pytest.raises(MemoryAccessError, match="no stream writes"):
+            bus.write_stream(0x200, STREAMS["dense"])
         with pytest.raises(MemoryAccessError, match="bus decode error"):
-            bus.write_words(0x1000, [1, 2])
+            bus.write_stream(0x1000, STREAMS["dense"])
         assert bus.transfers == 0
-
-    def test_mmr_block_write_wraps_like_word_writes(self):
-        block, words = MemoryMappedRegisters(), MemoryMappedRegisters()
-        values = [-5, 1 << 33, 7]
-        block.write_words(DATA_OFFSET + 4 * WORD_BYTES, values)
-        for i, value in enumerate(values):
-            words.write_word(DATA_OFFSET + (4 + i) * WORD_BYTES, value)
-        assert block.data == words.data
-        assert block.write_count == words.write_count == 3
 
 
 # ---------------------------------------------------------------------- #

@@ -345,20 +345,6 @@ def _block_state(soc):
 
 
 class TestStreamBlockAccess:
-    def test_stream_needs_the_base_of_a_register_block_with_a_handler(self):
-        soc = _cluster(1, arbitration_penalty=3)
-        soc.bus.begin_stream("other-dma")
-        pe = soc.accelerators[0]
-        stream = [_tile(0, 3, True)]
-        before = _block_state(soc)
-        for address in (0x1000, pe.mmr_base + DATA_OFFSET):
-            with pytest.raises(MemoryAccessError, match="takes stream writes"):
-                soc.bus.write_stream(address, stream)
-        pe.mmr.on_stream = None
-        with pytest.raises(MemoryAccessError, match="no stream writes"):
-            soc.bus.write_stream(pe.mmr_base, stream)
-        assert _block_state(soc) == before
-
     def test_empty_stream_charges_nothing(self):
         soc = _cluster(1, arbitration_penalty=3)
         soc.bus.begin_stream("other-dma")
