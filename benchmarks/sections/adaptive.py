@@ -4,8 +4,8 @@ Both legs are fully simulated (cycle-accurate, no wall clocks), on fresh
 SoCs with a private :class:`PlanCache`:
 
 * ``online_refit`` — a cost model is calibrated at boot, then the bus
-  develops arbitration contention (``arbitration_penalty``) the boot
-  probes never saw.  Production offloads stream into the
+  develops arbitration contention (``arbitration_penalty``) no boot
+  probe offload saw.  Production offloads stream into the
   :class:`AdaptiveReplanner`; one ``poll`` must refit exactly once, and
   the predicted-cycle relative error after the refit must be below the
   error before it.

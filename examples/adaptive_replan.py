@@ -44,7 +44,7 @@ def refit_demo():
     soc = cluster()
     boot_model = SoCCostModel.calibrate(soc)
     # the hardware drifts after boot: bus arbitration now charges every
-    # concurrent DMA stream extra cycles the calibration probes never saw
+    # concurrent DMA stream extra cycles no calibration offload ever saw
     soc.bus.arbitration_penalty = 16
 
     replanner = AdaptiveReplanner(

@@ -108,21 +108,57 @@ def _shard_features(
 
 
 def _solve_phase_fits(
-    dma_rows: List[np.ndarray],
-    dma_targets: List[float],
-    host_rows: List[List[float]],
-    host_targets: List[float],
-    compute_rows: Dict[str, List[np.ndarray]],
-    compute_targets: Dict[str, List[float]],
+    samples: Sequence[CalibrationSample],
+    n_pes: int,
     device_types: Sequence[str],
+    words_per_burst: int,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-    """Least-squares solve of the three phase fits (DMA, host, compute).
+    """Least-squares fits of the three phases (DMA, host, compute).
 
-    Shared by boot-time :meth:`SoCCostModel.calibrate` and online
-    :meth:`SoCCostModel.refit` so the two paths cannot diverge: the same
-    probe set always yields the same coefficients regardless of which
-    entry point fitted them.
+    The cost model's one fit: :meth:`SoCCostModel.calibrate` is its probe
+    offloads fitted here, and :meth:`SoCCostModel.refit` fits production
+    samples here, so the same measurements always yield the same
+    coefficients.  Each sample's measured phases are regressed against
+    the summed per-tile features of the shard streams its shape plans to.
+    Homogeneous PE clusters fit one compute model per device type; mixed
+    clusters are fitted jointly over per-device feature blocks (their tiles
+    are split deterministically by ``plan_shards``, so each device's share
+    of the features is known).
     """
+    dma_rows, dma_targets = [], []
+    host_rows, host_targets = [], []
+    compute_rows: Dict[str, List[np.ndarray]] = {}
+    compute_targets: Dict[str, List[float]] = {}
+    for sample in samples:
+        dma_feature, per_device, n_streams = _shard_features(
+            sample.shape,
+            n_pes,
+            device_types,
+            words_per_burst,
+            tile_rows=sample.tile_rows,
+        )
+        dma_rows.append(dma_feature)
+        dma_targets.append(sample.dma_cycles)
+        host_rows.append([float(sample.n_tiles), float(n_streams), 1.0])
+        # the host MMR-driver cost is whatever serial_cycles carries beyond
+        # the two measured PE phases — exact by construction
+        host_targets.append(
+            sample.serial_cycles - sample.dma_cycles - sample.compute_cycles
+        )
+        if len(per_device) == 1:
+            # homogeneous: the whole measured compute belongs to the device
+            device = next(iter(per_device))
+            compute_rows.setdefault(device, []).append(per_device[device])
+            compute_targets.setdefault(device, []).append(sample.compute_cycles)
+        else:
+            stacked = np.concatenate(
+                [
+                    per_device.get(device, np.zeros(4))
+                    for device in sorted(set(device_types))
+                ]
+            )
+            compute_rows.setdefault("__mixed__", []).append(stacked)
+            compute_targets.setdefault("__mixed__", []).append(sample.compute_cycles)
     dma_coeffs, *_ = np.linalg.lstsq(
         np.asarray(dma_rows), np.asarray(dma_targets, dtype=float), rcond=None
     )
@@ -294,7 +330,6 @@ class SoCCostModel:
         n_pes: int = 1,
         words_per_burst: int = 8,
         host_coeffs: Optional[np.ndarray] = None,
-        probes: Optional[List[dict]] = None,
     ):
         self.dma_coeffs = np.asarray(dma_coeffs, dtype=float)
         self.compute_coeffs = {
@@ -310,7 +345,6 @@ class SoCCostModel:
             if host_coeffs is not None
             else np.zeros(3)
         )
-        self.probes = probes or []
 
     # ------------------------------------------------------------------ #
     # calibration
@@ -327,13 +361,9 @@ class SoCCostModel:
         """Fit the model by running probe GeMMs on the given SoC.
 
         Probes run through the exact offload path the compiled plans use
-        (``run_tiled_gemm`` with default row tiling); each probe's
-        ``WorkloadReport.pipeline`` supplies one measured
-        (dma_cycles, compute_cycles) pair, regressed against the summed
-        per-tile features of its planned shard streams.  Homogeneous PE
-        clusters fit one compute model per device type; mixed clusters are
-        fitted jointly (their tiles are split deterministically by
-        ``plan_shards``, so each device's share of the features is known).
+        (``run_tiled_gemm`` with default row tiling).  Each probe's report
+        becomes a :meth:`CalibrationSample.from_report`, and the samples
+        are fitted the way :meth:`refit` fits production samples.
 
         Mixed-cluster caveat: the joint fit predicts *total* compute
         cycles well, but even row sharding makes the per-device feature
@@ -344,7 +374,7 @@ class SoCCostModel:
 
         Args:
             soc: a :class:`~repro.system.soc.PhotonicSoC` with
-                accelerators attached (the probes run on it).
+                accelerators attached (the probe offloads run on it).
             probe_shapes: (M, K, N) GeMM shapes to measure.
             value_range: integer magnitude bound of the probe operands.
             rng_seed: seed for the probe operand draws.
@@ -359,13 +389,7 @@ class SoCCostModel:
         if not getattr(soc, "accelerators", None):
             raise ValueError("cost-model calibration needs an SoC with accelerators")
         generator = np.random.default_rng(rng_seed)
-        n_pes = len(soc.accelerators)
-        device_types = [pe.device_type for pe in soc.accelerators]
-        dma_rows, dma_targets = [], []
-        host_rows, host_targets = [], []
-        compute_rows: Dict[str, List[np.ndarray]] = {}
-        compute_targets: Dict[str, List[float]] = {}
-        probes: List[dict] = []
+        samples = []
         for shape in probe_shapes:
             n_rows, n_inner, n_cols = shape
             weights = generator.integers(
@@ -375,58 +399,13 @@ class SoCCostModel:
                 -value_range, value_range + 1, size=(n_inner, n_cols)
             )
             report = soc.run_tiled_gemm(weights, inputs)
-            dma_feature, per_device_features, n_streams = _shard_features(
-                shape, n_pes, device_types, words_per_burst
-            )
-            dma_rows.append(dma_feature)
-            dma_targets.append(report.pipeline["dma_cycles"])
-            n_tiles = report.pipeline["n_tiles"]
-            host_rows.append([n_tiles, n_streams, 1.0])
-            # the host MMR-driver cost is whatever serial_cycles carries
-            # beyond the two measured PE phases — exact by construction
-            host_targets.append(
-                report.pipeline["serial_cycles"]
-                - report.pipeline["dma_cycles"]
-                - report.pipeline["compute_cycles"]
-            )
-            # Joint compute fit per device: when the cluster is homogeneous
-            # the whole measured compute belongs to that device type.
-            if len(per_device_features) == 1:
-                device = next(iter(per_device_features))
-                compute_rows.setdefault(device, []).append(
-                    per_device_features[device]
-                )
-                compute_targets.setdefault(device, []).append(
-                    report.pipeline["compute_cycles"]
-                )
-            else:
-                # mixed cluster: fit a stacked system with per-device blocks
-                stacked = np.concatenate(
-                    [
-                        per_device_features.get(device, np.zeros(4))
-                        for device in sorted(set(device_types))
-                    ]
-                )
-                compute_rows.setdefault("__mixed__", []).append(stacked)
-                compute_targets.setdefault("__mixed__", []).append(
-                    report.pipeline["compute_cycles"]
-                )
-            probes.append(
-                {
-                    "shape": list(shape),
-                    "dma_cycles": report.pipeline["dma_cycles"],
-                    "compute_cycles": report.pipeline["compute_cycles"],
-                    "pipelined_cycles": report.pipeline["pipelined_cycles"],
-                }
-            )
+            samples.append(CalibrationSample.from_report(shape, report))
+        n_pes = len(soc.accelerators)
         dma_coeffs, host_coeffs, compute_coeffs = _solve_phase_fits(
-            dma_rows,
-            dma_targets,
-            host_rows,
-            host_targets,
-            compute_rows,
-            compute_targets,
-            device_types,
+            samples,
+            n_pes,
+            [pe.device_type for pe in soc.accelerators],
+            words_per_burst,
         )
         return cls(
             dma_coeffs,
@@ -435,7 +414,6 @@ class SoCCostModel:
             n_pes=n_pes,
             words_per_burst=words_per_burst,
             host_coeffs=host_coeffs,
-            probes=probes,
         )
 
     def refit(
@@ -475,56 +453,8 @@ class SoCCostModel:
         if device_types is None:
             fitted = sorted(self.compute_coeffs)
             device_types = [fitted[index % len(fitted)] for index in range(self.n_pes)]
-        dma_rows, dma_targets = [], []
-        host_rows, host_targets = [], []
-        compute_rows: Dict[str, List[np.ndarray]] = {}
-        compute_targets: Dict[str, List[float]] = {}
-        probes: List[dict] = []
-        for sample in samples:
-            dma_feature, per_device, n_streams = _shard_features(
-                sample.shape,
-                self.n_pes,
-                device_types,
-                self.words_per_burst,
-                tile_rows=sample.tile_rows,
-            )
-            dma_rows.append(dma_feature)
-            dma_targets.append(sample.dma_cycles)
-            host_rows.append([float(sample.n_tiles), float(n_streams), 1.0])
-            host_targets.append(
-                sample.serial_cycles - sample.dma_cycles - sample.compute_cycles
-            )
-            if len(per_device) == 1:
-                device = next(iter(per_device))
-                compute_rows.setdefault(device, []).append(per_device[device])
-                compute_targets.setdefault(device, []).append(sample.compute_cycles)
-            else:
-                stacked = np.concatenate(
-                    [
-                        per_device.get(device, np.zeros(4))
-                        for device in sorted(set(device_types))
-                    ]
-                )
-                compute_rows.setdefault("__mixed__", []).append(stacked)
-                compute_targets.setdefault("__mixed__", []).append(
-                    sample.compute_cycles
-                )
-            probes.append(
-                {
-                    "shape": list(sample.shape),
-                    "dma_cycles": sample.dma_cycles,
-                    "compute_cycles": sample.compute_cycles,
-                    "pipelined_cycles": sample.pipelined_cycles,
-                }
-            )
         dma_coeffs, host_coeffs, compute_coeffs = _solve_phase_fits(
-            dma_rows,
-            dma_targets,
-            host_rows,
-            host_targets,
-            compute_rows,
-            compute_targets,
-            device_types,
+            samples, self.n_pes, device_types, self.words_per_burst
         )
         return type(self)(
             dma_coeffs,
@@ -533,7 +463,6 @@ class SoCCostModel:
             n_pes=self.n_pes,
             words_per_burst=self.words_per_burst,
             host_coeffs=host_coeffs,
-            probes=probes,
         )
 
     @classmethod

@@ -10,7 +10,6 @@ from repro.system.event import EventScheduler
 from repro.system.memory import (
     MainMemory,
     Scratchpad,
-    RegisterBank,
     MemoryAccessError,
     to_signed,
     to_unsigned,
@@ -34,7 +33,7 @@ from repro.system.isa import Instruction, IllegalInstructionError, parse_registe
 from repro.system.assembler import assemble, AssemblyError, Program
 from repro.system.cpu import RiscvCPU, CPUStats, CPUError
 from repro.system.interrupt import InterruptController, InterruptLine
-from repro.system.dma import DMADescriptor, DMAEngine, DMAStats, GatherDescriptor
+from repro.system.dma import DMADescriptor, DMAEngine, DMAStats
 from repro.system.dfg import DataflowGraph, DFGNode, ScheduleResult, build_gemm_dfg, DataflowError
 from repro.system.accelerator import (
     BaseMatrixAccelerator,
@@ -72,7 +71,6 @@ __all__ = [
     "EventScheduler",
     "MainMemory",
     "Scratchpad",
-    "RegisterBank",
     "MemoryAccessError",
     "to_signed",
     "to_unsigned",
@@ -104,7 +102,6 @@ __all__ = [
     "DMADescriptor",
     "DMAEngine",
     "DMAStats",
-    "GatherDescriptor",
     "DataflowGraph",
     "DFGNode",
     "ScheduleResult",

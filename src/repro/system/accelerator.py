@@ -7,10 +7,11 @@ block; it configures buffer addresses and matrix dimensions, sets the START
 bit, and waits for DONE (polling or interrupt).
 
 The Communications Interface is a pipelined, double-buffered offload
-engine.  Work arrives as :class:`TileDescriptor` streams — either a single
-descriptor latched from the MMR data registers on START (the classic
-protocol), or many descriptors pushed with the ENQUEUE control bit and
-launched together.  Three stages run concurrently on the shared event
+engine.  Work arrives as :class:`TileDescriptor` streams: descriptors
+pushed with the ENQUEUE control bit and launched together by START.  A
+START on an empty queue first latches the descriptor in the MMR data
+registers as ENQUEUE does, so the classic single-shot protocol is the
+one-tile stream.  Three stages run concurrently on the shared event
 scheduler:
 
 ``DMA-in  ──►  compute  ──►  DMA-out``
@@ -45,14 +46,8 @@ from typing import Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import (
-    AnalogPhotonicBackend,
-    BackendSpec,
-    ExecutionBackend,
-    resolve_backend,
-)
+from repro.core.backends import BackendSpec, ExecutionBackend, resolve_backend
 from repro.core.energy import PhotonicCoreEnergyModel
-from repro.core.mvm import PhotonicMVM
 from repro.system.bus import SystemBus
 from repro.system.dfg import build_gemm_dfg
 from repro.system.dma import DMADescriptor, DMAEngine
@@ -76,6 +71,10 @@ REG_WEIGHTS_PITCH = 9  # row pitch (words) of the weight operand; 0 = dense
 #: REG_FLAGS bits.  The default (0) loads the input operand, which keeps
 #: the classic single-shot START protocol unchanged.
 FLAG_SKIP_INPUT_LOAD = 0x1
+
+#: Scratchpad buffers per operand: weights and outputs are double-buffered.
+#: A tile too large for one buffer runs exclusive, as the one-buffer case.
+N_BUFFERS = 2
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,6 @@ class BaseMatrixAccelerator:
     Attributes:
         backend: the :class:`~repro.core.backends.ExecutionBackend`
             producing the functional result of every tile.
-        n_buffers: scratchpad buffers per operand (2 = double buffering;
-            1 degenerates to the old serial DMA/compute/DMA schedule).
     """
 
     #: human-readable device type, overridden by subclasses
@@ -188,10 +185,7 @@ class BaseMatrixAccelerator:
         clock_hz: float = 1e9,
         name: str = "dsa0",
         backend: BackendSpec = None,
-        n_buffers: int = 2,
     ):
-        if n_buffers < 1:
-            raise ValueError("n_buffers must be >= 1")
         self.scheduler = scheduler
         self.bus = bus
         self.clock_hz = float(clock_hz)
@@ -199,7 +193,6 @@ class BaseMatrixAccelerator:
         self.backend: ExecutionBackend = resolve_backend(
             backend if backend is not None else self.default_backend
         )
-        self.n_buffers = int(n_buffers)
         self.mmr = MemoryMappedRegisters(
             n_data_registers=16,
             on_start=self._on_start,
@@ -254,11 +247,11 @@ class BaseMatrixAccelerator:
 
         ``"pipelined"`` — fits one ping-pong buffer region and can be
         double-buffered; ``"exclusive"`` — too large for a region but fits
-        the whole scratchpad, so it runs with the pipeline flushed (the old
-        serial engine's capacity is preserved); ``None`` — does not fit.
+        the whole scratchpad, so it runs with the pipeline flushed as the
+        one-buffer case; ``None`` — does not fit.
         """
-        weight_region = (self.weight_spm.size_bytes // self.n_buffers) // WORD_BYTES
-        output_region = (self.output_spm.size_bytes // self.n_buffers) // WORD_BYTES
+        weight_region = (self.weight_spm.size_bytes // N_BUFFERS) // WORD_BYTES
+        output_region = (self.output_spm.size_bytes // N_BUFFERS) // WORD_BYTES
         input_words = self.input_spm.size_bytes // WORD_BYTES
         if descriptor.input_words > input_words:
             return None
@@ -341,23 +334,19 @@ class BaseMatrixAccelerator:
     def _on_start(self) -> None:
         """Host set the START bit: launch the pipeline over the tile queue.
 
-        With an empty queue this latches the single descriptor currently
-        held in the data registers — the classic one-shot offload protocol.
+        With an empty queue this first latches the descriptor held in the
+        data registers as ENQUEUE does: the classic one-shot offload
+        protocol is a one-tile stream.
         """
         if self.busy:
             return
+        if not self._pending:
+            self._on_enqueue()
         if self._stream_error:
             self._pending.clear()
             self._stream_error = False
             self.mmr.mark_done(error=True)
             return
-        if not self._pending:
-            descriptor = self._descriptor_from_registers()
-            fit = self._tile_fit(descriptor) if descriptor.valid else None
-            if fit is None:
-                self.mmr.mark_done(error=True)
-                return
-            self._pending.append((descriptor, fit == "exclusive"))
         self.busy = True
         self.stats.invocations += 1
         self.mmr.mark_busy()
@@ -381,7 +370,7 @@ class BaseMatrixAccelerator:
         )
 
     def _buffer_offset(self, spm: Scratchpad, buffer: int) -> int:
-        region = (spm.size_bytes // self.n_buffers) // WORD_BYTES * WORD_BYTES
+        region = (spm.size_bytes // N_BUFFERS) // WORD_BYTES * WORD_BYTES
         return buffer * region
 
     def _pipeline_idle(self) -> bool:
@@ -405,7 +394,7 @@ class BaseMatrixAccelerator:
             # exclusive use of the full scratchpads (old serial capacity)
             if not self._pipeline_idle():
                 return
-        elif self._input_buffers_in_flight() >= self.n_buffers:
+        elif self._input_buffers_in_flight() >= N_BUFFERS:
             return
         if descriptor.load_input and (self._ready or self._compute_job is not None):
             # Reloading the shared input operand would corrupt tiles that
@@ -417,7 +406,7 @@ class BaseMatrixAccelerator:
         if exclusive:
             self._exclusive_active = True
         else:
-            self._next_buffer = (self._next_buffer + 1) % self.n_buffers
+            self._next_buffer = (self._next_buffer + 1) % N_BUFFERS
         weight_source = descriptor.weights_addr
         if descriptor.weights_pitch and descriptor.weights_pitch != descriptor.inner:
             # the tile is a column slice of a wider row-major matrix: one
@@ -454,7 +443,7 @@ class BaseMatrixAccelerator:
         if self._compute_job is not None or not self._ready:
             return
         output_backlog = len(self._writeback) + (1 if self._dma_out_job is not None else 0)
-        if output_backlog >= self.n_buffers:
+        if output_backlog >= N_BUFFERS:
             return
         job = self._ready.popleft()
         self._compute_job = job
@@ -704,10 +693,11 @@ class PhotonicMVMAccelerator(BaseMatrixAccelerator):
         energy_model: photonic core speed/energy/footprint model (its MVM
             dimensions must cover the offloaded tiles).
         backend: execution backend producing the functional result; pass
-            ``backend="analog-photonic"`` (or an
-            :class:`~repro.core.backends.AnalogPhotonicBackend`) so analog
-            noise reaches the application, or keep the default
-            ``ideal-digital`` for exact results with photonic timing/energy.
+            ``backend="analog-photonic"``, or
+            ``backend=AnalogPhotonicBackend(engine=...)`` to run a given
+            :class:`~repro.core.mvm.PhotonicMVM`, so analog noise reaches
+            the application, or keep the default ``ideal-digital`` for
+            exact results with photonic timing/energy.
         reprogram_every_call: if True the weight-programming energy is paid
             on every offload (weights change per call); if False weights
             are considered resident (in-memory computing) after the first
@@ -720,25 +710,13 @@ class PhotonicMVMAccelerator(BaseMatrixAccelerator):
         self,
         *args,
         energy_model: Optional[PhotonicCoreEnergyModel] = None,
-        analog_model: Optional[PhotonicMVM] = None,
         reprogram_every_call: bool = False,
         **kwargs,
     ):
-        if analog_model is not None:
-            if kwargs.get("backend") is not None:
-                raise ValueError("pass either analog_model or backend, not both")
-            kwargs["backend"] = AnalogPhotonicBackend(engine=analog_model)
         super().__init__(*args, **kwargs)
         self.energy_model = energy_model
         self.reprogram_every_call = reprogram_every_call
         self._programmed = False
-
-    @property
-    def analog_model(self) -> Optional[PhotonicMVM]:
-        """The analog engine when the backend is photonic (else ``None``)."""
-        if isinstance(self.backend, AnalogPhotonicBackend):
-            return self.backend.engine
-        return None
 
     def _compute(self, weights: np.ndarray, inputs: np.ndarray, config: dict):
         rows, inner = weights.shape

@@ -340,35 +340,6 @@ class SystemBus:
             latency = max(latency, block_latency)
         return np.concatenate(pieces), latency
 
-    def read_gather(self, addresses, block_words: int, initiator: Optional[str] = None):
-        """Bulk read of one block per (arbitrary) address; returns
-        ``(values, per_word_latency)`` — the irregular-access sibling of
-        :meth:`read_strided`."""
-        addresses = [int(address) for address in addresses]
-        if not addresses or block_words == 0:
-            return np.zeros(0, dtype=np.uint32), 0
-        mapping = self.find(min(addresses))
-        target = mapping.target
-        if isinstance(target, MainMemory) and all(
-            mapping.base <= address and address + block_words * WORD_BYTES <= mapping.end
-            for address in addresses
-        ):
-            values = target.read_gather(
-                [address - mapping.base for address in addresses], block_words
-            )
-            self.transfers += len(addresses) * block_words
-            delay = self._arbitration_delay(initiator)
-            return values, self.traversal_latency + target.read_latency + delay
-        pieces = []
-        latency = 0
-        for address in addresses:
-            values, block_latency = self.read_block(
-                address, block_words, initiator=initiator
-            )
-            pieces.append(values)
-            latency = max(latency, block_latency)
-        return np.concatenate(pieces), latency
-
     def write_block(self, address: int, values, initiator: Optional[str] = None) -> int:
         """Bulk write of consecutive words; returns the per-word latency."""
         values = np.asarray(values)

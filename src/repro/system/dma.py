@@ -13,16 +13,16 @@ Transfers are described either by a plain ``(address, n_words)`` pair or by
 a :class:`DMADescriptor` — base / block length / block count / stride —
 which lets a single transfer stream a strided view such as the column slice
 ``A[:, k0:k1]`` of a row-major matrix directly from its original bus
-addresses.  :class:`GatherDescriptor` covers irregular address lists.  Both
-are charged with the same burst model as a contiguous transfer of equal
-word count: the burst engine re-registers at block boundaries for free, but
-every word still crosses the bus and is counted.
+addresses.  A descriptor is charged with the same burst model as a
+contiguous transfer of equal word count: the burst engine re-registers at
+block boundaries for free, but every word still crosses the bus and is
+counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Union
 
 from repro.system.bus import SystemBus
 from repro.system.event import EventScheduler
@@ -65,27 +65,7 @@ class DMADescriptor:
         return self.n_blocks <= 1 or self.stride_words in (0, self.block_words)
 
 
-@dataclass(frozen=True)
-class GatherDescriptor:
-    """A gather transfer: one ``block_words``-sized block per address."""
-
-    addresses: Tuple[int, ...]
-    block_words: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "addresses", tuple(int(a) for a in self.addresses))
-        if any(address < 0 for address in self.addresses):
-            raise ValueError("gather addresses must be >= 0")
-        if self.block_words < 0:
-            raise ValueError("gather block length must be >= 0")
-
-    @property
-    def n_words(self) -> int:
-        """Words the gather moves (one block per address)."""
-        return self.block_words * len(self.addresses)
-
-
-Source = Union[int, DMADescriptor, GatherDescriptor]
+Source = Union[int, DMADescriptor]
 
 
 @dataclass
@@ -106,15 +86,15 @@ class DMAEngine:
     """A single-channel DMA engine moving words over the system bus.
 
     Attributes:
-        scheduler: shared event queue (completion callbacks are scheduled
-            after the modelled transfer time).
+        scheduler: shared event queue (with bus arbitration on, the bus
+            release is scheduled at the end of the modelled transfer).
         bus: interconnect used for the main-memory side of transfers.
         words_per_burst: words moved per burst; bursts pipeline so the
             effective per-word cost drops for long transfers.
         energy_per_word: DMA engine energy per word moved [J].
 
-    The engine is busy for the whole modelled transfer window, callback or
-    not.  Several transfers issued in the *same* cycle chain as one
+    The engine is busy for the whole modelled transfer window; the caller
+    schedules its own completion after the returned latency.  Several transfers issued in the *same* cycle chain as one
     descriptor list — the window extends by each transfer's latency, which
     is how an accelerator queues its weights + input fetches back to back.
     Issuing from a strictly later cycle while the window is still open is a
@@ -168,19 +148,17 @@ class DMAEngine:
         destination: MainMemory,
         destination_offset: int,
         n_words: int,
-        on_complete: Optional[Callable[[], None]] = None,
     ) -> int:
         """Copy ``n_words`` from bus address space into a scratchpad.
 
         ``source`` is either a plain word-aligned bus address (contiguous
-        transfer) or a :class:`DMADescriptor`/:class:`GatherDescriptor`,
-        whose word count must match ``n_words``.  Returns the modelled
-        transfer latency in cycles.  The data is moved immediately
-        (functional view); the completion callback fires after the latency
-        has elapsed (timing view).
+        transfer) or a :class:`DMADescriptor`, whose word count must match
+        ``n_words``.  Returns the modelled transfer latency in cycles.  The
+        data is moved immediately (functional view); the engine stays busy
+        until the latency has elapsed (timing view).
         """
         self._check_idle()
-        if isinstance(source, (DMADescriptor, GatherDescriptor)) and source.n_words != n_words:
+        if isinstance(source, DMADescriptor) and source.n_words != n_words:
             raise ValueError(
                 f"descriptor moves {source.n_words} words, transfer asked for {n_words}"
             )
@@ -196,10 +174,6 @@ class DMAEngine:
                         source.stride_words,
                         initiator=self.name,
                     )
-                elif isinstance(source, GatherDescriptor):
-                    values, per_word_latency = self.bus.read_gather(
-                        source.addresses, source.block_words, initiator=self.name
-                    )
                 else:
                     values, per_word_latency = self.bus.read_block(
                         source, n_words, initiator=self.name
@@ -210,7 +184,7 @@ class DMAEngine:
             # every later access with arbitration cycles
             self.bus.end_stream(self.name)
             raise
-        return self._finish(n_words, per_word_latency, on_complete)
+        return self._finish(n_words, per_word_latency)
 
     def copy_from_scratchpad(
         self,
@@ -218,7 +192,6 @@ class DMAEngine:
         source_offset: int,
         destination_address: int,
         n_words: int,
-        on_complete: Optional[Callable[[], None]] = None,
     ) -> int:
         """Copy ``n_words`` from a scratchpad into bus address space."""
         self._check_idle()
@@ -233,9 +206,9 @@ class DMAEngine:
         except Exception:
             self.bus.end_stream(self.name)
             raise
-        return self._finish(n_words, per_word_latency, on_complete)
+        return self._finish(n_words, per_word_latency)
 
-    def _finish(self, n_words: int, per_word_latency: int, on_complete) -> int:
+    def _finish(self, n_words: int, per_word_latency: int) -> int:
         latency = self._transfer_latency(n_words, max(per_word_latency, 1))
         self.stats.transfers += 1
         self.stats.words_moved += n_words
@@ -252,10 +225,6 @@ class DMAEngine:
                 self._busy_until - now,
                 lambda: self.bus.end_stream(self.name),
                 label=f"{self.name}-bus-release",
-            )
-        if on_complete is not None:
-            self.scheduler.schedule(
-                self._busy_until - now, on_complete, label=f"{self.name}-done"
             )
         return latency
 

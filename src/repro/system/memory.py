@@ -1,18 +1,17 @@
-"""Memory devices: main memory, scratchpad memories and register banks.
+"""Memory devices: main memory and scratchpad memories.
 
 The gem5-MARVEL communications interface distinguishes several memory
-types: large off-accelerator main memory (DRAM, slow), on-accelerator
-scratchpad memories (SPMs, single-cycle) and register banks.  All of them
-implement the same word-addressed interface so the bus can route accesses
-uniformly; each carries its own latency and per-access energy figures for
-the system-level speed/energy accounting.
+types: large off-accelerator main memory (DRAM, slow) and on-accelerator
+scratchpad memories (SPMs, single-cycle); an accelerator's registers are
+its MMR block (``repro.system.mmr``).  Both memories implement the same
+word-addressed interface so the bus can route accesses uniformly; each
+carries its own latency and per-access energy figures for the
+system-level speed/energy accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
 import numpy as np
 
 WORD_BYTES = 4
@@ -182,22 +181,6 @@ class MainMemory:
         self.stats.reads += n_blocks * block_words
         return self._words[offsets].reshape(-1)
 
-    def read_gather(self, addresses, block_words: int) -> np.ndarray:
-        """Bulk read of one ``block_words``-sized block per address
-        (counted as reads) — the irregular-access sibling of
-        :meth:`read_strided`."""
-        if block_words < 0:
-            raise MemoryAccessError("negative block length")
-        starts = [self._block_index(int(address), block_words) for address in addresses]
-        if not starts or block_words == 0:
-            return np.zeros(0, dtype=np.uint32)
-        offsets = (
-            np.asarray(starts, dtype=np.int64)[:, None]
-            + np.arange(block_words, dtype=np.int64)[None, :]
-        )
-        self.stats.reads += len(starts) * block_words
-        return self._words[offsets].reshape(-1)
-
     def load_words(self, address: int, values) -> None:
         """Bulk-initialise memory starting at ``address`` (no stats impact).
 
@@ -230,28 +213,3 @@ class Scratchpad(MainMemory):
             energy_per_access=energy_per_access,
         )
 
-
-class RegisterBank:
-    """A small bank of named 32-bit registers (accelerator-internal state)."""
-
-    def __init__(self, names):
-        self._values: Dict[str, int] = {str(name): 0 for name in names}
-        self.stats = MemoryStats()
-
-    def read(self, name: str) -> int:
-        """Read a named register."""
-        if name not in self._values:
-            raise MemoryAccessError(f"unknown register {name!r}")
-        self.stats.reads += 1
-        return self._values[name]
-
-    def write(self, name: str, value: int) -> None:
-        """Write a named register (wrapped to 32 bits)."""
-        if name not in self._values:
-            raise MemoryAccessError(f"unknown register {name!r}")
-        self.stats.writes += 1
-        self._values[name] = to_unsigned(int(value))
-
-    def names(self) -> list:
-        """Register names in declaration order."""
-        return list(self._values)

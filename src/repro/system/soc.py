@@ -666,18 +666,27 @@ class PhotonicSoC:
                 the final result over the bus.  Bitwise identical to the
                 unsharded product for deterministic backends (integer
                 partial sums are exact; results must fit 32-bit words, the
-                same constraint the row-sharded path has).
+                same constraint the row-sharded path has).  ``None`` or 1
+                shards rows.
             k_staging: K-shard operand layout.  ``"in-place"`` (default)
                 streams each slice's operands straight from the original
                 matrices — the weight slice via a strided DMA descriptor —
                 with zero host staging copies; ``"staged"`` keeps the
                 historical contiguous staging copies, now charged as real
                 bus traffic so the two layouts compare apples to apples.
+
+        Raises:
+            ValueError: on an unknown ``k_staging``, or a ``k_shards`` that
+                is neither ``None`` nor an integer >= 1, before any write.
         """
         if not self.accelerators:
             raise RuntimeError("no accelerator attached")
         if k_staging not in ("in-place", "staged"):
             raise ValueError(f"unknown k_staging mode {k_staging!r}")
+        if k_shards is not None and (
+            not isinstance(k_shards, (int, np.integer)) or k_shards < 1
+        ):
+            raise ValueError(f"k_shards must be None or an integer >= 1, got {k_shards!r}")
         busy = [accelerator.name for accelerator in self.accelerators if accelerator.busy]
         if busy:
             # a stream enqueued onto a running PE would never start, and the
@@ -691,7 +700,7 @@ class PhotonicSoC:
         n_rows, n_inner = weights.shape
         n_cols = inputs.shape[1]
         n_pes = len(self.accelerators)
-        if k_shards is not None and int(k_shards) > 1:
+        if k_shards is not None and k_shards > 1:
             return self._run_k_sharded_gemm(
                 weights, inputs, c_addr, tile_rows, irq_per_tile, int(k_shards),
                 a_addr=a_addr, b_addr=b_addr, staged=k_staging == "staged",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.backends import AnalogPhotonicBackend
 from repro.core.energy import PhotonicCoreEnergyModel, combined_component_count
 from repro.core.mvm import PhotonicMVM
 from repro.core.nn import MLP, PhotonicMLP, train_mlp
@@ -95,7 +96,7 @@ class TestFullSystemChain:
             weights.astype(float), quantization=QuantizationSpec(10, None, None), rng=0
         )
         soc = PhotonicSoC()
-        soc.add_photonic_accelerator(analog_model=analog)
+        soc.add_photonic_accelerator(backend=AnalogPhotonicBackend(engine=analog))
         report = soc.run_offloaded_gemm(weights, inputs)
         relative_error = np.linalg.norm(report.result - golden) / np.linalg.norm(golden)
         assert relative_error < 0.2

@@ -8,7 +8,6 @@ from repro.system.event import EventScheduler
 from repro.system.memory import (
     MainMemory,
     MemoryAccessError,
-    RegisterBank,
     Scratchpad,
     to_signed,
     to_unsigned,
@@ -184,14 +183,6 @@ class TestStridedAndGatherReads:
             memory.read_strided(0, block_words=2, n_blocks=2, stride_words=-4)
         assert memory.read_strided(0, 0, 4, 4).size == 0
 
-    def test_read_gather_collects_arbitrary_blocks(self):
-        memory, matrix = self._matrix_memory()
-        values = memory.read_gather([6 * 4, 0, 18 * 4], block_words=2)
-        assert values.tolist() == [10, 11, 0, 1, 30, 31]
-        with pytest.raises(MemoryAccessError):
-            memory.read_gather([1022], block_words=2)
-        assert memory.read_gather([], block_words=2).size == 0
-
     def test_bus_read_strided_single_decode_fast_path(self):
         bus = SystemBus()
         memory, matrix = self._matrix_memory()
@@ -210,31 +201,6 @@ class TestStridedAndGatherReads:
         high.load_words(0, [3, 4])
         values, _ = bus.read_strided(0, block_words=2, n_blocks=2, stride_words=64)
         assert values.tolist() == [1, 2, 3, 4]
-
-    def test_bus_read_gather_fast_path_and_fallback(self):
-        bus = SystemBus()
-        memory, matrix = self._matrix_memory()
-        bus.attach(0, 1024, memory, "mem")
-        values, latency = bus.read_gather([0, 12 * 4], block_words=3)
-        assert values.tolist() == [0, 1, 2, 20, 21, 22]
-        assert latency == bus.traversal_latency + memory.read_latency
-        other = MainMemory(256)
-        bus.attach(0x1000, 256, other, "other")
-        other.load_words(0, [7])
-        values, _ = bus.read_gather([0, 0x1000], block_words=1)
-        assert values.tolist() == [0, 7]
-
-
-class TestRegisterBank:
-    def test_named_access(self):
-        bank = RegisterBank(["ctrl", "status"])
-        bank.write("ctrl", 3)
-        assert bank.read("ctrl") == 3
-
-    def test_unknown_register_rejected(self):
-        bank = RegisterBank(["a"])
-        with pytest.raises(MemoryAccessError):
-            bank.read("b")
 
 
 class TestSystemBus:

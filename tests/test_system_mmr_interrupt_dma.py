@@ -3,7 +3,7 @@
 import pytest
 
 from repro.system.bus import SystemBus
-from repro.system.dma import DMADescriptor, DMAEngine, GatherDescriptor
+from repro.system.dma import DMADescriptor, DMAEngine
 from repro.system.event import EventScheduler
 from repro.system.interrupt import InterruptController
 from repro.system.memory import MainMemory, MemoryAccessError, Scratchpad
@@ -132,17 +132,6 @@ class TestDMAEngine:
         per_word_latency = bus.traversal_latency + memory.read_latency
         assert latency < 64 * per_word_latency
 
-    def test_completion_callback_scheduled(self):
-        scheduler, bus, memory, scratchpad = self._setup()
-        memory.load_words(0, [1])
-        dma = DMAEngine(scheduler, bus)
-        done = []
-        dma.copy_to_scratchpad(0, scratchpad, 0, 1, on_complete=lambda: done.append(True))
-        assert dma.busy
-        scheduler.run()
-        assert done == [True]
-        assert not dma.busy
-
     def test_energy_accounting(self):
         scheduler, bus, memory, scratchpad = self._setup()
         memory.load_words(0, [1, 2, 3, 4])
@@ -157,10 +146,9 @@ class TestDMAEngine:
 
 
 class TestDMABusyWindow:
-    """Busy-window semantics must not depend on whether a completion
-    callback was supplied — the historical asymmetry set ``busy`` only on
-    callback transfers, so callback-less back-to-back issues never tripped
-    the guard."""
+    """Every transfer keeps the engine busy for its modelled window, so a
+    back-to-back issue from a later cycle trips the guard; the caller
+    schedules its own completion after the returned latency."""
 
     def _setup(self):
         scheduler = EventScheduler()
@@ -175,7 +163,7 @@ class TestDMABusyWindow:
         memory.load_words(0, [1, 2, 3, 4])
         dma = DMAEngine(scheduler, bus)
         latency = dma.copy_to_scratchpad(0, scratchpad, 0, 4)
-        assert dma.busy  # no on_complete, still busy for the window
+        assert dma.busy  # busy for the whole modelled window
         observed = []
         scheduler.schedule(latency - 1, lambda: observed.append(dma.busy))
         scheduler.schedule(latency, lambda: observed.append(dma.busy))
@@ -220,12 +208,12 @@ class TestDMABusyWindow:
         scheduler, bus, memory, scratchpad = self._setup()
         memory.load_words(0, list(range(8)))
         dma = DMAEngine(scheduler, bus)
-        with_callback = []
-        dma.copy_to_scratchpad(
-            0, scratchpad, 0, 4, on_complete=lambda: with_callback.append(True)
-        )
-        scheduler.run()  # completion lands exactly at the window end
-        assert not dma.busy and with_callback == [True]
+        latency = dma.copy_to_scratchpad(0, scratchpad, 0, 4)
+        closed = []
+        # the caller's completion event lands exactly at the window end
+        scheduler.schedule(latency, lambda: closed.append(not dma.busy))
+        scheduler.run()
+        assert closed == [True] and not dma.busy
         dma.copy_from_scratchpad(scratchpad, 0, 64, 4)  # must not raise
         assert dma.busy
 
@@ -264,16 +252,6 @@ class TestDMADescriptors:
         contiguous = dma.copy_to_scratchpad(0, scratchpad, 64, 16)
         assert strided == contiguous
 
-    def test_gather_descriptor_collects_blocks(self):
-        scheduler, bus, memory, scratchpad = self._setup()
-        memory.load_words(0, list(range(32)))
-        dma = DMAEngine(scheduler, bus)
-        gather = GatherDescriptor(addresses=(96, 0, 48), block_words=2)
-        dma.copy_to_scratchpad(gather, scratchpad, 0, 6)
-        assert [scratchpad.read_word(i * 4) for i in range(6)] == [
-            24, 25, 0, 1, 12, 13
-        ]
-
     def test_word_count_mismatch_rejected(self):
         scheduler, bus, memory, scratchpad = self._setup()
         dma = DMAEngine(scheduler, bus)
@@ -289,8 +267,6 @@ class TestDMADescriptors:
             DMADescriptor(base=0, block_words=-1)
         with pytest.raises(ValueError):
             DMADescriptor(base=0, block_words=4, n_blocks=2, stride_words=2)
-        with pytest.raises(ValueError):
-            GatherDescriptor(addresses=(0, -4), block_words=2)
         assert DMADescriptor(base=0, block_words=4, n_blocks=2, stride_words=4).contiguous
         assert not DMADescriptor(base=0, block_words=4, n_blocks=2, stride_words=8).contiguous
 

@@ -10,7 +10,7 @@ completions, and the bulk-DMA bitwise/cycle equivalence guarantees.
 import numpy as np
 import pytest
 
-from repro.core.backends import available_backends
+from repro.core.backends import AnalogPhotonicBackend, available_backends
 from repro.eval.workloads import make_gemm_workload
 from repro.system.accelerator import TileDescriptor
 from repro.system.bus import SystemBus
@@ -164,6 +164,26 @@ class TestKShardedGemm:
         report = soc.run_tiled_gemm(weights, inputs, k_shards=1)
         assert "k_shards" not in report.pipeline
         assert np.array_equal(report.result, weights @ inputs)
+
+    @pytest.mark.parametrize("k_shards", [0, -2, 1.5, 2.7, "2", np.float64(2.0)])
+    def test_bad_k_shards_rejected_before_any_write(self, k_shards):
+        weights, inputs = make_gemm_workload(8, 8, 4, rng=4)
+        soc = _cluster(2)
+        with pytest.raises(ValueError, match="k_shards"):
+            soc.run_tiled_gemm(weights, inputs, k_shards=k_shards)
+        assert soc.bus.transfers == 0
+        assert soc.main_memory.dump_words(0x1000, 64) == [0] * 64
+        for accelerator in soc.accelerators:
+            assert accelerator.mmr.write_count == 0
+            assert not accelerator._pending
+        assert soc.scheduler.current_cycle == 0
+
+    @pytest.mark.parametrize("k_shards", [None, 1, np.int64(1), 2, np.int32(2)])
+    def test_integer_k_shards_accepted(self, k_shards):
+        weights, inputs = make_gemm_workload(8, 8, 4, rng=4)
+        report = _cluster(2).run_tiled_gemm(weights, inputs, k_shards=k_shards)
+        assert np.array_equal(report.result, weights @ inputs)
+        assert report.pipeline.get("k_shards", 1) == (k_shards or 1)
 
     def test_staging_overflow_rejected(self):
         soc = _cluster(2)
@@ -460,7 +480,7 @@ class TestPipelineStateHygiene:
         weights, inputs = make_gemm_workload(8, 8, 4, value_range=4, rng=12)
         engine = PhotonicMVM(weights.astype(float), rng=0)
         soc = PhotonicSoC()
-        soc.add_photonic_accelerator(analog_model=engine)
+        soc.add_photonic_accelerator(backend=AnalogPhotonicBackend(engine=engine))
         with pytest.raises(ValueError, match="do not match the programmed engine"):
             soc.run_tiled_gemm(weights, inputs)
 
@@ -470,7 +490,7 @@ class TestPipelineStateHygiene:
         weights, inputs = make_gemm_workload(8, 8, 4, value_range=4, rng=12)
         engine = PhotonicMVM(weights.astype(float), rng=0)
         soc = PhotonicSoC()
-        soc.add_photonic_accelerator(analog_model=engine)
+        soc.add_photonic_accelerator(backend=AnalogPhotonicBackend(engine=engine))
         report = soc.run_tiled_gemm(weights, inputs, tile_rows=8)
         golden = weights @ inputs
         error = np.linalg.norm(report.result - golden) / np.linalg.norm(golden)
