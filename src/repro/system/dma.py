@@ -94,9 +94,10 @@ class DMAEngine:
         energy_per_word: DMA engine energy per word moved [J].
 
     The engine is busy for the whole modelled transfer window; the caller
-    schedules its own completion after the returned latency.  Several transfers issued in the *same* cycle chain as one
-    descriptor list — the window extends by each transfer's latency, which
-    is how an accelerator queues its weights + input fetches back to back.
+    schedules its own completion after the returned latency.  Several
+    transfers issued in the *same* cycle chain as one descriptor list — the
+    window extends by each transfer's latency, which is how an accelerator
+    queues its weights + input fetches back to back.
     Issuing from a strictly later cycle while the window is still open is a
     programming error and raises.
     """
