@@ -41,14 +41,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.compiler.costmodel import (
-    CalibrationSample,
-    ReplicaProfile,
-    SoCCostModel,
-    replica_cost_fn,
-)
+from repro.compiler.costmodel import CalibrationSample, SoCCostModel
 from repro.compiler.execute import (
     DEFAULT_PLAN_CACHE,
     PlanCache,
@@ -203,7 +198,6 @@ class AdaptiveReplanner:
         self._samples: Deque[CalibrationSample] = deque(maxlen=int(max_samples))
         self._widths: Deque[int] = deque(maxlen=int(width_window))
         self._plans: Dict[str, ManagedPlan] = {}
-        self._profiles: Dict[str, ReplicaProfile] = {}
         self._device_types = [pe.device_type for pe in soc.accelerators]
 
     # ------------------------------------------------------------------ #
@@ -238,31 +232,9 @@ class AdaptiveReplanner:
         if n_columns >= 1:
             self._widths.append(int(n_columns))
 
-    def ingest_profiles(self, profiles: Dict[str, ReplicaProfile]) -> None:
-        """Adopt a fresh ``profile_replicas`` result (replacing the old one).
-
-        Scoring callables built from :meth:`current_profiles` see the new
-        profiles immediately — no scheduler rebuild required.
-        """
-        self._profiles = dict(profiles)
-
     # ------------------------------------------------------------------ #
     # read-through views
     # ------------------------------------------------------------------ #
-    def current_profiles(self) -> Dict[str, ReplicaProfile]:
-        """The live replica-profile mapping (see :meth:`ingest_profiles`)."""
-        return self._profiles
-
-    def cost_fn(self) -> Callable[[object], float]:
-        """A read-through scorer for ``ReplicaScheduler(policy="cost-based")``.
-
-        Built over :meth:`current_profiles` (the callable form of
-        :func:`~repro.compiler.costmodel.replica_cost_fn`), so cost-based
-        routing sees every :meth:`ingest_profiles` refresh without the
-        scheduler being rebuilt.
-        """
-        return replica_cost_fn(self.current_profiles)
-
     def fingerprint(self) -> str:
         """The current model's coefficient fingerprint (bumps on refit)."""
         return cost_model_fingerprint(self.model)

@@ -15,17 +15,13 @@ Two calibration sources feed the compiler's placement decisions:
   ``offload_cycles`` per request).  :func:`replica_cost_fn` turns the
   profiles into the scoring callable the serving scheduler's
   ``cost-based`` routing policy consumes.
-
-Before any calibration data exists, :meth:`SoCCostModel.from_hints` seeds
-an uncalibrated prior model from a backend's static
-:meth:`~repro.core.backends.ExecutionBackend.cost_hint`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -465,53 +461,6 @@ class SoCCostModel:
             host_coeffs=host_coeffs,
         )
 
-    @classmethod
-    def from_hints(
-        cls,
-        backend,
-        clock_hz: float = 1e9,
-        n_pes: int = 1,
-        words_per_burst: int = 8,
-        word_access_cycles: int = 32,
-        cycles_per_mac: float = 1.0,
-    ) -> "SoCCostModel":
-        """Uncalibrated prior model seeded from a backend's ``cost_hint``.
-
-        Before any probe offload has run, a backend's static
-        :meth:`~repro.core.backends.ExecutionBackend.cost_hint` is the only
-        cost information available.  This fits the same linear compute
-        model :meth:`calibrate` fits, but against hint-derived targets
-        (``max(latency_s * clock, cycles_per_mac * macs)`` per probe
-        shape) and a nominal DMA burst model — good enough to rank
-        sharding choices cold; replace with :meth:`calibrate` once the
-        SoC exists.
-        """
-        compute_rows, compute_targets = [], []
-        for n_rows, n_inner, n_cols in DEFAULT_PROBE_SHAPES:
-            hint = backend.cost_hint(n_rows, n_inner, n_cols)
-            compute_rows.append(_tile_compute_features(n_rows, n_inner, n_cols))
-            compute_targets.append(
-                max(
-                    float(hint.get("latency_s", 0.0)) * clock_hz,
-                    cycles_per_mac * float(hint.get("macs", 0.0)),
-                )
-            )
-        compute_coeffs, *_ = np.linalg.lstsq(
-            np.asarray(compute_rows),
-            np.asarray(compute_targets, dtype=float),
-            rcond=None,
-        )
-        # DMA prior: every word streams at 1 cycle, every burst restarts
-        # the access pipe — the same shape the calibrated fit recovers
-        dma_coeffs = np.array([1.0, float(word_access_cycles - 1), 0.0])
-        return cls(
-            dma_coeffs,
-            {getattr(backend, "name", "backend"): compute_coeffs},
-            clock_hz=clock_hz,
-            n_pes=n_pes,
-            words_per_burst=words_per_burst,
-        )
-
     # ------------------------------------------------------------------ #
     # prediction
     # ------------------------------------------------------------------ #
@@ -779,31 +728,23 @@ def profile_replicas(
     return profiles
 
 
-def replica_cost_fn(
-    profiles: Union[
-        Mapping[str, ReplicaProfile], Callable[[], Mapping[str, ReplicaProfile]]
-    ],
-) -> Callable[[object], float]:
+def replica_cost_fn(profiles: Mapping[str, ReplicaProfile]) -> Callable[[object], float]:
     """Scoring callable for ``ReplicaScheduler(policy="cost-based")``.
 
     Returns the calibrated per-request service seconds of a replica;
     unprofiled replicas fall back to their engine's static latency hint,
-    so a partially-profiled pool still routes sensibly.
+    so a partially-profiled pool still routes sensibly.  The scheduler
+    clamps the result at 0.
 
-    ``profiles`` may be a plain mapping, or a zero-argument callable
-    returning the *current* mapping.  The callable form reads through on
-    every score, so cost-based routing sees live re-profiles — pass
-    :meth:`~repro.compiler.adaptive.AdaptiveReplanner.current_profiles`
-    and a refit's refreshed profiles take effect without rebuilding the
-    scheduler's closure (a plain dict snapshot would pin the boot-time
-    profiles forever).
+    ``profiles`` is read on every call, so refreshing the mapping in place
+    (``profiles.update(profile_replicas(...))``) is seen by the next routed
+    request; a copy taken before the refresh keeps the old profiles.
     """
 
     def cost(replica) -> float:
-        current = profiles() if callable(profiles) else profiles
-        profile = current.get(replica.name)
-        if profile is not None:
-            return max(profile.service_s, 0.0)
-        return max(replica.engine.latency_hint_s(1), 0.0)
+        profile = profiles.get(replica.name)
+        if profile is None:
+            return replica.engine.latency_hint_s(1)
+        return profile.service_s
 
     return cost

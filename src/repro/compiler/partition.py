@@ -30,6 +30,7 @@ Two placement axes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.compiler.costmodel import ReplicaProfile, SoCCostModel
@@ -80,8 +81,9 @@ def expected_batch_width(source: Union[int, object]) -> int:
     This bridges the two layers without a hard import:
 
     Args:
-        source: either a plain ``int`` batch width, or a serving object —
-            a :class:`~repro.serving.scheduler.Replica` (unwrapped to its
+        source: either an integer batch width (a NumPy integer counts, a
+            ``bool`` does not), or a serving object — a
+            :class:`~repro.serving.scheduler.Replica` (unwrapped to its
             batcher) or a :class:`~repro.serving.batching.MicroBatcher`.
             Batchers report their observed mean fused batch when they have
             served traffic, else their configured ``max_batch`` bound.
@@ -90,21 +92,19 @@ def expected_batch_width(source: Union[int, object]) -> int:
         The batch width, always >= 1.
 
     Raises:
-        ValueError: for non-positive widths or objects that carry no
-            batching information.
+        ValueError: for widths below 1, non-integers (``2.7``, ``"3"``,
+            ``True``) and objects that carry no batching information.
     """
     if hasattr(source, "expected_columns"):  # a Replica or MicroBatcher
         return max(1, int(source.expected_columns()))
-    try:
-        width = int(source)
-    except (TypeError, ValueError):
+    if not isinstance(source, Integral) or isinstance(source, bool):
         raise ValueError(
             f"cannot derive a batch width from {source!r}: pass an int, a "
             f"MicroBatcher or a Replica"
-        ) from None
-    if width < 1:
-        raise ValueError(f"batch width must be >= 1, got {width}")
-    return width
+        )
+    if source < 1:
+        raise ValueError(f"batch width must be >= 1, got {source}")
+    return int(source)
 
 
 def choose_sharding(

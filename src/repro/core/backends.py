@@ -60,24 +60,6 @@ class ExecutionBackend:
         """
         return 0.0
 
-    def cost_hint(self, n_rows: int, n_inner: int, n_cols: int) -> Dict[str, float]:
-        """Static cost prior for one ``(n_rows, n_inner) @ (n_inner, n_cols)``.
-
-        The model compiler's cost model seeds its predictions with these
-        hints before any calibration data exists: ``macs`` is the
-        arithmetic work, ``words_moved`` the operand + result traffic a
-        tile of this shape generates, and ``latency_s`` the backend's own
-        schedule estimate (0 for digital backends, the modulator-limited
-        symbol schedule for analog ones).
-        """
-        return {
-            "macs": float(n_rows * n_inner * n_cols),
-            "words_moved": float(
-                n_rows * n_inner + n_inner * n_cols + n_rows * n_cols
-            ),
-            "latency_s": self.schedule_latency_s(n_cols),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
 

@@ -3,18 +3,27 @@
 A :class:`Replica` is one independently-queued serving unit — an engine
 (possibly a different backend per replica), its bounded request queue and
 its micro-batcher.  The :class:`ReplicaScheduler` routes each admitted
-request to a replica under one of three policies:
+request to a replica by one rule: the replica with the least expected
+time-to-serve, ``(load + 1) * cost(replica)``, where ``load + 1`` counts
+the requests ahead of and including this one and ``cost`` is a
+per-request service time.  Ties go to the lower load, then to the earlier
+replica, so a pool whose costs are all 0 never degenerates to
+always-pick-first.  A policy name only chooses the cost:
 
-* ``round-robin`` — strict rotation, oblivious to load.
-* ``least-loaded`` — fewest queued + in-flight requests wins.
-* ``latency-aware`` — minimise ``(load + 1) * ewma_latency`` so a slow
-  analog replica sheds traffic to faster digital ones.
-* ``cost-based`` — minimise ``(load + 1) * cost_fn(replica)`` where
-  ``cost_fn`` is a calibrated per-request service-time model (e.g. the
-  compiler's :func:`repro.compiler.costmodel.replica_cost_fn`, fitted
-  from measured engine latencies and ``SoCGemmEngine.offload_cycles``).
-  Unlike ``latency-aware`` it needs no warm-up traffic: heterogeneous
-  pools route correctly from the very first request.
+* ``least-loaded`` — cost 1, so the fewest queued + in-flight requests win.
+* ``latency-aware`` — the replica's smoothed observed latency, or its
+  engine's ``latency_hint_s(1)`` until it has one, so a slow analog
+  replica sheds traffic to faster digital ones and cold replicas get
+  probed.
+* ``cost-based`` — ``cost_fn(replica)``, a calibrated service-time model
+  (e.g. the compiler's :func:`repro.compiler.costmodel.replica_cost_fn`,
+  fitted from measured engine latencies and
+  ``SoCGemmEngine.offload_cycles``), or the engine hint when no
+  ``cost_fn`` is given, clamped at 0.  It needs no warm-up traffic:
+  heterogeneous pools route correctly from the very first request.
+
+``round-robin`` is the one unscored policy: strict rotation, oblivious
+to load.
 
 Admission control is a bounded queue per replica: when the preferred
 replica is full, the scheduler fails over to the least-loaded alternative
@@ -55,6 +64,17 @@ def latency_ewma(previous: Optional[float], latency_s: float) -> float:
     if previous is None:
         return latency_s
     return LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
+
+
+def _unit_cost(replica: "Replica") -> float:
+    return 1
+
+
+def _latency_cost(replica: "Replica") -> float:
+    latency = replica.ewma_latency_s
+    if latency is None:
+        return replica.engine.latency_hint_s(1)
+    return latency
 
 
 class PoolLoad:
@@ -296,10 +316,12 @@ class ReplicaScheduler:
         policy: one of :data:`POLICIES`.
         cost_fn: per-request service-time model used by the ``cost-based``
             policy — maps a replica to predicted seconds per request.
-            Defaults to each engine's own ``latency_hint_s(1)`` when not
-            supplied; inject a calibrated model (see
-            :func:`repro.compiler.costmodel.replica_cost_fn`) for
-            heterogeneous pools of digital engines whose hints are all 0.
+            Read at every :meth:`select`, so assigning a new one takes
+            effect on the next routed request.  Defaults to each engine's
+            own ``latency_hint_s(1)`` when ``None``; inject a calibrated
+            model (see :func:`repro.compiler.costmodel.replica_cost_fn`)
+            for heterogeneous pools of digital engines whose hints are
+            all 0.
     """
 
     def __init__(
@@ -318,6 +340,12 @@ class ReplicaScheduler:
         self.replicas = list(replicas)
         self.policy = policy
         self.cost_fn = cost_fn
+        # round-robin is the one policy without a cost
+        self._cost = {
+            "least-loaded": _unit_cost,
+            "latency-aware": _latency_cost,
+            "cost-based": self._calibrated_cost,
+        }.get(policy)
         self._by_name = {replica.name: replica for replica in self.replicas}
         self._rr_index = 0
         self._single = len(self.replicas) == 1
@@ -326,58 +354,24 @@ class ReplicaScheduler:
         for replica in self.replicas:
             replica.pool = self.pool
 
-    def update_cost_fn(self, cost_fn: Optional[Callable[[Replica], float]]) -> None:
-        """Swap the ``cost-based`` scorer without rebuilding the scheduler.
-
-        ``cost_fn`` is read at every :meth:`select`, so the swap takes
-        effect on the next routed request.  Prefer a read-through scorer
-        (:func:`repro.compiler.costmodel.replica_cost_fn` over a profile
-        *provider*, e.g. ``AdaptiveReplanner.cost_fn()``) — then profile
-        refreshes need no swap at all; this hook covers callers who built
-        the scheduler around a snapshot closure.
-        """
-        self.cost_fn = cost_fn
-
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
     def select(self) -> Replica:
         """Pick the preferred replica under the configured policy."""
-        if self.policy == "round-robin":
+        cost = self._cost
+        if cost is None:
             replica = self.replicas[self._rr_index % len(self.replicas)]
             self._rr_index += 1
             return replica
-        if self.policy == "least-loaded":
-            return min(self.replicas, key=_by_load)
-        if self.policy == "cost-based":
-            # expected time-to-serve from the *calibrated* cost model:
-            # (load + 1) requests ahead of (and including) this one, each
-            # costing the predicted per-request service time.  Ties fall
-            # back to least-loaded so an unprofiled all-digital pool (all
-            # costs 0) never degenerates to always-pick-first.
-            def cost_score(replica: Replica) -> tuple:
-                cost = self._replica_cost(replica)
-                return ((replica.load + 1) * cost, replica.load)
+        # expected time-to-serve, ties to the lower load
+        return min(self.replicas, key=lambda r: ((r.load + 1) * cost(r), r.load))
 
-            return min(self.replicas, key=cost_score)
-        # latency-aware: expected time-to-serve = (load + 1) * smoothed
-        # latency; replicas with no observation yet look maximally cheap so
-        # cold replicas get probed.  Ties (e.g. all-digital pools whose
-        # latency estimates are 0) fall back to least-loaded so the policy
-        # never degenerates to always-pick-first.
-        def score(replica: Replica) -> tuple:
-            latency = replica.ewma_latency_s
-            if latency is None:
-                latency = replica.engine.latency_hint_s(1)
-            return ((replica.load + 1) * latency, replica.load)
-
-        return min(self.replicas, key=score)
-
-    def _replica_cost(self, replica: Replica) -> float:
-        """Predicted per-request service seconds under the cost model."""
-        if self.cost_fn is not None:
-            return max(float(self.cost_fn(replica)), 0.0)
-        return max(replica.engine.latency_hint_s(1), 0.0)
+    def _calibrated_cost(self, replica: Replica) -> float:
+        """Predicted per-request service seconds under the cost model, at least 0."""
+        cost_fn = self.cost_fn
+        cost = replica.engine.latency_hint_s(1) if cost_fn is None else cost_fn(replica)
+        return max(float(cost), 0.0)
 
     def replica_named(self, name: str) -> Replica:
         """Look up a replica by name (raises ``KeyError`` for unknown names)."""

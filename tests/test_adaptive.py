@@ -23,7 +23,7 @@ from repro.compiler import (
     soc_fingerprint,
 )
 from repro.obs.drift import DriftMonitor
-from repro.serving import InferenceServer, Replica, SoCGemmEngine
+from repro.serving import GemmEngine, InferenceServer, Replica, SoCGemmEngine
 from repro.system import PhotonicSoC
 
 #: Production GeMM shapes used to feed the sample window in drift tests.
@@ -402,20 +402,15 @@ class TestCostFnReadThrough:
         assert cost(_StubReplica("r0")) == 1.5
         assert cost(_StubReplica("r1")) == 0.5  # hint fallback
 
-    def test_provider_form_sees_refreshed_profiles(self):
+    def test_in_place_refresh_is_seen_on_the_next_call(self):
         from repro.compiler import ReplicaProfile
 
-        soc, _, replanner = drifted_replanner()
-        replanner.ingest_profiles(
-            {"r0": ReplicaProfile(name="r0", service_s=1.0, macs=16)}
-        )
-        cost = replanner.cost_fn()
+        profiles = {"r0": ReplicaProfile(name="r0", service_s=1.0, macs=16)}
+        cost = replica_cost_fn(profiles)
         replica = _StubReplica("r0")
         assert cost(replica) == 1.0
         # a re-profile lands without rebuilding the scheduler's closure
-        replanner.ingest_profiles(
-            {"r0": ReplicaProfile(name="r0", service_s=5.0, macs=16)}
-        )
+        profiles.update({"r0": ReplicaProfile(name="r0", service_s=5.0, macs=16)})
         assert cost(replica) == 5.0
 
     def test_snapshot_closure_is_the_bug_this_guards(self):
@@ -424,14 +419,19 @@ class TestCostFnReadThrough:
         snapshot = {"r0": ReplicaProfile(name="r0", service_s=1.0, macs=16)}
         cost = replica_cost_fn(dict(snapshot))  # a copy: the old stale shape
         snapshot["r0"] = ReplicaProfile(name="r0", service_s=5.0, macs=16)
-        assert cost(_StubReplica("r0")) == 1.0  # frozen — why providers exist
+        assert cost(_StubReplica("r0")) == 1.0  # frozen: refresh the mapping passed in
 
     def test_scheduler_cost_fn_swap(self):
         from repro.serving.scheduler import ReplicaScheduler
-        from repro.serving import SoCGemmEngine
 
-        soc = make_soc(1)
-        replica = Replica("r0", SoCGemmEngine(soc, weights=np.ones((2, 2))))
-        scheduler = ReplicaScheduler([replica], policy="cost-based")
-        scheduler.update_cost_fn(lambda r: 2.0)
-        assert scheduler.cost_fn(replica) == 2.0
+        replicas = [
+            Replica(name, GemmEngine(backend="ideal-digital", weights=np.ones((2, 2))))
+            for name in ("r0", "r1")
+        ]
+        scheduler = ReplicaScheduler(
+            replicas, policy="cost-based", cost_fn=lambda r: {"r0": 2.0, "r1": 1.0}[r.name]
+        )
+        assert scheduler.select() is replicas[1]
+        # an assigned scorer routes the next request, no rebuild
+        scheduler.cost_fn = lambda r: {"r0": 1.0, "r1": 2.0}[r.name]
+        assert scheduler.select() is replicas[0]

@@ -189,16 +189,6 @@ class TestSoCCostModel:
         ksharded = model.predict_gemm(16, 16, 4, k_shards=2)
         assert ksharded.extra_cycles > rows.extra_cycles  # reduction cost
 
-    def test_from_hints_seeds_a_prior_from_backend_cost_hints(self):
-        backend = resolve_backend("ideal-digital")
-        model = SoCCostModel.from_hints(backend, n_pes=2)
-        small = model.predict_gemm(8, 8, 4)
-        large = model.predict_gemm(32, 32, 16)
-        assert 0 < small.pipelined_cycles < large.pipelined_cycles
-        # usable by the partitioner before any probe offload has run
-        decision = choose_sharding(2, 64, 1, 2, cost_model=model)
-        assert decision.predicted_cycles is not None
-
 
 class TestReplicaProfiles:
     def test_profile_engine_measures_service_time(self):
@@ -724,14 +714,22 @@ class TestBatchAwareSharding:
 
     def test_expected_batch_width_resolution(self):
         assert expected_batch_width(7) == 7
-        with pytest.raises(ValueError):
-            expected_batch_width(0)
+        assert expected_batch_width(np.int64(3)) == 3
+        assert type(expected_batch_width(np.int64(3))) is int
+        for width in (0, -1, 2.7, 2.0, "3", True, np.float64(4.0), None):
+            with pytest.raises(ValueError):
+                expected_batch_width(width)
         engine = GemmEngine(weights=np.ones((4, 4)), name="g")
         batcher = MicroBatcher(engine, max_batch=16)
         assert expected_batch_width(batcher) == 16  # no traffic yet
         batcher.stats.batches = 4
         batcher.stats.requests = 10
         assert expected_batch_width(batcher) == 2  # observed mean, rounded
+
+    def test_compile_rejects_a_fractional_batch_width(self):
+        graph = ModelGraph.from_matrices(make_layer_stack([8, 8], rng=0))
+        with pytest.raises(ValueError):
+            compile_for_soc(graph, make_soc(2), n_columns=2.7, cache=None)
 
     def test_replica_resolves_through_its_batcher(self):
         replica = Replica("r0", GemmEngine(weights=np.ones((4, 4))), max_batch=8)

@@ -13,6 +13,8 @@ from repro.devices.mzi import ideal_mzi_matrix, physical_mzi_matrix
 from repro.mesh.clements import ClementsMesh
 from repro.mesh.reck import ReckMesh
 from repro.obs.metrics import RELATIVE_ACCURACY, Histogram
+from repro.serving import GemmEngine, Replica, ReplicaScheduler
+from repro.serving.scheduler import POLICIES
 from repro.system.assembler import assemble
 from repro.system.memory import to_signed, to_unsigned
 from repro.utils.linalg import is_unitary, matrix_fidelity, random_unitary
@@ -335,3 +337,85 @@ class TestHistogramProperties:
             exact = float(np.quantile(samples, q, method="lower"))
             bound = RELATIVE_ACCURACY * (1 + 1e-9) * exact
             assert abs(merged.quantile(q) - exact) <= bound
+
+
+# --------------------------------------------------------------------- #
+# serving: every scheduler policy is a cost under one scored choice
+# --------------------------------------------------------------------- #
+class _HintEngine(GemmEngine):
+    """An engine whose routing hint is a drawn value."""
+
+    def __init__(self, hint):
+        super().__init__(backend="ideal-digital")
+        self.hint = hint
+
+    def latency_hint_s(self, n_columns):
+        return self.hint
+
+
+def four_branch_select(scheduler, rr_index):
+    """The routing rule written as one branch per policy, kept as the reference."""
+    replicas = scheduler.replicas
+    if scheduler.policy == "round-robin":
+        return replicas[rr_index % len(replicas)]
+    if scheduler.policy == "least-loaded":
+        return min(replicas, key=lambda replica: replica.load)
+    if scheduler.policy == "cost-based":
+        def cost_score(replica):
+            if scheduler.cost_fn is not None:
+                cost = max(float(scheduler.cost_fn(replica)), 0.0)
+            else:
+                cost = max(replica.engine.latency_hint_s(1), 0.0)
+            return ((replica.load + 1) * cost, replica.load)
+
+        return min(replicas, key=cost_score)
+
+    def score(replica):
+        latency = replica.ewma_latency_s
+        if latency is None:
+            latency = replica.engine.latency_hint_s(1)
+        return ((replica.load + 1) * latency, replica.load)
+
+    return min(replicas, key=score)
+
+
+# small value sets so ties, zeros and negatives come up often
+_times = st.sampled_from([0.0, 0.001, 0.002, 0.5, 1.0])
+_costs = st.one_of(
+    st.sampled_from([-1.0, -0.001, 0.0, 0.001, 0.002, 1.0]),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+replica_states = st.lists(
+    st.fixed_dictionaries(
+        {
+            "load": st.integers(min_value=0, max_value=6),
+            "pulled": st.integers(min_value=0, max_value=6),
+            "ewma": st.one_of(st.none(), _times),  # None: a cold replica
+            "hint": st.one_of(_times, st.sampled_from([-0.5, -0.001])),
+            "cost": _costs,
+        }
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestRoutingRuleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(replica_states, st.sampled_from(POLICIES), st.booleans())
+    def test_one_scored_choice_picks_what_four_branches_picked(
+        self, states, policy, with_cost_fn
+    ):
+        replicas = []
+        for index, state in enumerate(states):
+            replica = Replica(f"r{index}", _HintEngine(state["hint"]))
+            replica.load = state["load"]
+            replica.inflight = min(state["pulled"], state["load"])
+            replica.ewma_latency_s = state["ewma"]
+            replicas.append(replica)
+        costs = {f"r{index}": state["cost"] for index, state in enumerate(states)}
+        cost_fn = (lambda replica: costs[replica.name]) if with_cost_fn else None
+        scheduler = ReplicaScheduler(replicas, policy=policy, cost_fn=cost_fn)
+
+        for rr_index in range(2 * len(replicas)):
+            assert scheduler.select() is four_branch_select(scheduler, rr_index)
